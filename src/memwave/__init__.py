@@ -31,7 +31,6 @@ from .sparse_linalg import (
     bicg_solve,
     build_preconditioner,
     lu_solve,
-    matvec,
     write_matrix_market,
 )
 from .solver_1d import (
@@ -54,7 +53,7 @@ from .solver_2d import (
     sparsity_bound,
     verify_sparsity,
 )
-from .analytic_reference import Resolvent, heat_solution, resolvent_apply, wave_solution
+from .analytic_reference import heat_solution, resolvent_apply, wave_solution
 from .stochastic import (
     NoiseModel,
     TimePartition,
@@ -74,12 +73,12 @@ __all__ = [
     "source_weights", "reconstruct",
     "SparseMatrix", "SolveReport", "BlockPreconditioner", "BlockSystem",
     "SingularMatrixError", "DIRECT_LIMIT",
-    "lu_solve", "bicg_solve", "build_preconditioner", "matvec", "write_matrix_market",
+    "lu_solve", "bicg_solve", "build_preconditioner", "write_matrix_market",
     "Grid1D", "InitialField1D", "SolutionField1D", "SolverConvergenceError",
     "assemble_1d", "choose_slabs", "solve_1d", "sup_error", "residual_orthogonality",
     "Grid2D", "InitialField2D", "SolutionField2D",
     "assemble_2d", "solve_2d", "sparsity_bound", "verify_sparsity",
-    "Resolvent", "heat_solution", "wave_solution", "resolvent_apply",
+    "heat_solution", "wave_solution", "resolvent_apply",
     "NoiseModel", "TimePartition", "Trajectory", "default_partition",
     "sample_increments", "stochastic_convolution", "simulate_trajectory",
     "__version__",

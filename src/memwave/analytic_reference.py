@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .memory_kernel import MemoryOrder
 from .solver_1d import Grid1D
 
 __all__ = [
-    "Resolvent",
     "heat_solution",
     "wave_solution",
     "resolvent_apply",
@@ -104,21 +102,3 @@ def resolvent_apply(alpha, t: float, field, grid: Grid1D) -> np.ndarray:
         )
     _check_edges(out, "resolvent output")
     return out
-
-
-@dataclass(frozen=True)
-class Resolvent:
-    """Endpoint resolvent S(t) bound to one order alpha in {1, 2}."""
-
-    alpha: int
-
-    def __post_init__(self):
-        alpha = self.alpha
-        if isinstance(alpha, MemoryOrder):
-            alpha = alpha.alpha
-        if alpha not in (1, 2):
-            raise ValueError(f"resolvent order must be 1 or 2, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", int(alpha))
-
-    def apply(self, t: float, field, grid: Grid1D) -> np.ndarray:
-        return resolvent_apply(self.alpha, t, field, grid)

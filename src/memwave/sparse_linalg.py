@@ -35,7 +35,6 @@ __all__ = [
     "lu_solve",
     "bicg_solve",
     "build_preconditioner",
-    "matvec",
     "write_matrix_market",
 ]
 
@@ -152,11 +151,6 @@ class BlockSystem:
     @property
     def N(self) -> int:
         return self.matrix.N
-
-
-def matvec(A: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product."""
-    return A.matvec(x)
 
 
 def lu_solve(A: SparseMatrix, b: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ coupling matrix
 which is non-symmetric in general.  For K slabs it is block lower-
 triangular and block-Toeplitz: block (j, k) is tau^alpha B_{j-k}, where
 the unit blocks B_d are the same integrals between slabs d apart on
-slabs of length 1.
+slabs of length 1.  Every coupling matrix, one slab included, is built
+from these blocks, which are computed and checked once and cached.
 
 On one slab the inner integral carries the weight (t - s)^(alpha-1), and
 the outer integrand behaves like t^alpha times a polynomial, so both are
@@ -49,8 +50,8 @@ __all__ = [
     "reconstruct",
 ]
 
-# Absolute tolerance on every coupling entry, two orders below the
-# tightest linear-solver tolerance.
+# Tolerance on every unit-block entry (slabs of length 1), two orders
+# below the tightest linear-solver tolerance.
 ENTRY_TOL = 1e-12
 
 # Slab doubling stops once the solution at T moves by at most this share
@@ -101,13 +102,10 @@ class TimeBasis:
         Returns an array of shape (K*n, len(t)); a scalar t gives shape (K*n,).
         """
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.slabs == 1:
-            out = self._on_slab(t_arr)
-        else:
-            k = self.slab_index(t_arr)
-            out = np.zeros((self.slabs, self.size_n, t_arr.size))
-            out[k, :, np.arange(t_arr.size)] = self._on_slab(t_arr - k * self.slab_length).T
-            out = out.reshape(self.dimension, t_arr.size)
+        k = self.slab_index(t_arr)
+        out = np.zeros((self.slabs, self.size_n, t_arr.size))
+        out[k, :, np.arange(t_arr.size)] = self._on_slab(t_arr - k * self.slab_length).T
+        out = out.reshape(self.dimension, t_arr.size)
         return out[:, 0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def _on_slab(self, s: np.ndarray) -> np.ndarray:
@@ -228,8 +226,10 @@ def adjacent_integral(phi, num_nodes: int, alpha: float) -> np.ndarray:
 
 
 def _unit_block(n: int, order: MemoryOrder, d: int, num_nodes: int) -> np.ndarray:
-    """B_d for d >= 1: phi_j on slab d against the kernel on slab 0, slabs of length 1."""
+    """B_d: phi_j on slab d against the kernel on slab 0, slabs of length 1."""
     alpha = order.alpha
+    if d == 0:
+        return _coupling_entries(build_basis(1.0, n), order, num_nodes)
     phi = build_basis(1.0, n).evaluate
     if d == 1:
         # t = 1 + u and s = 1 - v, so t - s = u + v vanishes at the shared corner
@@ -258,16 +258,14 @@ _UNIT_SCHUR: dict[tuple, tuple] = {}
 def unit_blocks(n: int, order: MemoryOrder, count: int, quad: int | None = None) -> list:
     """The unit coupling blocks B_0 .. B_{count-1}, each checked by quadrature doubling.
 
-    B_0 is coupling_matrix on the single-slab basis of [0, 1]; the others
-    are recomputed at doubled order and raise QuadratureError when an entry
-    moves by more than ENTRY_TOL.  Results are cached; do not modify them.
+    quad is the node count per quadrature direction (default 2n+8).  Every
+    block is recomputed at doubled order and raises QuadratureError when an
+    entry moves by more than ENTRY_TOL.  Results are cached; do not modify them.
     """
     q = int(quad) if quad is not None else 2 * n + 8
     if q < 1:
         raise ValueError(f"quadrature order must be positive, got {quad!r}")
     blocks = _UNIT_BLOCKS.setdefault((n, order.alpha, q), [])
-    if not blocks:
-        blocks.append(coupling_matrix(build_basis(1.0, n), order, q).entries)
     for d in range(len(blocks), count):
         b = _unit_block(n, order, d, q)
         drift = float(np.max(np.abs(b - _unit_block(n, order, d, 2 * q))))
@@ -288,33 +286,20 @@ def _unit_schur(n: int, order: MemoryOrder):
 
 
 def coupling_matrix(basis: TimeBasis, order: MemoryOrder, quad: int | None = None) -> CouplingMatrix:
-    """Compute the coupling matrix a_jk to ENTRY_TOL absolute accuracy.
+    """Compute the coupling matrix a_jk from the checked unit blocks.
 
-    quad is the node count per quadrature direction (default 2n+8).  On a
-    single slab the result is verified by recomputing at doubled order;
-    disagreement above the tolerance raises QuadratureError.  On K slabs
-    the matrix is assembled from the checked unit blocks, block (j, k)
-    being tau^alpha B_{j-k} for j >= k.
+    On K slabs of length tau (K = 1 included), block (j, k) is
+    tau^alpha B_{j-k} for j >= k and zero above the diagonal.  quad is
+    passed to unit_blocks, which checks every B_d to ENTRY_TOL at unit
+    scale, so the entries are accurate to tau^alpha * ENTRY_TOL.
     """
-    if basis.slabs > 1:
-        n, K = basis.size_n, basis.slabs
-        scale = basis.slab_length**order.alpha
-        blocks = unit_blocks(n, order, K, quad)
-        a = np.zeros((basis.dimension, basis.dimension))
-        for j in range(K):
-            for k in range(j + 1):
-                a[j * n:(j + 1) * n, k * n:(k + 1) * n] = scale * blocks[j - k]
-        return CouplingMatrix(entries=a, horizon_T=basis.horizon_T, order=order)
-    q = int(quad) if quad is not None else 2 * basis.size_n + 8
-    if q < 1:
-        raise ValueError(f"quadrature order must be positive, got {quad!r}")
-    a = _coupling_entries(basis, order, q)
-    a_check = _coupling_entries(basis, order, 2 * q)
-    drift = float(np.max(np.abs(a - a_check)))
-    if drift > ENTRY_TOL:
-        raise QuadratureError(
-            f"coupling quadrature did not converge: doubling changed entries by {drift:.3e}"
-        )
+    n, K = basis.size_n, basis.slabs
+    scale = basis.slab_length**order.alpha
+    blocks = unit_blocks(n, order, K, quad)
+    a = np.zeros((basis.dimension, basis.dimension))
+    for j in range(K):
+        for k in range(j + 1):
+            a[j * n:(j + 1) * n, k * n:(k + 1) * n] = scale * blocks[j - k]
     return CouplingMatrix(entries=a, horizon_T=basis.horizon_T, order=order)
 
 
@@ -337,9 +322,8 @@ def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
     For each eigenvalue lam of the (negated) spatial operator this is
     phi(T) . (I + lam a)^{-1} w, so a field whose sine coefficients are g_i
     has coefficients g_i * endpoint_transfer(lam_i) at T.  Slabs are
-    eliminated one after another with the unit blocks scaled by tau^alpha
-    (also for one slab, so no QuadratureError from a long horizon reaches
-    it).  Returns an array of the shape of lam.
+    eliminated one after another with the unit blocks scaled by tau^alpha.
+    Returns an array of the shape of lam.
     """
     lam = np.asarray(lam, dtype=float)
     vals, inverse = np.unique(lam.ravel(), return_inverse=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from memwave import Grid1D, MemoryOrder, Resolvent, heat_solution, resolvent_apply, wave_solution
+from memwave import Grid1D, MemoryOrder, heat_solution, resolvent_apply, wave_solution
 
 
 class TestHeatSolution:
@@ -124,6 +124,8 @@ class TestResolventApply:
         grid = self.grid(31)
         with pytest.raises(ValueError):
             resolvent_apply(1.5, 1.0, np.zeros(31), grid)
+        with pytest.raises(ValueError):
+            resolvent_apply(3, 1.0, np.zeros(31), grid)
 
     def test_memory_order_accepted(self):
         grid = self.grid()
@@ -156,21 +158,3 @@ class TestResolventApply:
         f = np.exp(-(grid.points**2) / 0.04)
         with pytest.warns(UserWarning, match="mass is leaving"):
             resolvent_apply(1, 1.0, f, grid)
-
-
-class TestResolventClass:
-    def test_apply_delegates(self):
-        grid = Grid1D(-15.0, 15.0, 301)
-        f = np.exp(-(grid.points**2))
-        S = Resolvent(alpha=2)
-        assert np.array_equal(S.apply(1.0, f, grid), resolvent_apply(2, 1.0, f, grid))
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            Resolvent(alpha=3)
-
-    def test_memory_order_normalized(self):
-        S = Resolvent(alpha=MemoryOrder(1.0))
-        assert S.alpha == 1
-        with pytest.raises(ValueError):
-            Resolvent(alpha=MemoryOrder(1.25))

@@ -219,6 +219,23 @@ class TestSlabs:
         assert f_iter.report.method == "bicg+precond" and f_iter.report.residual <= 1e-10
         assert np.max(np.abs(f_direct.coefficients - f_iter.coefficients)) < 1e-8
 
+    def test_one_slab_on_a_long_horizon(self):
+        # n = 64 settles T = 12 on one slab; its coupling entries reach 12^2 times
+        # the unit block's, and the solve must not fail the quadrature check
+        from scipy.fft import dst
+
+        from memwave import endpoint_transfer
+
+        order, T, n, grid = MemoryOrder(2.0), 12.0, 64, Grid1D(-15.0, 15.0, 61)
+        field = solve_1d(order, T, n, grid, InitialField1D.gaussian(1.0))
+        assert field.report.slabs == 1 and field.report.residual <= 1e-10
+        g = InitialField1D.gaussian(1.0).evaluate(grid.points)
+        lam = sine_eigenvalues(g.shape, grid.h)
+        g_hat = dst(g, type=1, norm="ortho")
+        expected = dst(endpoint_transfer(build_basis(T, n), order, lam) * g_hat,
+                       type=1, norm="ortho")
+        assert np.max(np.abs(field.reconstruct(T) - expected)) <= 1e-10 * np.max(np.abs(g))
+
     def test_capped_slab_count_warns_once(self):
         # two functions per slab cannot settle the solution at T to 1e-6
         with pytest.warns(UserWarning, match="capped") as caught:

@@ -18,7 +18,6 @@ from memwave import (
     build_preconditioner,
     coupling_matrix,
     lu_solve,
-    matvec,
     source_weights,
     write_matrix_market,
 )
@@ -52,9 +51,9 @@ class TestSparseMatrix:
     def test_matvec_identity_and_zero(self):
         x = np.arange(4.0)
         eye = SparseMatrix(sp.identity(4, format="csr"))
-        assert np.array_equal(matvec(eye, x), x)
+        assert np.array_equal(eye.matvec(x), x)
         zero = SparseMatrix(sp.csr_matrix((4, 4)))
-        assert np.array_equal(matvec(zero, x), np.zeros(4))
+        assert np.array_equal(zero.matvec(x), np.zeros(4))
 
     def test_matvec_dimension_mismatch(self):
         eye = SparseMatrix(sp.identity(4, format="csr"))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memwave import (
     MemoryOrder,
@@ -175,7 +176,7 @@ class TestReconstruct:
 class TestSlabBasis:
     def test_single_slab_reproduces_interval_basis(self):
         # one slab is the single-interval shifted Legendre basis, bit for bit
-        from memwave.time_basis import _coupling_entries
+        from memwave.time_basis import unit_blocks
 
         T, n = 6.0, 8
         basis = build_basis(T, n)
@@ -193,10 +194,35 @@ class TestSlabBasis:
         for alpha in (1.0, 1.5, 2.0):
             order = MemoryOrder(alpha)
             assert np.array_equal(coupling_matrix(basis, order).entries,
-                                  _coupling_entries(basis, order, 2 * n + 8))
+                                  T**alpha * unit_blocks(n, order, 1)[0])
         coeffs = np.arange(3.0 * n).reshape(n, 3)
         assert np.array_equal(reconstruct(coeffs, basis, 2.5),
                               np.tensordot(basis.evaluate(2.5), coeffs, axes=(0, 0)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(min_value=1.0, max_value=2.0), st.integers(min_value=1, max_value=32),
+           st.floats(min_value=0.5, max_value=12.0))
+    def test_single_slab_scaling_law(self, alpha, n, T):
+        # a(T) = T^alpha a(1): the scaled unit block matches a direct quadrature on [0, T]
+        from memwave.time_basis import _coupling_entries
+
+        basis, order = build_basis(T, n), MemoryOrder(alpha)
+        a = coupling_matrix(basis, order).entries
+        direct = _coupling_entries(basis, order, 2 * n + 8)
+        assert np.max(np.abs(a - direct)) <= 1e-13 * np.max(np.abs(a))
+
+    def test_long_horizon_does_not_raise(self):
+        # the entries grow like T^alpha; the doubling check runs at unit scale
+        a = coupling_matrix(build_basis(6.0, 96), MemoryOrder(1.5)).entries
+        assert a.shape == (96, 96) and np.all(np.isfinite(a))
+
+    def test_entries_do_not_alias_the_cached_blocks(self):
+        from memwave.time_basis import unit_blocks
+
+        order = MemoryOrder(1.5)
+        a = coupling_matrix(build_basis(1.0, 4), order).entries
+        a[:] = 0.0
+        assert np.any(unit_blocks(4, order, 1)[0] != 0.0)
 
     def test_slab_functions_are_local_and_orthonormal(self):
         T, n, K = 6.0, 5, 3
