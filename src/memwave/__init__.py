@@ -23,9 +23,9 @@ from .time_basis import (
 )
 from .sparse_linalg import (
     DIRECT_LIMIT,
-    BlockPreconditioner,
     BlockSystem,
     SingularMatrixError,
+    SinePreconditioner,
     SolveReport,
     SparseMatrix,
     bicg_solve,
@@ -71,7 +71,7 @@ __all__ = [
     "TimeBasis", "CouplingMatrix", "SourceProjection", "QuadratureError",
     "build_basis", "coupling_matrix", "endpoint_transfer", "kernel_convolution",
     "source_weights", "reconstruct",
-    "SparseMatrix", "SolveReport", "BlockPreconditioner", "BlockSystem",
+    "SparseMatrix", "SolveReport", "SinePreconditioner", "BlockSystem",
     "SingularMatrixError", "DIRECT_LIMIT",
     "lu_solve", "bicg_solve", "build_preconditioner", "write_matrix_market",
     "Grid1D", "InitialField1D", "SolutionField1D", "SolverConvergenceError",

@@ -235,11 +235,11 @@ def _run_solve1d(config: RunConfig) -> int:
         precond=config.precond,
     )
     times = config.times or (0.0, config.T)
-    x = grid.points
+    x = [_fmt(xi) for xi in grid.points]
     rows = []
     for t in times:
-        vals = field.reconstruct(float(t))
-        rows += [(_fmt(t), _fmt(xi), _fmt(v)) for xi, v in zip(x, vals)]
+        ft, vals = _fmt(t), field.reconstruct(float(t)).tolist()
+        rows += [(ft, xi, repr(v)) for xi, v in zip(x, vals)]
     path = _out_path(config, "solve1d.csv")
     _write_csv(path, _metadata(config, [_report_line(field.report)]), "t,x,f", rows)
     if config.dump_matrix:
@@ -266,19 +266,15 @@ def _run_solve2d(config: RunConfig) -> int:
         method=config.method, tol=config.tol, max_iter=config.max_iter,
         precond=config.precond,
     )
-    values = field.reconstruct(config.T)
-    x = grid.points
-    rows = [
-        (_fmt(xi), _fmt(yj), _fmt(values[i, j]))
-        for i, xi in enumerate(x)
-        for j, yj in enumerate(x)
-    ]
+    values = field.reconstruct(config.T).tolist()
+    x = [_fmt(xi) for xi in grid.points]
+    rows = [(xi, yj, repr(v)) for xi, row in zip(x, values) for yj, v in zip(x, row)]
     path = _out_path(config, "solve2d.csv")
     meta = _metadata(config, [_report_line(field.report)])
     _write_csv(path, meta, "x,y,f", rows)
-    section = field.section(config.T, 0.0)
+    section = field.section(config.T, 0.0).tolist()
     sec_path = os.path.splitext(path)[0] + "_section.csv"
-    _write_csv(sec_path, meta, "x,f", [(_fmt(xi), _fmt(v)) for xi, v in zip(x, section)])
+    _write_csv(sec_path, meta, "x,f", [(xi, repr(v)) for xi, v in zip(x, section)])
     if config.dump_matrix:
         _dump_system(config, field, assemble_2d, g, grid)
     print(f"solve2d: wrote {path} and {sec_path} ({field.report.method})")

@@ -38,6 +38,7 @@ from .sparse_linalg import (
     bicg_solve,
     build_preconditioner,
     lu_solve,
+    sine_eigenvalues,
 )
 from .time_basis import (
     TIME_TOL,
@@ -109,6 +110,16 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
+class _Gaussian:
+    """exp(-x^2 / sigma^2), a picklable rule for InitialField1D."""
+
+    sigma: float
+
+    def __call__(self, x):
+        return np.exp(-np.asarray(x, dtype=float) ** 2 / self.sigma**2)
+
+
+@dataclass(frozen=True)
 class InitialField1D:
     """Initial condition g(x), assumed negligible at the grid boundary."""
 
@@ -119,8 +130,7 @@ class InitialField1D:
     def gaussian(cls, sigma: float = 1.0) -> "InitialField1D":
         if not sigma > 0:
             raise ValueError(f"sigma must be positive, got {sigma!r}")
-        return cls(rule=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2 / sigma**2),
-                   label=f"gaussian(sigma={sigma})")
+        return cls(rule=_Gaussian(sigma), label=f"gaussian(sigma={sigma})")
 
     def evaluate(self, x) -> np.ndarray:
         return np.asarray(self.rule(np.asarray(x, dtype=float)), dtype=float)
@@ -167,20 +177,6 @@ def assemble_1d(
     A = sp.identity(n * m, format="csr") + sp.kron(sp.csr_matrix(coupling.entries), L, format="csr")
     rhs = np.kron(weights.weights, g.evaluate(grid.points))
     return BlockSystem(matrix=SparseMatrix(A), rhs=rhs, n=n, spatial_shape=(m,), h=grid.h)
-
-
-def sine_eigenvalues(shape: tuple, h: float) -> np.ndarray:
-    """Eigenvalues of the zero-ghost negative Laplacian on a grid of this shape.
-
-    The type-I sine transform along every axis diagonalizes the 3-point and
-    5-point stencils; the eigenvalue of mode (i, l, ...) is the sum over axes
-    of (4/h^2) sin^2(i pi / (2(m+1))).
-    """
-    lam = np.zeros(())
-    for m in shape:
-        modes = np.arange(1, m + 1)
-        lam = np.add.outer(lam, (4.0 / h**2) * np.sin(modes * np.pi / (2.0 * (m + 1))) ** 2)
-    return lam
 
 
 def choose_slabs(order: MemoryOrder, T: float, n: int, g_values: np.ndarray, h: float):

@@ -74,6 +74,30 @@ class Grid2D:
 
 
 @dataclass(frozen=True)
+class _RadialGaussian:
+    """exp(-(x^2 + y^2) / sigma^2), a picklable rule for InitialField2D."""
+
+    sigma: float
+
+    def __call__(self, x, y):
+        return np.exp(-(np.asarray(x) ** 2 + np.asarray(y) ** 2) / self.sigma**2)
+
+
+@dataclass(frozen=True)
+class _AnisotropicGaussian:
+    """exp(-(x+y)^2 / sigma1^2 - (x-y)^2 / sigma2^2), a picklable rule for InitialField2D."""
+
+    sigma1: float
+    sigma2: float
+
+    def __call__(self, x, y):
+        return np.exp(
+            -((np.asarray(x) + np.asarray(y)) ** 2) / self.sigma1**2
+            - ((np.asarray(x) - np.asarray(y)) ** 2) / self.sigma2**2
+        )
+
+
+@dataclass(frozen=True)
 class InitialField2D:
     """Initial condition g(x, y), negligible on the domain boundary."""
 
@@ -84,10 +108,7 @@ class InitialField2D:
     def radial_gaussian(cls, sigma: float = 2.0) -> "InitialField2D":
         if not sigma > 0:
             raise ValueError(f"sigma must be positive, got {sigma!r}")
-        return cls(
-            rule=lambda x, y: np.exp(-(np.asarray(x) ** 2 + np.asarray(y) ** 2) / sigma**2),
-            label=f"radial_gaussian(sigma={sigma})",
-        )
+        return cls(rule=_RadialGaussian(sigma), label=f"radial_gaussian(sigma={sigma})")
 
     @classmethod
     def anisotropic_gaussian(cls, sigma1: float, sigma2: float) -> "InitialField2D":
@@ -95,10 +116,7 @@ class InitialField2D:
         if not (sigma1 > 0 and sigma2 > 0):
             raise ValueError(f"widths must be positive, got {sigma1!r}, {sigma2!r}")
         return cls(
-            rule=lambda x, y: np.exp(
-                -((np.asarray(x) + np.asarray(y)) ** 2) / sigma1**2
-                - ((np.asarray(x) - np.asarray(y)) ** 2) / sigma2**2
-            ),
+            rule=_AnisotropicGaussian(sigma1, sigma2),
             label=f"anisotropic_gaussian(sigma1={sigma1}, sigma2={sigma2})",
         )
 

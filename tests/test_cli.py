@@ -7,12 +7,15 @@ import scipy.sparse as sp
 
 from memwave import (
     Grid1D,
+    Grid2D,
     InitialField1D,
+    InitialField2D,
     MemoryOrder,
     assemble_1d,
     build_basis,
     coupling_matrix,
     solve_1d,
+    solve_2d,
     source_weights,
 )
 from memwave.cli import ConfigError, RunConfig, main, run
@@ -71,7 +74,7 @@ class TestExitCodes:
         assert main(["solve1d", "--config", str(tmp_path / "absent.cfg")]) == 1
 
     def test_solver_failure(self, tmp_path, capsys):
-        code = main(solve1d_args(tmp_path, method="bicg", **{"max-iter": 1}))
+        code = main(solve1d_args(tmp_path, method="bicg", **{"max-iter": 1}) + ["--no-precond"])
         assert code == 2
         assert "solver failed" in capsys.readouterr().err
 
@@ -107,6 +110,33 @@ class TestOutputs:
         expected = np.concatenate([field.reconstruct(0.0), field.reconstruct(2.0)])
         parsed = np.array([float(r[2]) for r in rows])
         assert np.array_equal(parsed, expected)
+
+    def test_solve1d_rows_are_per_value_repr(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(solve1d_args(tmp_path, times="0.0,0.5,2.0")) == 0
+        grid = Grid1D(-10.0, 10.0, 21)
+        field = solve_1d(MemoryOrder(1.5), 2.0, 3, grid, InitialField1D.gaussian(1.0))
+        expected = [
+            f"{float(t)!r},{float(x)!r},{float(v)!r}"
+            for t in (0.0, 0.5, 2.0)
+            for x, v in zip(grid.points, field.reconstruct(t))
+        ]
+        assert out.read_text().splitlines()[-len(expected) - 1:] == ["t,x,f"] + expected
+
+    def test_solve2d_rows_are_per_value_repr(self, tmp_path, capsys):
+        out = tmp_path / "field.csv"
+        assert main(["solve2d", "--alpha", "1.5", "--T", "1.0", "--n", "4",
+                     "--xmin", "-10", "--xmax", "10", "--m", "15",
+                     "--output", str(out)]) == 0
+        grid = Grid2D(-10.0, 10.0, 15)
+        field = solve_2d(MemoryOrder(1.5), 1.0, 4, grid, InitialField2D.radial_gaussian(1.0))
+        values, x = field.reconstruct(1.0), grid.points
+        expected = [f"{float(x[i])!r},{float(x[j])!r},{float(values[i, j])!r}"
+                    for i in range(15) for j in range(15)]
+        assert out.read_text().splitlines()[-len(expected) - 1:] == ["x,y,f"] + expected
+        section = [f"{float(xi)!r},{float(v)!r}" for xi, v in zip(x, field.section(1.0))]
+        lines = (tmp_path / "field_section.csv").read_text().splitlines()
+        assert lines[-len(section) - 1:] == ["x,f"] + section
 
     def test_metadata_echoes_config(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,7 +19,8 @@ from memwave import (
     source_weights,
     sup_error,
 )
-from memwave.solver_1d import MAX_SLABS, laplacian_1d, sine_eigenvalues
+from memwave.solver_1d import MAX_SLABS, laplacian_1d
+from memwave.sparse_linalg import sine_eigenvalues
 
 BENCH = dict(T=6.0, grid=Grid1D(-15.0, 15.0, 151))
 
@@ -55,6 +58,13 @@ class TestInitialField1D:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             InitialField1D.gaussian(0.0)
+
+    def test_pickle_round_trip(self):
+        g = InitialField1D.gaussian(1.5)
+        back = pickle.loads(pickle.dumps(g))
+        x = np.linspace(-4.0, 4.0, 17)
+        assert back.label == g.label
+        assert np.array_equal(back.evaluate(x), g.evaluate(x))
 
 
 class TestAssemble1D:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,14 @@ class TestInitialField2D:
             InitialField2D.radial_gaussian(0.0)
         with pytest.raises(ValueError):
             InitialField2D.anisotropic_gaussian(1.0, -2.0)
+
+    @pytest.mark.parametrize("g", [InitialField2D.radial_gaussian(2.0),
+                                   InitialField2D.anisotropic_gaussian(3.0, 1.5)])
+    def test_pickle_round_trip(self, g):
+        back = pickle.loads(pickle.dumps(g))
+        X, Y = Grid2D(-5.0, 5.0, 9).mesh()
+        assert back.label == g.label
+        assert np.array_equal(back.evaluate(X, Y), g.evaluate(X, Y))
 
 
 class TestAssemble2D:

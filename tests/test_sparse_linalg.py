@@ -8,11 +8,14 @@ from memwave import (
     DIRECT_LIMIT,
     CouplingMatrix,
     Grid1D,
+    Grid2D,
     InitialField1D,
+    InitialField2D,
     MemoryOrder,
     SingularMatrixError,
     SparseMatrix,
     assemble_1d,
+    assemble_2d,
     bicg_solve,
     build_basis,
     build_preconditioner,
@@ -21,6 +24,7 @@ from memwave import (
     source_weights,
     write_matrix_market,
 )
+from memwave.sparse_linalg import sine_eigenvalues
 
 
 def small_1d_system(n=2, m=5, alpha=1.5, T=1.0):
@@ -176,37 +180,57 @@ class TestBicgSolve:
             bicg_solve(A, np.ones(2), max_iter=0)
 
 
-class TestBlockPreconditioner:
+def kron_system(d, n=3, m=6, alpha=1.5, T=2.0):
+    """Coupling, spacing and assembled I + kron(a, L) on an m-point 1D or m x m 2D grid."""
+    basis = build_basis(T, n)
+    coupling = coupling_matrix(basis, MemoryOrder(alpha))
+    weights = source_weights(basis)
+    if d == 1:
+        grid = Grid1D(-6.0, 6.0, m)
+        system = assemble_1d(coupling, weights, InitialField1D.gaussian(1.0), grid)
+    else:
+        grid = Grid2D(-6.0, 6.0, m)
+        system = assemble_2d(coupling, weights, InitialField2D.radial_gaussian(1.0), grid)
+    return coupling, grid.h, system
+
+
+class TestSinePreconditioner:
     def test_scalar_one_dimensional(self):
         coupling = CouplingMatrix(np.array([[0.5]]), 1.0, MemoryOrder(1.0))
         pc = build_preconditioner(coupling, 1.0, 1, 3)
-        assert np.allclose(pc.gamma, [[2.0]])
-        assert np.allclose(pc.gamma_inverse, [[0.5]])
+        lam = 4.0 * np.sin(np.arange(1, 4) * np.pi / 8.0) ** 2
+        assert pc.shape == (3,)
+        assert np.allclose(pc.blocks[:, 0, 0], 1.0 / (1.0 + 0.5 * lam), rtol=1e-14)
 
     def test_scalar_two_dimensional(self):
         coupling = CouplingMatrix(np.array([[0.5]]), 1.0, MemoryOrder(1.0))
         pc = build_preconditioner(coupling, 1.0, 2, 9)
-        assert np.allclose(pc.gamma, [[3.0]])
-        assert np.allclose(pc.gamma_inverse, [[1.0 / 3.0]])
+        lam = 4.0 * np.sin(np.arange(1, 4) * np.pi / 8.0) ** 2
+        expected = 1.0 / (1.0 + 0.5 * (lam[:, None] + lam[None, :]))
+        assert pc.shape == (3, 3)
+        assert np.allclose(pc.blocks[:, 0, 0].reshape(3, 3), expected, rtol=1e-14)
 
     def test_inverse_contract(self):
-        basis = build_basis(1.0, 2)
-        coupling = coupling_matrix(basis, MemoryOrder(1.0))
-        pc = build_preconditioner(coupling, 0.2, 1, 11)
-        assert np.allclose(pc.gamma, np.eye(2) + 50.0 * coupling.entries)
-        assert np.max(np.abs(pc.gamma @ pc.gamma_inverse - np.eye(2))) < 1e-12
+        coupling, h, _ = kron_system(2, n=2, m=5, alpha=1.0)
+        pc = build_preconditioner(coupling, h, 2, 25)
+        lam = sine_eigenvalues((5, 5), h).ravel()
+        blocks = np.eye(2) + lam[:, None, None] * coupling.entries
+        assert np.max(np.abs(pc.blocks @ blocks - np.eye(2))) < 1e-12
+        # modes (i, l) and (l, i) share an eigenvalue, and so their block
+        grid_blocks = pc.blocks.reshape(5, 5, 2, 2)
+        assert np.array_equal(grid_blocks, grid_blocks.transpose(1, 0, 2, 3))
 
-    def test_apply_is_blockwise_kron(self):
-        basis = build_basis(1.0, 3)
-        coupling = coupling_matrix(basis, MemoryOrder(1.5))
-        pc = build_preconditioner(coupling, 0.5, 1, 4)
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(12)
-        dense = np.kron(pc.gamma_inverse, np.eye(4))
-        assert np.max(np.abs(pc.apply(v) - dense @ v)) < 1e-13
-        assert np.max(np.abs(pc.apply_transpose(v) - dense.T @ v)) < 1e-13
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_apply_is_the_exact_inverse(self, d):
+        coupling, h, system = kron_system(d)
+        pc = build_preconditioner(coupling, h, d, 6**d)
+        inverse = np.linalg.inv(system.matrix.csr.toarray())
+        v = np.random.default_rng(3).standard_normal(system.N)
+        assert np.max(np.abs(pc.apply(v) - inverse @ v)) < 1e-12
+        assert np.max(np.abs(pc.apply_transpose(v) - inverse.T @ v)) < 1e-12
 
-    def test_singular_gamma(self):
+    def test_singular_mode(self):
+        # m = 3, h = 1: the middle sine mode has eigenvalue 2, and 1 + 2 * (-0.5) = 0
         coupling = CouplingMatrix(np.array([[-0.5]]), 1.0, MemoryOrder(1.0))
         with pytest.raises(SingularMatrixError):
             build_preconditioner(coupling, 1.0, 1, 3)
@@ -216,7 +240,40 @@ class TestBlockPreconditioner:
         with pytest.raises(ValueError):
             build_preconditioner(coupling, 0.0, 1, 3)
         with pytest.raises(ValueError):
-            build_preconditioner(coupling, 1.0, 3, 3)
+            build_preconditioner(coupling, -1.0, 1, 3)
+        with pytest.raises(ValueError):
+            build_preconditioner(coupling, 1.0, 3, 27)
+        for d, m_block in ((2, 10), (2, 0), (1, 0), (2, -4)):
+            with pytest.raises(ValueError):
+                build_preconditioner(coupling, 1.0, d, m_block)
+
+    def test_whole_multi_slab_system(self):
+        # BiCG on the assembled 4-slab system once broke down after 186
+        # iterations at residual 9.8e-4; the exact preconditioner solves it
+        basis = build_basis(6.0, 8, slabs=4)
+        coupling = coupling_matrix(basis, MemoryOrder(1.5))
+        grid = Grid1D(-15.0, 15.0, 151)
+        system = assemble_1d(coupling, source_weights(basis), InitialField1D.gaussian(1.0), grid)
+        pc = build_preconditioner(coupling, grid.h, 1, grid.m)
+        x, report = bicg_solve(system.matrix, system.rhs, pc)
+        assert report.converged and not report.breakdown
+        assert np.max(np.abs(x - lu_solve(system.matrix, system.rhs))) < 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.floats(1.0, 2.0),
+        n=st.integers(1, 12),
+        T=st.floats(0.5, 12.0),
+        d=st.sampled_from([1, 2]),
+        m=st.integers(3, 9),
+    )
+    def test_bicg_converges_at_once_and_agrees_with_lu(self, alpha, n, T, d, m):
+        coupling, h, system = kron_system(d, n=n, m=m, alpha=alpha, T=T)
+        pc = build_preconditioner(coupling, h, d, m**d)
+        x, report = bicg_solve(system.matrix, system.rhs, pc)
+        x_lu = lu_solve(system.matrix, system.rhs)
+        assert report.converged and report.iterations <= 2
+        assert np.max(np.abs(x - x_lu)) <= 1e-10
 
 
 class TestMatrixMarket:
