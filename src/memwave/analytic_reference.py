@@ -13,6 +13,7 @@ import math
 import warnings
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .memory_kernel import MemoryOrder
 from .solver_1d import Grid1D
@@ -21,6 +22,8 @@ __all__ = [
     "heat_solution",
     "wave_solution",
     "resolvent_apply",
+    "heat_matrix",
+    "shift_average",
     "KERNEL_TRUNCATION",
 ]
 
@@ -28,6 +31,9 @@ __all__ = [
 KERNEL_TRUNCATION = 1e-16
 
 _EDGE_TOL = 1e-12
+
+# every edge warning ends with this
+EDGE_WARNING = "mass is leaving the grid"
 
 
 def heat_solution(x, t: float, sigma: float):
@@ -57,9 +63,71 @@ def _check_edges(values: np.ndarray, what: str) -> None:
     edge = max(abs(float(values[0])), abs(float(values[-1])))
     if edge > _EDGE_TOL:
         warnings.warn(
-            f"{what} is {edge:.2e} at the grid edge; mass is leaving the grid",
+            f"{what} is {edge:.2e} at the grid edge; {EDGE_WARNING}",
             stacklevel=3,
         )
+
+
+def endpoint_order(alpha) -> int:
+    """alpha as the endpoint order 1 or 2; a MemoryOrder is unwrapped."""
+    if isinstance(alpha, MemoryOrder):
+        alpha = alpha.alpha
+    if alpha not in (1, 2):
+        raise ValueError(f"closed-form resolvent exists only for alpha in {{1, 2}}, got {alpha!r}")
+    return int(alpha)
+
+
+def _heat_kernel(t: float, grid: Grid1D):
+    """Gaussian exp(-x^2/4t)/sqrt(4 pi t) at offsets -w..w grid steps, and w.
+
+    The window ends where the kernel drops below KERNEL_TRUNCATION (and at
+    m - 1 steps); values under the threshold inside it are zeroed.
+    """
+    half_width = math.sqrt(4.0 * t * math.log(1.0 / KERNEL_TRUNCATION))
+    w = min(int(math.ceil(half_width / grid.h)), grid.m - 1)
+    offsets = grid.h * np.arange(-w, w + 1)
+    kernel = np.exp(-(offsets**2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+    kernel[kernel < KERNEL_TRUNCATION] = 0.0
+    return kernel, w
+
+
+def heat_matrix(t: float, grid: Grid1D) -> np.ndarray:
+    """The alpha = 1 resolvent S(t), t > 0, as a symmetric m x m Toeplitz matrix.
+
+    Entry (i, j) is h K(x_i - x_j) with the truncated kernel of
+    resolvent_apply, so its columns are resolvent_apply of the unit fields,
+    without the edge check.
+    """
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t!r}")
+    kernel, w = _heat_kernel(t, grid)
+    column = np.zeros(grid.m)
+    column[: w + 1] = grid.h * kernel[w:]
+    return toeplitz(column)
+
+
+def shift_average(fields, shifts, grid: Grid1D) -> np.ndarray:
+    """The alpha = 2 resolvent on a block of fields, row r at its own t = shifts[r].
+
+    Row r of the result is (f_r(x - t) + f_r(x + t)) / 2, interpolated
+    linearly between the nodes and zero beyond the edges, as resolvent_apply
+    does it with np.interp, but without the edge check.  The bracket comes
+    from the uniform spacing, so a point within rounding of a node may use
+    the neighbouring bracket; the edge test uses the shifted points
+    themselves, exactly as np.interp does.
+    """
+    f = np.asarray(fields, dtype=float)
+    r, m = f.shape
+    x, h = grid.points, grid.h
+    q = x + np.multiply.outer((-1.0, 1.0), shifts)[:, :, None]  # (2, r, m)
+    node = ((q - x[0]) / h).astype(np.intp)
+    np.minimum(np.maximum(node, 0, out=node), m - 2, out=node)
+    at = node + np.arange(0, r * m, m)[:, None]
+    flat = f.ravel()
+    left = flat[at]
+    value = (flat[at + 1] - left) / h * (q - x[node]) + left
+    value[(q < x[0]) | (q > x[-1])] = 0.0
+    return 0.5 * (value[0] + value[1])
 
 
 def resolvent_apply(alpha, t: float, field, grid: Grid1D) -> np.ndarray:
@@ -71,10 +139,7 @@ def resolvent_apply(alpha, t: float, field, grid: Grid1D) -> np.ndarray:
     alpha = 2 the field is shifted by +-t with linear interpolation for
     off-grid shifts and zero beyond the edges.
     """
-    if isinstance(alpha, MemoryOrder):
-        alpha = alpha.alpha
-    if alpha not in (1, 2):
-        raise ValueError(f"closed-form resolvent exists only for alpha in {{1, 2}}, got {alpha!r}")
+    alpha = endpoint_order(alpha)
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t!r}")
     f = np.asarray(field, dtype=float)
@@ -84,16 +149,10 @@ def resolvent_apply(alpha, t: float, field, grid: Grid1D) -> np.ndarray:
         return f.copy()
     _check_edges(f, "input field")
 
-    h = grid.h
     if alpha == 1:
-        # window where exp(-x^2/4t) >= truncation threshold
-        half_width = math.sqrt(4.0 * t * math.log(1.0 / KERNEL_TRUNCATION))
-        w = min(int(math.ceil(half_width / h)), grid.m - 1)
-        offsets = h * np.arange(-w, w + 1)
-        kernel = np.exp(-(offsets**2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-        kernel[kernel < KERNEL_TRUNCATION] = 0.0
+        kernel, w = _heat_kernel(t, grid)
         # full convolution sliced back to the grid; out_i = h sum_j K(x_i - x_j) f_j
-        out = h * np.convolve(f, kernel, mode="full")[w : w + grid.m]
+        out = grid.h * np.convolve(f, kernel, mode="full")[w : w + grid.m]
     else:
         x = grid.points
         out = 0.5 * (

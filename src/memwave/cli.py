@@ -272,7 +272,8 @@ def _run_solve2d(config: RunConfig) -> int:
     path = _out_path(config, "solve2d.csv")
     meta = _metadata(config, [_report_line(field.report)])
     _write_csv(path, meta, "x,y,f", rows)
-    section = field.section(config.T, 0.0).tolist()
+    iy = grid.nearest_index(0.0)
+    section = [row[iy] for row in values]
     sec_path = os.path.splitext(path)[0] + "_section.csv"
     _write_csv(sec_path, meta, "x,f", [(xi, repr(v)) for xi, v in zip(x, section)])
     if config.dump_matrix:

@@ -72,6 +72,10 @@ class Grid2D:
         """Coordinate arrays X, Y of shape (m, m), x along the first axis."""
         return np.meshgrid(self.points, self.points, indexing="ij")
 
+    def nearest_index(self, y: float) -> int:
+        """Index of the grid coordinate nearest to y (the first one on a tie)."""
+        return int(np.argmin(np.abs(self.points - y)))
+
 
 @dataclass(frozen=True)
 class _RadialGaussian:
@@ -152,8 +156,7 @@ class SolutionField2D:
 
     def section(self, t: float, y: float = 0.0) -> np.ndarray:
         """1D section f_n(x_i, y, t) along the grid row nearest to y."""
-        iy = int(np.argmin(np.abs(self.grid.points - y)))
-        return self.reconstruct(t)[:, iy]
+        return self.reconstruct(t)[:, self.grid.nearest_index(y)]
 
 
 def sparsity_bound(n: int, m: int) -> int:

@@ -7,6 +7,17 @@ uses left-endpoint evaluation of the resolvent.  Only the endpoint orders
 alpha in {1, 2} have a closed-form resolvent, so simulation is restricted
 to those.
 
+simulate_trajectory groups the double sum by time lag: for j = 1..I it
+applies S once to the block dW_0 .. dW_{I-j} and adds the result into the
+fields at s_j .. s_I.  At alpha = 1 that is one product with the Toeplitz
+matrix of the Gaussian kernel at t = j tau (a smooth function of t, so the
+lag's rounding does not matter).  At alpha = 2 every row keeps its own lag
+(i + j) tau - i tau, rounded as the pairwise sum rounds it: the
+shift-average jumps to zero past the grid edge, and when tau = h the
+shifts land on grid nodes, so one ulp decides whether an edge node is
+inside.  stochastic_convolution keeps the pairwise resolvent_apply sum as
+the reference for the final field.
+
 Reproducibility contract: the increment stream is fully determined by
 (master seed, trajectory index) through a splittable seed sequence, so
 ensemble members are independent of evaluation order.
@@ -19,7 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_reference import resolvent_apply
+from .analytic_reference import (
+    EDGE_WARNING,
+    endpoint_order,
+    heat_matrix,
+    resolvent_apply,
+    shift_average,
+)
 from .solver_1d import Grid1D, InitialField1D
 
 __all__ = [
@@ -153,6 +170,19 @@ def stochastic_convolution(
     return out
 
 
+def _add_noise(fields: np.ndarray, alpha: int, increments: np.ndarray, tau: float,
+               grid: Grid1D) -> None:
+    """Add sum_{i<k} S(s_k - s_i) dW_i to fields[k], one lag j = k - i at a time."""
+    I = len(increments)
+    for j in range(1, I + 1):
+        block = increments[: I - j + 1]
+        if alpha == 1:
+            fields[j:] += block @ heat_matrix(j * tau, grid).T
+        else:
+            i = np.arange(I - j + 1)
+            fields[j:] += shift_average(block, (i + j) * tau - i * tau, grid)
+
+
 def simulate_trajectory(
     alpha,
     g: InitialField1D,
@@ -161,21 +191,35 @@ def simulate_trajectory(
     grid: Grid1D,
     trajectory_index: int = 0,
 ) -> Trajectory:
-    """Mild-solution trajectory f(x, s_k) = S(s_k) g + convolution up to s_k."""
+    """Mild-solution trajectory f(x, s_k) = S(s_k) g + convolution up to s_k.
+
+    The edge warnings of the S(s_k) g steps are collected into one warning
+    that counts the steps; the noise terms are not edge-checked.
+    """
+    order = endpoint_order(alpha)
     increments = sample_increments(model, grid, partition, trajectory_index)
     gvals = g.evaluate(grid.points)
     tau = partition.tau
     fields = np.empty((partition.I + 1, grid.m))
-    for k in range(partition.I + 1):
-        s_k = k * tau
-        field = resolvent_apply(alpha, s_k, gvals, grid)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message=".*grid edge.*")
-            for i in range(k):
-                dw = increments[i]
-                if dw.any():
-                    field = field + resolvent_apply(alpha, s_k - i * tau, dw, grid)
-        fields[k] = field
+    edge_steps = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for k in range(partition.I + 1):
+            seen = len(caught)
+            fields[k] = resolvent_apply(order, k * tau, gvals, grid)
+            if any(EDGE_WARNING in str(w.message) for w in caught[seen:]):
+                edge_steps.append(k)
+    for w in caught:
+        if EDGE_WARNING not in str(w.message):
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if edge_steps:
+        first = next(w for w in caught if EDGE_WARNING in str(w.message))
+        warnings.warn(
+            f"S(s_k) g warned at {len(edge_steps)} of {partition.I + 1} steps, "
+            f"first at s_k = {edge_steps[0] * tau:.6g}: {first.message}",
+            stacklevel=2,
+        )
+    _add_noise(fields, order, increments, tau, grid)
     return Trajectory(
         times=partition.nodes,
         fields=fields,

@@ -15,6 +15,7 @@ from memwave import (
     simulate_trajectory,
     stochastic_convolution,
 )
+from memwave.analytic_reference import heat_matrix, shift_average
 
 
 class TestNoiseModel:
@@ -233,3 +234,98 @@ class TestSimulateTrajectory:
         dev = np.abs(finals.mean(axis=0) - det)
         band = 4.0 * finals.std(axis=0, ddof=1) / np.sqrt(100)
         assert np.all(dev <= band)
+
+
+def pairwise_fields(alpha, g, model, part, grid, index):
+    """The mild solution summed one (s_k, s_i) pair at a time through resolvent_apply."""
+    increments = sample_increments(model, grid, part, index)
+    gvals = g.evaluate(grid.points)
+    tau = part.tau
+    fields = np.empty((part.I + 1, grid.m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for k in range(part.I + 1):
+            s_k = k * tau
+            field = resolvent_apply(alpha, s_k, gvals, grid)
+            for i in range(k):
+                field = field + resolvent_apply(alpha, s_k - i * tau, increments[i], grid)
+            fields[k] = field
+    return fields
+
+
+# tau = h, where the alpha = 2 shifts land on grid nodes, and tau != h
+SHAPES = [(TimePartition(6.0, 30), Grid1D(-15.0, 15.0, 151)),
+          (TimePartition(3.0, 17), Grid1D(-10.0, 10.0, 101))]
+
+
+class TestBatchedNoiseSum:
+    g = InitialField1D.gaussian(1.0)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["tau=h", "tau!=h"])
+    @pytest.mark.parametrize("mode", ["per-node", "smooth"])
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_matches_pairwise_sum(self, alpha, mode, shape):
+        part, grid = shape
+        model = NoiseModel(strength=0.1, spatial_mode=mode, seed=31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            traj = simulate_trajectory(alpha, self.g, model, part, grid, trajectory_index=5)
+        ref = pairwise_fields(alpha, self.g, model, part, grid, 5)
+        assert np.max(np.abs(traj.fields - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_final_field_is_mild_solution(self, alpha):
+        part, grid = SHAPES[0]
+        model = NoiseModel(strength=0.1, seed=12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            traj = simulate_trajectory(alpha, self.g, model, part, grid, trajectory_index=3)
+            mild = (resolvent_apply(alpha, part.t_final, self.g.evaluate(grid.points), grid)
+                    + stochastic_convolution(alpha, part, traj.increments, grid))
+        assert np.max(np.abs(traj.final_field - mild)) <= 1e-12
+
+    # (t of the matrix, lag given to resolvent_apply); 29 tau - 22 tau is the
+    # pairwise loop's lag for j = 7, one ulp away from 7 tau at tau = 0.2
+    @pytest.mark.parametrize("t, lag", [(0.2, 0.2), (6.0, 6.0), (7 * 0.2, 29 * 0.2 - 22 * 0.2)],
+                             ids=["h", "30h", "lag-one-ulp-off"])
+    def test_heat_matrix_columns_are_resolvent_apply(self, t, lag):
+        grid = SHAPES[0][1]
+        assert abs(lag - t) <= np.spacing(t)
+        matrix = heat_matrix(t, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            columns = np.column_stack([resolvent_apply(1, lag, e, grid) for e in np.eye(grid.m)])
+        assert np.max(np.abs(matrix - columns)) <= 1e-15
+
+    def test_shift_average_rows_are_resolvent_apply(self):
+        part, grid = SHAPES[0]
+        fields = 0.05 * np.random.default_rng(4).standard_normal((7, grid.m))
+        # no shift, the pairwise lag one ulp off 7 tau, off-grid, the whole
+        # domain (one node left), beyond it
+        shifts = np.array([0.0, 29 * part.tau - 22 * part.tau, 7 * part.tau, 1.234,
+                           29.9, 30.0, 45.0])
+        rows = shift_average(fields, shifts, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = np.array([resolvent_apply(2, t, f, grid) for t, f in zip(shifts, fields)])
+        assert np.max(np.abs(rows - ref)) <= 1e-14
+        assert np.array_equal(rows[-1], np.zeros(grid.m))
+
+
+class TestEdgeWarning:
+    grid = Grid1D(-15.0, 15.0, 151)
+    g = InitialField1D.gaussian(1.0)
+
+    def edge_warnings(self, alpha):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulate_trajectory(alpha, self.g, NoiseModel(), TimePartition(6.0, 30), self.grid)
+        return [str(w.message) for w in caught if "mass is leaving the grid" in str(w.message)]
+
+    def test_one_warning_counts_the_steps(self):
+        messages = self.edge_warnings(1)
+        assert len(messages) == 1
+        assert "21 of 31 steps" in messages[0]
+
+    def test_wave_trajectory_does_not_warn(self):
+        assert self.edge_warnings(2) == []
