@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands: solve1d (field curves at listed times), solve2d (full field
-plus the y=0 section), stochastic (trajectory time table), validate
-(numeric vs analytic error table at the endpoint orders), bench
-(iteration counts with and without the preconditioner).
+plus the y=0 section), stochastic (trajectory time table) and validate
+(numeric vs analytic error table at the endpoint orders).
 
 All outputs are CSV with '#'-prefixed metadata lines carrying the full
 configuration echo and the solver report, so a run is reproducible from
@@ -30,18 +29,20 @@ from .solver_1d import (
     assemble_1d,
     solve_1d,
 )
-# not called here; perfbench's tracer wraps it (SITES in perfbench/harness.py)
-from .solver_1d import sup_error  # noqa: F401
-from .solver_2d import Grid2D, InitialField2D, solve_2d, sparsity_bound, assemble_2d
-from .sparse_linalg import bicg_solve, build_preconditioner, write_matrix_market
+from .solver_2d import Grid2D, InitialField2D, solve_2d, assemble_2d
+from .sparse_linalg import write_matrix_market
 from .stochastic import NoiseModel, TimePartition, default_partition, simulate_trajectory
-from .time_basis import build_basis, coupling_matrix, source_weights
+from .time_basis import coupling_matrix, source_weights
+
+# not called here; perfbench's tracer wraps them (SITES in perfbench/harness.py)
+from .solver_1d import sup_error  # noqa: F401
+from .sparse_linalg import bicg_solve, build_preconditioner  # noqa: F401
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
 OUTPUT_DIR_ENV = "MEMWAVE_OUTDIR"
 
-_SUBCOMMANDS = ("solve1d", "solve2d", "stochastic", "validate", "bench")
+_SUBCOMMANDS = ("solve1d", "solve2d", "stochastic", "validate")
 
 
 class ConfigError(ValueError):
@@ -65,7 +66,6 @@ class RunConfig:
     method: str = "auto"
     tol: float = 1e-10
     max_iter: int = 10_000
-    precond: bool = True
     noise_C: float = 0.1
     noise_mode: str = "per-node"
     ell: float = 1.0
@@ -81,8 +81,6 @@ class RunConfig:
             v = getattr(self, f.name)
             if f.name == "times":
                 v = ",".join(repr(float(t)) for t in v)
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
             elif isinstance(v, float):
                 v = repr(v)
             lines.append(f"{f.name}={v}")
@@ -110,10 +108,6 @@ def _parse_value(key: str, val: str, ftype: str):
     try:
         if key == "times":
             return tuple(float(p) for p in val.split(",") if p.strip() != "")
-        if ftype == "bool":
-            if val not in ("true", "false"):
-                raise ValueError(f"expected true/false, got {val!r}")
-            return val == "true"
         if ftype == "int":
             return int(val)
         if ftype == "float":
@@ -146,7 +140,6 @@ def build_parser() -> _Parser:
         p.add_argument("--method", choices=("auto", "direct", "bicg"))
         p.add_argument("--tol", type=float)
         p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--no-precond", dest="no_precond", action="store_true", default=False)
         p.add_argument("--output", "-o")
         p.add_argument("--dump-matrix", dest="dump_matrix")
         if name == "solve1d":
@@ -174,15 +167,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         config = RunConfig()
     config.subcommand = args.subcommand
     for f in dataclass_fields(RunConfig):
-        if f.name in ("subcommand", "times", "precond"):
+        if f.name in ("subcommand", "times"):
             continue
         v = getattr(args, f.name, None)
         if v is not None:
             setattr(config, f.name, v)
     if getattr(args, "times", None) is not None:
         config.times = _parse_value("times", args.times, "tuple")
-    if getattr(args, "no_precond", False):
-        config.precond = False
     return config
 
 
@@ -232,7 +223,6 @@ def _run_solve1d(config: RunConfig) -> int:
     field = solve_1d(
         MemoryOrder(config.alpha), config.T, config.n, grid, g,
         method=config.method, tol=config.tol, max_iter=config.max_iter,
-        precond=config.precond,
     )
     times = config.times or (0.0, config.T)
     x = [_fmt(xi) for xi in grid.points]
@@ -264,7 +254,6 @@ def _run_solve2d(config: RunConfig) -> int:
     field = solve_2d(
         MemoryOrder(config.alpha), config.T, config.n, grid, g,
         method=config.method, tol=config.tol, max_iter=config.max_iter,
-        precond=config.precond,
     )
     values = field.reconstruct(config.T).tolist()
     x = [_fmt(xi) for xi in grid.points]
@@ -316,7 +305,6 @@ def _run_validate(config: RunConfig) -> int:
     field = solve_1d(
         MemoryOrder(alpha), config.T, config.n, grid, g,
         method=config.method, tol=config.tol, max_iter=config.max_iter,
-        precond=config.precond,
     )
     x = grid.points
     numeric = field.reconstruct(config.T)
@@ -337,44 +325,11 @@ def _run_validate(config: RunConfig) -> int:
     return 0
 
 
-def _run_bench(config: RunConfig) -> int:
-    grid = Grid2D(config.x_min, config.x_max, config.m)
-    g = InitialField2D.radial_gaussian(config.sigma if config.sigma > 0 else 2.0)
-    basis = build_basis(config.T, config.n)
-    coupling = coupling_matrix(basis, MemoryOrder(config.alpha))
-    system = assemble_2d(coupling, source_weights(basis), g, grid)
-    if config.dump_matrix:
-        write_matrix_market(system.matrix, config.dump_matrix)
-    pc = build_preconditioner(coupling, grid.h, 2, grid.m**2)
-    _, rep_pc = bicg_solve(system.matrix, system.rhs, pc, tol=config.tol,
-                           max_iter=config.max_iter)
-    _, rep_plain = bicg_solve(system.matrix, system.rhs, None, tol=config.tol,
-                              max_iter=config.max_iter)
-    rows = [
-        ("bicg+precond", str(system.N), str(rep_pc.iterations), _fmt(rep_pc.residual),
-         str(rep_pc.converged)),
-        ("bicg", str(system.N), str(rep_plain.iterations), _fmt(rep_plain.residual),
-         str(rep_plain.converged)),
-    ]
-    meta = _metadata(config, [f"nnz={system.matrix.nnz}",
-                              f"sparsity_bound={sparsity_bound(config.n, config.m)}"])
-    path = _out_path(config, "bench.csv")
-    _write_csv(path, meta, "variant,N,iterations,residual,converged", rows)
-    print(
-        f"bench: N={system.N} preconditioned {rep_pc.iterations} iterations, "
-        f"plain {rep_plain.iterations} iterations; wrote {path}"
-    )
-    if not (rep_pc.converged and rep_plain.converged):
-        return 2
-    return 0
-
-
 _RUNNERS = {
     "solve1d": _run_solve1d,
     "solve2d": _run_solve2d,
     "stochastic": _run_stochastic,
     "validate": _run_validate,
-    "bench": _run_bench,
 }
 
 

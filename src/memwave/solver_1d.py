@@ -176,7 +176,7 @@ def assemble_1d(
     L = laplacian_1d(m, grid.h)
     A = sp.identity(n * m, format="csr") + sp.kron(sp.csr_matrix(coupling.entries), L, format="csr")
     rhs = np.kron(weights.weights, g.evaluate(grid.points))
-    return BlockSystem(matrix=SparseMatrix(A), rhs=rhs, n=n, spatial_shape=(m,), h=grid.h)
+    return BlockSystem(SparseMatrix(A), rhs)
 
 
 def choose_slabs(order: MemoryOrder, T: float, n: int, g_values: np.ndarray, h: float):
@@ -215,7 +215,6 @@ def solve_slabs(
     method: str,
     tol: float,
     max_iter: int,
-    precond: bool,
 ):
     """Choose K, then march the K-slab system slab by slab; shared by solve_1d and solve_2d.
 
@@ -246,8 +245,8 @@ def solve_slabs(
     if use_direct:
         name = "direct"
     else:
-        pc = build_preconditioner(slab, h, g_values.ndim, b.shape[1]) if precond else None
-        name = "bicg+precond" if precond else "bicg"
+        pc = build_preconditioner(slab, h, g_values.ndim, b.shape[1])
+        name = "bicg+precond"
     X = np.empty((K,) + b.shape)
     LX = np.empty_like(X)
     iterations, breakdown = 0, False
@@ -292,7 +291,6 @@ def solve_1d(
     method: str = "auto",
     tol: float = 1e-10,
     max_iter: int = 10_000,
-    precond: bool = True,
 ) -> SolutionField1D:
     """Solve on [0, T] and return the reconstructable coefficient field.
 
@@ -311,7 +309,7 @@ def solve_1d(
     basis, coeffs, report = solve_slabs(
         order, T, n, g.evaluate(grid.points), grid.h, laplacian_1d(grid.m, grid.h),
         lambda coupling, weights: assemble_1d(coupling, weights, g, grid),
-        method, tol, max_iter, precond,
+        method, tol, max_iter,
     )
     return SolutionField1D(coeffs, grid, basis, order, g, report)
 
@@ -332,7 +330,7 @@ def sup_error(field: SolutionField1D, t: float, reference) -> float:
     return float(np.max(np.abs(numeric - ref)))
 
 
-def residual_orthogonality(field: SolutionField1D, num_nodes: int | None = None) -> float:
+def residual_orthogonality(field: SolutionField1D) -> float:
     """Largest Galerkin residual projection over basis functions and grid points.
 
     Evaluates eps_n(x_i, t) = f_n - g - int_0^t a(t-s) Lap_h f_n(., s) ds
@@ -347,7 +345,7 @@ def residual_orthogonality(field: SolutionField1D, num_nodes: int | None = None)
     basis, order, grid = field.basis, field.order, field.grid
     n, K, tau, alpha = basis.size_n, basis.slabs, basis.slab_length, order.alpha
     m = grid.m
-    q = int(num_nodes) if num_nodes is not None else 4 * n + 16
+    q = 4 * n + 16
     slab = build_basis(tau, n)
     ga = gamma_fn(alpha)
 

@@ -164,6 +164,15 @@ def sparsity_bound(n: int, m: int) -> int:
     return n * n * m * (5 * m - 4)
 
 
+def _check_nnz_cap(n: int, m: int, nnz_cap: int) -> None:
+    predicted = sparsity_bound(n, m)
+    if predicted > nnz_cap:
+        raise ValueError(
+            f"predicted nnz {predicted} exceeds the cap {nnz_cap}; "
+            "pass a larger nnz_cap to override"
+        )
+
+
 def laplacian_2d(m: int, h: float) -> sp.csr_matrix:
     """Negative 5-point Laplacian on the m x m grid, x index outermost."""
     L1 = laplacian_1d(m, h)
@@ -183,12 +192,7 @@ def assemble_2d(
     if weights.n != n:
         raise ValueError(f"coupling size {n} does not match weights size {weights.n}")
     m = grid.m
-    predicted = sparsity_bound(n, m)
-    if predicted > nnz_cap:
-        raise ValueError(
-            f"predicted nnz {predicted} exceeds the cap {nnz_cap}; "
-            "pass a larger nnz_cap to override"
-        )
+    _check_nnz_cap(n, m, nnz_cap)
     L2 = laplacian_2d(m, grid.h)
     eye = sp.identity(m * m, format="csr")
     empty = sp.csr_matrix((m * m, m * m))
@@ -206,7 +210,7 @@ def assemble_2d(
     A = sp.vstack(rows, format="csr")
     X, Y = grid.mesh()
     rhs = np.kron(weights.weights, g.evaluate(X, Y).ravel())
-    return BlockSystem(matrix=SparseMatrix(A), rhs=rhs, n=n, spatial_shape=(m, m), h=grid.h)
+    return BlockSystem(SparseMatrix(A), rhs)
 
 
 def verify_sparsity(system: BlockSystem, n: int, m: int) -> bool:
@@ -223,14 +227,15 @@ def solve_2d(
     method: str = "auto",
     tol: float = 1e-10,
     max_iter: int = 10_000,
-    precond: bool = True,
     nnz_cap: int = DEFAULT_NNZ_CAP,
 ) -> SolutionField2D:
     """Solve on [0, T]; large systems go through preconditioned iteration.
 
     n counts basis functions per time slab; the slab count, the marching and
-    the route choice are those of solver_1d.solve_slabs.
+    the route choice are those of solver_1d.solve_slabs.  The nnz cap is
+    checked before any of that work starts.
     """
+    _check_nnz_cap(n, grid.m, nnz_cap)
     decay = g.boundary_decay(grid)
     if decay > BOUNDARY_DECAY_TOL:
         warnings.warn(
@@ -242,7 +247,7 @@ def solve_2d(
     basis, coeffs, report = solve_slabs(
         order, T, n, g.evaluate(X, Y), grid.h, laplacian_2d(grid.m, grid.h),
         lambda coupling, weights: assemble_2d(coupling, weights, g, grid, nnz_cap=nnz_cap),
-        method, tol, max_iter, precond,
+        method, tol, max_iter,
     )
     coeffs = coeffs.reshape(-1, grid.m, grid.m)
     return SolutionField2D(coeffs, grid, basis, order, g, report)

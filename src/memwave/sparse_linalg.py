@@ -153,17 +153,10 @@ class SinePreconditioner:
 
 @dataclass
 class BlockSystem:
-    """Assembled block system: matrix, right-hand side, and layout metadata."""
+    """Assembled block system: matrix and right-hand side."""
 
     matrix: SparseMatrix
     rhs: np.ndarray
-    n: int
-    spatial_shape: tuple
-    h: float
-
-    @property
-    def dimension(self) -> int:
-        return len(self.spatial_shape)
 
     @property
     def N(self) -> int:
@@ -339,10 +332,13 @@ def bicg_solve(
 
 
 def write_matrix_market(A: SparseMatrix, path) -> None:
-    """Export in Matrix Market coordinate text format (general, 1-based)."""
-    coo = A.csr.tocoo()
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{A.N} {A.N} {A.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+    """Export in Matrix Market coordinate text format (general, 1-based).
+
+    The open handle keeps path exactly as given (mmwrite appends .mtx to a
+    bare path), and the explicit symmetry keeps the header general for a
+    symmetric matrix too.
+    """
+    from scipy.io import mmwrite  # here, not at the top: it adds about 30 ms to `import memwave`
+
+    with open(path, "wb") as fh:
+        mmwrite(fh, A.csr, symmetry="general")

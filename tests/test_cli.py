@@ -57,9 +57,11 @@ class TestExitCodes:
         assert main(solve1d_args(tmp_path, alpha=2.5)) == 1
         assert "invalid configuration" in capsys.readouterr().err
 
-    def test_unknown_subcommand(self, capsys):
+    def test_unknown_subcommand(self, tmp_path, capsys):
         assert main(["shred"]) == 1
         assert main([]) == 1
+        assert main(["bench"]) == 1
+        assert main(solve1d_args(tmp_path) + ["--no-precond"]) == 1
 
     def test_malformed_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -69,12 +71,14 @@ class TestExitCodes:
         assert main(["solve1d", "--config", str(bad)]) == 1
         bad.write_text("alpha=not-a-number\n")
         assert main(["solve1d", "--config", str(bad)]) == 1
+        bad.write_text("precond=false\n")
+        assert main(["solve1d", "--config", str(bad)]) == 1
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["solve1d", "--config", str(tmp_path / "absent.cfg")]) == 1
 
     def test_solver_failure(self, tmp_path, capsys):
-        code = main(solve1d_args(tmp_path, method="bicg", **{"max-iter": 1}) + ["--no-precond"])
+        code = main(solve1d_args(tmp_path, method="bicg", tol=1e-30, **{"max-iter": 1}))
         assert code == 2
         assert "solver failed" in capsys.readouterr().err
 
@@ -184,7 +188,7 @@ class TestOutputs:
 class TestConfigHandling:
     def test_to_from_text_round_trip(self):
         config = RunConfig(subcommand="solve2d", alpha=1.75, m=41, n=6,
-                           times=(0.0, 1.5), precond=False, output="x.csv")
+                           times=(0.0, 1.5), output="x.csv")
         assert RunConfig.from_text(config.to_text()) == config
 
     def test_flags_override_config_file(self, tmp_path, capsys):
@@ -255,14 +259,3 @@ class TestSubcommands:
         assert main(["validate", "--alpha", "1.5",
                      "--output", str(tmp_path / "v.csv")]) == 1
 
-    def test_bench_reports_both_variants(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--alpha", "1.5", "--T", "6.0", "--n", "4",
-                     "--xmin", "-15", "--xmax", "15", "--m", "20",
-                     "--output", str(out)]) == 0
-        meta, header, rows = read_csv(out)
-        assert header == "variant,N,iterations,residual,converged"
-        assert [r[0] for r in rows] == ["bicg+precond", "bicg"]
-        assert all(r[4] == "True" for r in rows)
-        assert int(rows[0][2]) <= int(rows[1][2])
-        assert any(line.startswith("# nnz=") for line in meta)

@@ -228,6 +228,16 @@ class TestSolve2D:
         mass_0 = h2 * g.evaluate(X, Y).sum()
         assert abs(mass_T - mass_0) <= 5e-3 * abs(mass_0)
 
+    def test_nnz_cap_checked_before_any_work(self, monkeypatch):
+        # the cap guards memory, so it must refuse before the mesh and slab choice
+        def no_slabs(*args, **kwargs):
+            raise AssertionError("choose_slabs ran before the nnz cap check")
+
+        monkeypatch.setattr("memwave.solver_1d.choose_slabs", no_slabs)
+        with pytest.raises(ValueError, match="exceeds the cap 1000"):
+            solve_2d(MemoryOrder(1.5), 6.0, 8, Grid2D(-15.0, 15.0, 50),
+                     InitialField2D.radial_gaussian(2.0), nnz_cap=1000)
+
     def test_section_picks_nearest_row(self):
         grid = Grid2D(-6.0, 6.0, 13)
         g = InitialField2D.radial_gaussian(1.0)

@@ -278,11 +278,15 @@ class TestSinePreconditioner:
 
 class TestMatrixMarket:
     def test_header_and_round_trip(self, tmp_path):
-        system, _, _ = small_1d_system(n=2, m=5)
-        path = tmp_path / "system.mtx"
-        write_matrix_market(system.matrix, path)
-        first = path.read_text().splitlines()[0]
-        assert first == "%%MatrixMarket matrix coordinate real general"
-        back = mmread(str(path)).tocsr()
-        diff = abs(back - system.matrix.csr)
-        assert (diff.max() if diff.nnz else 0.0) == 0.0
+        # n = 1, alpha = 1 gives a symmetric matrix: the header stays general,
+        # and a path without an extension keeps its name
+        for n, alpha, name in ((2, 1.5, "system.mtx"), (1, 1.0, "symmetric")):
+            system, _, _ = small_1d_system(n=n, m=5, alpha=alpha)
+            path = tmp_path / name
+            write_matrix_market(system.matrix, path)
+            assert path.exists() and not path.with_name(name + ".mtx").exists()
+            first = path.read_text().splitlines()[0]
+            assert first == "%%MatrixMarket matrix coordinate real general"
+            back = mmread(str(path)).tocsr()
+            diff = abs(back - system.matrix.csr)
+            assert (diff.max() if diff.nnz else 0.0) == 0.0

@@ -2,7 +2,8 @@
 
 perfbench/harness.py lists its trace sites in SITES as "module.attr" or
 "module.Class.attr" under memwave.  Some of them, such as solver_2d's
-solve-route imports and cli's sup_error import, are otherwise unused, so
+solve-route imports and cli's sup_error, bicg_solve and
+build_preconditioner imports, are otherwise unused, so
 this check keeps a cleanup from removing a layer from traced runs.  The
 file is parsed, not imported, so the benchmark code is never executed.
 """
