@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .memory_kernel import MemoryOrder
-from .solver_1d import Grid1D
+from .solver_1d import BOUNDARY_DECAY_TOL, Grid1D, boundary_magnitude
 
 __all__ = [
     "heat_solution",
@@ -29,8 +29,6 @@ __all__ = [
 
 # kernel values below this are dropped from the convolution window
 KERNEL_TRUNCATION = 1e-16
-
-_EDGE_TOL = 1e-12
 
 # every edge warning ends with this
 EDGE_WARNING = "mass is leaving the grid"
@@ -60,8 +58,8 @@ def wave_solution(x, t: float, g):
 
 
 def _check_edges(values: np.ndarray, what: str) -> None:
-    edge = max(abs(float(values[0])), abs(float(values[-1])))
-    if edge > _EDGE_TOL:
+    edge = boundary_magnitude(values)
+    if edge > BOUNDARY_DECAY_TOL:
         warnings.warn(
             f"{what} is {edge:.2e} at the grid edge; {EDGE_WARNING}",
             stacklevel=3,

@@ -14,22 +14,21 @@ near the final matrix size; a predicted-nnz cap guards desk machines.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .memory_kernel import MemoryOrder
-from .solver_1d import BOUNDARY_DECAY_TOL, laplacian_1d, solve_slabs
-from .sparse_linalg import BlockSystem, SolveReport, SparseMatrix
-from .time_basis import CouplingMatrix, SourceProjection, TimeBasis, reconstruct
+from .solver_1d import Grid1D, SolutionField1D, laplacian_1d, solve_slabs
+from .sparse_linalg import BlockSystem, SparseMatrix
+from .time_basis import CouplingMatrix, SourceProjection
 
-# The solve routes run inside solver_1d.solve_slabs.  perfbench's tracer
-# wraps these module attributes (SITES in perfbench/harness.py), so they
-# stay importable from here.
+# The solve routes and the reconstruction run inside solver_1d.  perfbench's
+# tracer wraps these module attributes (SITES in perfbench/harness.py), so
+# they stay importable from here.
 from .sparse_linalg import bicg_solve, build_preconditioner, lu_solve  # noqa: F401
-from .time_basis import coupling_matrix  # noqa: F401
+from .time_basis import coupling_matrix, reconstruct  # noqa: F401
 
 __all__ = [
     "Grid2D",
@@ -46,27 +45,8 @@ __all__ = [
 DEFAULT_NNZ_CAP = 200_000_000
 
 
-@dataclass(frozen=True)
-class Grid2D:
-    """Square domain [x_min, x_max]^2 with m points per axis."""
-
-    x_min: float
-    x_max: float
-    m: int
-
-    def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise ValueError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 3):
-            raise ValueError(f"m must be an integer >= 3, got {self.m!r}")
-
-    @property
-    def h(self) -> float:
-        return (self.x_max - self.x_min) / (self.m - 1)
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.m)
+class Grid2D(Grid1D):
+    """Square domain [x_min, x_max]^2 with m points per axis; the axis is a Grid1D."""
 
     def mesh(self):
         """Coordinate arrays X, Y of shape (m, m), x along the first axis."""
@@ -103,7 +83,7 @@ class _AnisotropicGaussian:
 
 @dataclass(frozen=True)
 class InitialField2D:
-    """Initial condition g(x, y), negligible on the domain boundary."""
+    """Initial condition g(x, y), negligible at the grid boundary."""
 
     rule: object = field(repr=False)
     label: str = "custom"
@@ -128,31 +108,9 @@ class InitialField2D:
         return np.asarray(self.rule(np.asarray(x, dtype=float), np.asarray(y, dtype=float)),
                           dtype=float)
 
-    def boundary_decay(self, grid: Grid2D) -> float:
-        p = grid.points
-        edges = [
-            self.evaluate(p, np.full_like(p, grid.x_min)),
-            self.evaluate(p, np.full_like(p, grid.x_max)),
-            self.evaluate(np.full_like(p, grid.x_min), p),
-            self.evaluate(np.full_like(p, grid.x_max), p),
-        ]
-        return float(max(np.max(np.abs(e)) for e in edges))
 
-
-@dataclass
-class SolutionField2D:
-    """Galerkin coefficients c_k(x_i, y_l), stored as (K*n, m, m)."""
-
-    coefficients: np.ndarray
-    grid: Grid2D
-    basis: TimeBasis
-    order: MemoryOrder
-    initial: InitialField2D
-    report: SolveReport
-
-    def reconstruct(self, t: float) -> np.ndarray:
-        """Field f_n(x_i, y_l, t) of shape (m, m)."""
-        return reconstruct(self.coefficients, self.basis, t)
+class SolutionField2D(SolutionField1D):
+    """Galerkin coefficients c_k(x_i, y_l), stored as (K*n, m, m); reconstruct gives (m, m)."""
 
     def section(self, t: float, y: float = 0.0) -> np.ndarray:
         """1D section f_n(x_i, y, t) along the grid row nearest to y."""
@@ -231,18 +189,12 @@ def solve_2d(
 ) -> SolutionField2D:
     """Solve on [0, T]; large systems go through preconditioned iteration.
 
-    n counts basis functions per time slab; the slab count, the marching and
-    the route choice are those of solver_1d.solve_slabs.  The nnz cap is
-    checked before any of that work starts.
+    n counts basis functions per time slab; the boundary check, the slab
+    count, the marching and the route choice are those of
+    solver_1d.solve_slabs.  The nnz cap is checked before any of that work
+    starts.
     """
     _check_nnz_cap(n, grid.m, nnz_cap)
-    decay = g.boundary_decay(grid)
-    if decay > BOUNDARY_DECAY_TOL:
-        warnings.warn(
-            f"initial data is {decay:.2e} at the domain boundary; "
-            "free-boundary closure assumes negligible values there",
-            stacklevel=2,
-        )
     X, Y = grid.mesh()
     basis, coeffs, report = solve_slabs(
         order, T, n, g.evaluate(X, Y), grid.h, laplacian_2d(grid.m, grid.h),

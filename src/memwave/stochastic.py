@@ -80,8 +80,8 @@ class TimePartition:
     I: int
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError(f"final time must be positive, got {self.t_final!r}")
+        if not 0 < self.t_final < np.inf:
+            raise ValueError(f"final time must be positive and finite, got {self.t_final!r}")
         if not (isinstance(self.I, (int, np.integer)) and self.I >= 1):
             raise ValueError(f"I must be a positive integer, got {self.I!r}")
 
@@ -96,7 +96,10 @@ class TimePartition:
 
 def default_partition(t_final: float, grid: Grid1D) -> TimePartition:
     """Partition with time step no coarser than the grid spacing."""
-    return TimePartition(t_final, max(1, int(np.ceil(t_final / grid.h))))
+    steps = np.ceil(t_final / grid.h)
+    if not np.isfinite(steps):
+        raise ValueError(f"final time {t_final!r} gives no finite step count at h = {grid.h!r}")
+    return TimePartition(t_final, max(1, int(steps)))
 
 
 @dataclass

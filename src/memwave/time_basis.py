@@ -75,8 +75,8 @@ class TimeBasis:
     slabs: int = 1
 
     def __post_init__(self):
-        if not self.horizon_T > 0:
-            raise ValueError(f"horizon T must be positive, got {self.horizon_T!r}")
+        if not 0 < self.horizon_T < np.inf:
+            raise ValueError(f"horizon T must be positive and finite, got {self.horizon_T!r}")
         if not (isinstance(self.size_n, (int, np.integer)) and self.size_n >= 1):
             raise ValueError(f"basis size n must be a positive integer, got {self.size_n!r}")
         if not (isinstance(self.slabs, (int, np.integer)) and self.slabs >= 1):
@@ -132,8 +132,6 @@ class CouplingMatrix:
     """The Galerkin coupling matrix a_jk for one (T, alpha) pair, square in the basis size."""
 
     entries: np.ndarray
-    horizon_T: float
-    order: MemoryOrder
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
@@ -150,7 +148,6 @@ class SourceProjection:
     """Projection weights w_j = int_0^T phi_j dt; g_j(x) = f(x,0) * w_j."""
 
     weights: np.ndarray = field(repr=False)
-    horizon_T: float = 0.0
 
     @property
     def n(self) -> int:
@@ -300,7 +297,7 @@ def coupling_matrix(basis: TimeBasis, order: MemoryOrder, quad: int | None = Non
     for j in range(K):
         for k in range(j + 1):
             a[j * n:(j + 1) * n, k * n:(k + 1) * n] = scale * blocks[j - k]
-    return CouplingMatrix(entries=a, horizon_T=basis.horizon_T, order=order)
+    return CouplingMatrix(entries=a)
 
 
 def source_weights(basis: TimeBasis) -> SourceProjection:
@@ -313,7 +310,7 @@ def source_weights(basis: TimeBasis) -> SourceProjection:
     x, w = np.polynomial.legendre.leggauss(q)
     t = slab.horizon_T * (x + 1.0) / 2.0
     weights = slab.evaluate(t) @ w * (slab.horizon_T / 2.0)
-    return SourceProjection(weights=np.tile(weights, basis.slabs), horizon_T=basis.horizon_T)
+    return SourceProjection(weights=np.tile(weights, basis.slabs))
 
 
 def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:

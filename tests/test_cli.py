@@ -57,6 +57,21 @@ class TestExitCodes:
         assert main(solve1d_args(tmp_path, alpha=2.5)) == 1
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve1d", "--T", "inf"],
+        ["solve1d", "--xmin=-inf", "--xmax=inf"],
+        ["solve1d", "--xmin=-1e308", "--xmax=1e308"],
+        ["solve2d", "--T", "inf"],
+        ["validate", "--T", "inf"],
+        ["stochastic", "--alpha", "2", "--T", "inf"],
+        ["stochastic", "--alpha", "2", "--T", "inf", "--steps", "3"],
+    ])
+    def test_infinite_horizon_or_span(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--output", str(out)]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand(self, tmp_path, capsys):
         assert main(["shred"]) == 1
         assert main([]) == 1

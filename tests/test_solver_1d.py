@@ -19,7 +19,7 @@ from memwave import (
     source_weights,
     sup_error,
 )
-from memwave.solver_1d import MAX_SLABS, laplacian_1d
+from memwave.solver_1d import MAX_SLABS, boundary_magnitude, laplacian_1d
 from memwave.sparse_linalg import sine_eigenvalues
 
 BENCH = dict(T=6.0, grid=Grid1D(-15.0, 15.0, 151))
@@ -43,6 +43,12 @@ class TestGrid1D:
         with pytest.raises(ValueError):
             Grid1D(-1.0, 1.0, 2)
 
+    @pytest.mark.parametrize("x_min, x_max", [(-np.inf, np.inf), (-1.0, np.inf),
+                                              (-np.inf, 1.0), (-1e308, 1e308)])
+    def test_rejects_infinite_span(self, x_min, x_max):
+        with pytest.raises(ValueError, match="finite span"):
+            Grid1D(x_min, x_max, 11)
+
 
 class TestInitialField1D:
     def test_gaussian(self):
@@ -52,8 +58,8 @@ class TestInitialField1D:
 
     def test_boundary_decay(self):
         g = InitialField1D.gaussian(1.0)
-        assert g.boundary_decay(Grid1D(-15.0, 15.0, 151)) < 1e-12
-        assert g.boundary_decay(Grid1D(-3.0, 3.0, 31)) > 1e-12
+        assert boundary_magnitude(g.evaluate(Grid1D(-15.0, 15.0, 151).points)) < 1e-12
+        assert boundary_magnitude(g.evaluate(Grid1D(-3.0, 3.0, 31).points)) > 1e-12
 
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
@@ -69,7 +75,7 @@ class TestInitialField1D:
 
 class TestAssemble1D:
     def test_zero_coupling_gives_identity(self):
-        coupling = CouplingMatrix(np.zeros((1, 1)), 1.0, MemoryOrder(1.0))
+        coupling = CouplingMatrix(np.zeros((1, 1)))
         basis = build_basis(1.0, 1)
         weights = source_weights(basis)
         grid = Grid1D(-6.0, 6.0, 3)
@@ -79,7 +85,7 @@ class TestAssemble1D:
         assert np.allclose(system.rhs, weights.weights[0] * g.evaluate(grid.points))
 
     def test_unit_coupling_block(self):
-        coupling = CouplingMatrix(np.ones((1, 1)), 1.0, MemoryOrder(1.0))
+        coupling = CouplingMatrix(np.ones((1, 1)))
         weights = source_weights(build_basis(1.0, 1))
         grid = Grid1D(0.0, 2.0, 3)  # h = 1
         system = assemble_1d(coupling, weights, InitialField1D(rule=lambda x: 0.0 * x), grid)
@@ -96,7 +102,7 @@ class TestAssemble1D:
         assert system.matrix.nnz == n * n * (3 * m - 2)
 
     def test_size_mismatch(self):
-        coupling = CouplingMatrix(np.zeros((2, 2)), 1.0, MemoryOrder(1.0))
+        coupling = CouplingMatrix(np.zeros((2, 2)))
         weights = source_weights(build_basis(1.0, 3))
         with pytest.raises(ValueError):
             assemble_1d(coupling, weights, InitialField1D.gaussian(1.0), Grid1D(-6.0, 6.0, 5))

@@ -16,6 +16,7 @@ from memwave import (
     sparsity_bound,
     verify_sparsity,
 )
+from memwave.solver_1d import boundary_magnitude
 from memwave.solver_2d import laplacian_2d
 
 
@@ -47,6 +48,11 @@ class TestGrid2D:
         with pytest.raises(ValueError):
             Grid2D(-1.0, 1.0, 2)
 
+    @pytest.mark.parametrize("x_min, x_max", [(-np.inf, np.inf), (-1e308, 1e308)])
+    def test_rejects_infinite_span(self, x_min, x_max):
+        with pytest.raises(ValueError, match="finite span"):
+            Grid2D(x_min, x_max, 11)
+
 
 class TestInitialField2D:
     def test_radial(self):
@@ -63,8 +69,8 @@ class TestInitialField2D:
 
     def test_boundary_decay(self):
         g = InitialField2D.radial_gaussian(2.0)
-        assert g.boundary_decay(Grid2D(-15.0, 15.0, 31)) < 1e-12
-        assert g.boundary_decay(Grid2D(-3.0, 3.0, 11)) > 1e-12
+        assert boundary_magnitude(g.evaluate(*Grid2D(-15.0, 15.0, 31).mesh())) < 1e-12
+        assert boundary_magnitude(g.evaluate(*Grid2D(-3.0, 3.0, 11).mesh())) > 1e-12
 
     def test_rejects_bad_widths(self):
         with pytest.raises(ValueError):
@@ -83,7 +89,7 @@ class TestInitialField2D:
 
 class TestAssemble2D:
     def test_zero_coupling_gives_identity(self):
-        coupling = CouplingMatrix(np.zeros((1, 1)), 1.0, MemoryOrder(1.0))
+        coupling = CouplingMatrix(np.zeros((1, 1)))
         weights = source_weights(build_basis(1.0, 1))
         grid = Grid2D(-6.0, 6.0, 5)
         g = InitialField2D.radial_gaussian(1.0)
@@ -93,7 +99,7 @@ class TestAssemble2D:
         assert np.allclose(system.rhs, weights.weights[0] * g.evaluate(X, Y).ravel())
 
     def test_unit_coupling_five_point(self):
-        coupling = CouplingMatrix(np.ones((1, 1)), 1.0, MemoryOrder(1.0))
+        coupling = CouplingMatrix(np.ones((1, 1)))
         weights = source_weights(build_basis(1.0, 1))
         grid = Grid2D(0.0, 2.0, 3)  # h = 1
         g = InitialField2D(rule=lambda x, y: 0.0 * x)
@@ -143,7 +149,7 @@ class TestAssemble2D:
 class TestSparsity:
     def test_minimal_grid_bound(self):
         assert sparsity_bound(1, 3) == 33
-        coupling = CouplingMatrix(np.ones((1, 1)), 1.0, MemoryOrder(1.0))
+        coupling = CouplingMatrix(np.ones((1, 1)))
         weights = source_weights(build_basis(1.0, 1))
         system = assemble_2d(coupling, weights, InitialField2D(rule=lambda x, y: 0.0 * x),
                              Grid2D(0.0, 2.0, 3))
@@ -158,7 +164,7 @@ class TestSparsity:
         # diagonal entry leaves only the identity diagonal
         m = 6
         entries = np.array([[0.3, 0.0], [0.2, 0.0]])
-        coupling = CouplingMatrix(entries, 1.0, MemoryOrder(1.0))
+        coupling = CouplingMatrix(entries)
         weights = source_weights(build_basis(1.0, 2))
         system = assemble_2d(coupling, weights, InitialField2D(rule=lambda x, y: 0.0 * x),
                              Grid2D(0.0, 5.0, m))
@@ -198,7 +204,7 @@ class TestSolve2D:
         # with n=1 and vanishing coupling both solvers reduce to the identity
         from memwave import Grid1D, InitialField1D, assemble_1d, lu_solve
 
-        coupling = CouplingMatrix(np.zeros((1, 1)), 1.0, MemoryOrder(1.0))
+        coupling = CouplingMatrix(np.zeros((1, 1)))
         weights = source_weights(build_basis(1.0, 1))
         g2 = InitialField2D.radial_gaussian(1.0)
         grid2 = Grid2D(-8.0, 8.0, 9)
@@ -209,6 +215,15 @@ class TestSolve2D:
         grid1 = Grid1D(-8.0, 8.0, 9)
         sys1 = assemble_1d(coupling, weights, g1, grid1)
         assert np.allclose(lu_solve(sys1.matrix, sys1.rhs), sys1.rhs)
+
+    def test_boundary_warning(self):
+        # one warning, attributed to the caller of solve_2d
+        g = InitialField2D.radial_gaussian(2.0)
+        with pytest.warns(UserWarning, match="grid boundary") as record:
+            solve_2d(MemoryOrder(1.0), 1.0, 2, Grid2D(-3.0, 3.0, 11), g)
+        edge = [w for w in record if "grid boundary" in str(w.message)]
+        assert len(edge) == 1
+        assert edge[0].filename == __file__
 
     def test_direct_and_iterative_agree(self):
         grid = Grid2D(-15.0, 15.0, 20)

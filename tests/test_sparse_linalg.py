@@ -196,14 +196,14 @@ def kron_system(d, n=3, m=6, alpha=1.5, T=2.0):
 
 class TestSinePreconditioner:
     def test_scalar_one_dimensional(self):
-        coupling = CouplingMatrix(np.array([[0.5]]), 1.0, MemoryOrder(1.0))
+        coupling = CouplingMatrix(np.array([[0.5]]))
         pc = build_preconditioner(coupling, 1.0, 1, 3)
         lam = 4.0 * np.sin(np.arange(1, 4) * np.pi / 8.0) ** 2
         assert pc.shape == (3,)
         assert np.allclose(pc.blocks[:, 0, 0], 1.0 / (1.0 + 0.5 * lam), rtol=1e-14)
 
     def test_scalar_two_dimensional(self):
-        coupling = CouplingMatrix(np.array([[0.5]]), 1.0, MemoryOrder(1.0))
+        coupling = CouplingMatrix(np.array([[0.5]]))
         pc = build_preconditioner(coupling, 1.0, 2, 9)
         lam = 4.0 * np.sin(np.arange(1, 4) * np.pi / 8.0) ** 2
         expected = 1.0 / (1.0 + 0.5 * (lam[:, None] + lam[None, :]))
@@ -231,12 +231,12 @@ class TestSinePreconditioner:
 
     def test_singular_mode(self):
         # m = 3, h = 1: the middle sine mode has eigenvalue 2, and 1 + 2 * (-0.5) = 0
-        coupling = CouplingMatrix(np.array([[-0.5]]), 1.0, MemoryOrder(1.0))
+        coupling = CouplingMatrix(np.array([[-0.5]]))
         with pytest.raises(SingularMatrixError):
             build_preconditioner(coupling, 1.0, 1, 3)
 
     def test_parameter_validation(self):
-        coupling = CouplingMatrix(np.array([[0.5]]), 1.0, MemoryOrder(1.0))
+        coupling = CouplingMatrix(np.array([[0.5]]))
         with pytest.raises(ValueError):
             build_preconditioner(coupling, 0.0, 1, 3)
         with pytest.raises(ValueError):

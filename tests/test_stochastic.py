@@ -55,6 +55,12 @@ class TestTimePartition:
         with pytest.raises(ValueError):
             TimePartition(1.0, 2.5)
 
+    def test_rejects_infinite_final_time(self):
+        with pytest.raises(ValueError, match="final time"):
+            TimePartition(np.inf, 3)
+        with pytest.raises(ValueError, match="final time"):
+            default_partition(np.inf, Grid1D(-15.0, 15.0, 151))
+
     def test_default_partition_no_coarser_than_grid(self):
         grid = Grid1D(-15.0, 15.0, 151)  # h = 0.2
         for t in (6.0, 6.1, 0.05, 1.0):

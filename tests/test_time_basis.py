@@ -58,6 +58,11 @@ class TestBasis:
         with pytest.raises(ValueError):
             build_basis(-2.0, 3)
 
+    @pytest.mark.parametrize("T", [np.inf, np.nan])
+    def test_rejects_non_finite_horizon(self, T):
+        with pytest.raises(ValueError, match="horizon T"):
+            build_basis(T, 3)
+
 
 class TestCouplingMatrix:
     def test_hand_values_constant_kernel(self):
