@@ -22,17 +22,11 @@ import numpy as np
 
 from .analytic_reference import heat_solution, wave_solution
 from .memory_kernel import MemoryOrder
-from .solver_1d import (
-    Grid1D,
-    InitialField1D,
-    SolverConvergenceError,
-    assemble_1d,
-    solve_1d,
-)
+from .solver_1d import Grid1D, InitialField1D, SolverConvergenceError, assemble_1d, solve_1d
 from .solver_2d import Grid2D, InitialField2D, solve_2d, assemble_2d
-from .sparse_linalg import write_matrix_market
+from .sparse_linalg import DEFAULT_MAX_ITER, DEFAULT_TOL, write_matrix_market
 from .stochastic import NoiseModel, TimePartition, default_partition, simulate_trajectory
-from .time_basis import coupling_matrix, source_weights
+from .time_basis import build_basis, coupling_matrix, source_weights
 
 # not called here; perfbench's tracer wraps them (SITES in perfbench/harness.py)
 from .solver_1d import sup_error  # noqa: F401
@@ -64,8 +58,8 @@ class RunConfig:
     sigma1: float = 0.0
     sigma2: float = 0.0
     method: str = "auto"
-    tol: float = 1e-10
-    max_iter: int = 10_000
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     noise_C: float = 0.1
     noise_mode: str = "per-node"
     ell: float = 1.0
@@ -88,9 +82,13 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
+        """Parse key=value lines, or the "# key=value" echo (not the report) atop an output file."""
         known = {f.name: f for f in dataclass_fields(cls)}
+        lines = text.splitlines()
+        if lines and lines[0].startswith("# memwave "):
+            lines = [line.removeprefix("# ") for line in lines[1:1 + len(known)]]
         values = {}
-        for raw in text.splitlines():
+        for raw in lines:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -128,20 +126,23 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="memwave", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _SUBCOMMANDS:
-        p = sub.add_parser(name)
+        # no prefix matching: stochastic would read "--n" as "--noise-mode"
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--alpha", type=float)
         p.add_argument("--T", type=float)
-        p.add_argument("--n", type=int)
         p.add_argument("--xmin", dest="x_min", type=float)
         p.add_argument("--xmax", dest="x_max", type=float)
         p.add_argument("--m", type=int)
         p.add_argument("--sigma", type=float)
-        p.add_argument("--method", choices=("auto", "direct", "bicg"))
-        p.add_argument("--tol", type=float)
-        p.add_argument("--max-iter", dest="max_iter", type=int)
         p.add_argument("--output", "-o")
-        p.add_argument("--dump-matrix", dest="dump_matrix")
+        if name != "stochastic":
+            p.add_argument("--n", type=int)
+            p.add_argument("--method", choices=("auto", "direct", "bicg"))
+            p.add_argument("--tol", type=float)
+            p.add_argument("--max-iter", dest="max_iter", type=int)
+        if name in ("solve1d", "solve2d"):
+            p.add_argument("--dump-matrix", dest="dump_matrix")
         if name == "solve1d":
             p.add_argument("--times", help="comma-separated output times")
         if name == "solve2d":
@@ -213,13 +214,9 @@ def _write_csv(path: str, meta: list[str], header: str, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _initial_1d(config: RunConfig) -> InitialField1D:
-    return InitialField1D.gaussian(config.sigma)
-
-
 def _run_solve1d(config: RunConfig) -> int:
     grid = Grid1D(config.x_min, config.x_max, config.m)
-    g = _initial_1d(config)
+    g = InitialField1D.gaussian(config.sigma)
     field = solve_1d(
         MemoryOrder(config.alpha), config.T, config.n, grid, g,
         method=config.method, tol=config.tol, max_iter=config.max_iter,
@@ -239,9 +236,9 @@ def _run_solve1d(config: RunConfig) -> int:
 
 
 def _dump_system(config: RunConfig, field, assemble, g, grid) -> None:
-    """Write I + kron(a_K, L), the K-slab system the solve marched through."""
-    basis = field.basis
-    system = assemble(coupling_matrix(basis, field.order), source_weights(basis), g, grid)
+    """Write I + kron(tau^alpha B_0, L), the one-slab system the solve used on every slab."""
+    slab = build_basis(field.basis.slab_length, field.basis.size_n)
+    system = assemble(coupling_matrix(slab, field.order), source_weights(slab), g, grid)
     write_matrix_market(system.matrix, config.dump_matrix)
 
 
@@ -276,7 +273,7 @@ def _run_stochastic(config: RunConfig) -> int:
     if alpha not in (1.0, 2.0):
         raise ConfigError("stochastic simulation requires alpha 1 or 2 (closed-form resolvent)")
     grid = Grid1D(config.x_min, config.x_max, config.m)
-    g = _initial_1d(config)
+    g = InitialField1D.gaussian(config.sigma)
     model = NoiseModel(config.noise_C, config.noise_mode, config.ell, config.seed)
     partition = (
         TimePartition(config.T, config.steps) if config.steps > 0
@@ -301,7 +298,7 @@ def _run_validate(config: RunConfig) -> int:
     if alpha not in (1.0, 2.0):
         raise ConfigError("validate requires alpha 1 or 2 (analytic reference)")
     grid = Grid1D(config.x_min, config.x_max, config.m)
-    g = _initial_1d(config)
+    g = InitialField1D.gaussian(config.sigma)
     field = solve_1d(
         MemoryOrder(alpha), config.T, config.n, grid, g,
         method=config.method, tol=config.tol, max_iter=config.max_iter,
@@ -345,10 +342,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         config = _merge_config(args)
         return run(config)
-    except ConfigError as exc:
-        print(f"memwave: invalid configuration: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"memwave: invalid configuration: {exc}", file=sys.stderr)
         return 1
     except SolverConvergenceError as exc:

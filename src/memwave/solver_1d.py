@@ -31,12 +31,14 @@ from scipy.special import roots_jacobi
 
 from .memory_kernel import MemoryOrder, gamma_fn
 from .sparse_linalg import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     DIRECT_LIMIT,
     BlockSystem,
     SolveReport,
-    SparseMatrix,
     bicg_solve,
     build_preconditioner,
+    kron_system,
     lu_solve,
     sine_eigenvalues,
 )
@@ -175,14 +177,10 @@ def assemble_1d(
     grid: Grid1D,
 ) -> BlockSystem:
     """Assemble the N = n*m block system with tridiagonal blocks."""
-    n = coupling.n
-    if weights.n != n:
-        raise ValueError(f"coupling size {n} does not match weights size {weights.n}")
-    m = grid.m
-    L = laplacian_1d(m, grid.h)
-    A = sp.identity(n * m, format="csr") + sp.kron(sp.csr_matrix(coupling.entries), L, format="csr")
-    rhs = np.kron(weights.weights, g.evaluate(grid.points))
-    return BlockSystem(SparseMatrix(A), rhs)
+    if weights.n != coupling.n:
+        raise ValueError(f"coupling size {coupling.n} does not match weights size {weights.n}")
+    A = kron_system(coupling.entries, laplacian_1d(grid.m, grid.h))
+    return BlockSystem(A, np.kron(weights.weights, g.evaluate(grid.points)))
 
 
 def choose_slabs(order: MemoryOrder, T: float, n: int, g_values: np.ndarray, h: float):
@@ -304,8 +302,8 @@ def solve_1d(
     grid: Grid1D,
     g: InitialField1D,
     method: str = "auto",
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolutionField1D:
     """Solve on [0, T] and return the reconstructable coefficient field.
 

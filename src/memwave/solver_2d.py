@@ -8,8 +8,8 @@ coupling blocks (-1/h^2) between adjacent x-slices.  The nonzero count is
 bounded by n^2 m (5m - 4), with equality when every coupling entry is
 nonzero.
 
-Assembly proceeds one outer block row at a time so the peak memory stays
-near the final matrix size; a predicted-nnz cap guards desk machines.
+sparse_linalg.kron_system builds the matrix under its nonzero cap, as in
+1D; solve_2d checks the same cap before any other work.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from . import sparse_linalg
 from .memory_kernel import MemoryOrder
 from .solver_1d import Grid1D, SolutionField1D, laplacian_1d, solve_slabs
-from .sparse_linalg import BlockSystem, SparseMatrix
+from .sparse_linalg import DEFAULT_MAX_ITER, DEFAULT_TOL, BlockSystem, kron_system
 from .time_basis import CouplingMatrix, SourceProjection
 
 # The solve routes and the reconstruction run inside solver_1d.  perfbench's
@@ -34,16 +35,12 @@ __all__ = [
     "Grid2D",
     "InitialField2D",
     "SolutionField2D",
-    "DEFAULT_NNZ_CAP",
     "sparsity_bound",
     "laplacian_2d",
     "assemble_2d",
     "verify_sparsity",
     "solve_2d",
 ]
-
-DEFAULT_NNZ_CAP = 200_000_000
-
 
 class Grid2D(Grid1D):
     """Square domain [x_min, x_max]^2 with m points per axis; the axis is a Grid1D."""
@@ -122,15 +119,6 @@ def sparsity_bound(n: int, m: int) -> int:
     return n * n * m * (5 * m - 4)
 
 
-def _check_nnz_cap(n: int, m: int, nnz_cap: int) -> None:
-    predicted = sparsity_bound(n, m)
-    if predicted > nnz_cap:
-        raise ValueError(
-            f"predicted nnz {predicted} exceeds the cap {nnz_cap}; "
-            "pass a larger nnz_cap to override"
-        )
-
-
 def laplacian_2d(m: int, h: float) -> sp.csr_matrix:
     """Negative 5-point Laplacian on the m x m grid, x index outermost."""
     L1 = laplacian_1d(m, h)
@@ -143,32 +131,13 @@ def assemble_2d(
     weights: SourceProjection,
     g: InitialField2D,
     grid: Grid2D,
-    nnz_cap: int = DEFAULT_NNZ_CAP,
 ) -> BlockSystem:
-    """Assemble the N = n*m^2 block system one outer block row at a time."""
-    n = coupling.n
-    if weights.n != n:
-        raise ValueError(f"coupling size {n} does not match weights size {weights.n}")
-    m = grid.m
-    _check_nnz_cap(n, m, nnz_cap)
-    L2 = laplacian_2d(m, grid.h)
-    eye = sp.identity(m * m, format="csr")
-    empty = sp.csr_matrix((m * m, m * m))
-    a = coupling.entries
-    rows = []
-    for j in range(n):
-        blocks = []
-        for k in range(n):
-            if a[j, k] == 0.0:
-                blocks.append(eye if j == k else empty)
-            else:
-                block = a[j, k] * L2
-                blocks.append(block + eye if j == k else block)
-        rows.append(sp.hstack(blocks, format="csr"))
-    A = sp.vstack(rows, format="csr")
+    """Assemble the N = n*m^2 block system with 5-point blocks."""
+    if weights.n != coupling.n:
+        raise ValueError(f"coupling size {coupling.n} does not match weights size {weights.n}")
+    A = kron_system(coupling.entries, laplacian_2d(grid.m, grid.h))
     X, Y = grid.mesh()
-    rhs = np.kron(weights.weights, g.evaluate(X, Y).ravel())
-    return BlockSystem(SparseMatrix(A), rhs)
+    return BlockSystem(A, np.kron(weights.weights, g.evaluate(X, Y).ravel()))
 
 
 def verify_sparsity(system: BlockSystem, n: int, m: int) -> bool:
@@ -183,22 +152,23 @@ def solve_2d(
     grid: Grid2D,
     g: InitialField2D,
     method: str = "auto",
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    nnz_cap: int = DEFAULT_NNZ_CAP,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolutionField2D:
     """Solve on [0, T]; large systems go through preconditioned iteration.
 
     n counts basis functions per time slab; the boundary check, the slab
     count, the marching and the route choice are those of
-    solver_1d.solve_slabs.  The nnz cap is checked before any of that work
-    starts.
+    solver_1d.solve_slabs.  The assembly's nonzero cap, sparse_linalg.MAX_NNZ,
+    is checked before any of that work starts.
     """
-    _check_nnz_cap(n, grid.m, nnz_cap)
+    predicted, cap = sparsity_bound(n, grid.m), sparse_linalg.MAX_NNZ
+    if predicted > cap:
+        raise ValueError(f"predicted nnz {predicted} exceeds the cap {cap}")
     X, Y = grid.mesh()
     basis, coeffs, report = solve_slabs(
         order, T, n, g.evaluate(X, Y), grid.h, laplacian_2d(grid.m, grid.h),
-        lambda coupling, weights: assemble_2d(coupling, weights, g, grid, nnz_cap=nnz_cap),
+        lambda coupling, weights: assemble_2d(coupling, weights, g, grid),
         method, tol, max_iter,
     )
     coeffs = coeffs.reshape(-1, grid.m, grid.m)

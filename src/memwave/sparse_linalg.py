@@ -41,6 +41,8 @@ __all__ = [
     "BlockSystem",
     "SingularMatrixError",
     "DIRECT_LIMIT",
+    "MAX_NNZ",
+    "kron_system",
     "lu_solve",
     "bicg_solve",
     "build_preconditioner",
@@ -51,6 +53,9 @@ __all__ = [
 # Largest N handled by the direct LU path; beyond this the iterative
 # solver is mandatory.
 DIRECT_LIMIT = 20_000
+
+# Largest nonzero count kron_system assembles; it guards desk machines' memory.
+MAX_NNZ = 200_000_000
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -161,6 +166,35 @@ class BlockSystem:
     @property
     def N(self) -> int:
         return self.matrix.N
+
+
+def kron_system(a: np.ndarray, L: sp.csr_matrix) -> SparseMatrix:
+    """I + kron(a, L) for a dense n x n a and an M x M L that stores its diagonal.
+
+    Every block row has one pattern: spatial row r holds row r of L once
+    per block column k, shifted by k M.  Block row j fills it with
+    a[j, k] L.data and adds 1 where L stores its diagonal in block j.  The
+    nonzero count n^2 nnz(L) is checked against MAX_NNZ first, which also
+    keeps every int32 index in range.
+    """
+    n, M, nnz = a.shape[0], L.shape[0], L.nnz
+    if n * n * nnz > MAX_NNZ:
+        raise ValueError(f"predicted nnz {n * n * nnz} exceeds the cap {MAX_NNZ}")
+    ptr = L.indptr.astype(np.int32)
+    count = np.diff(ptr)
+    row = np.repeat(np.arange(M, dtype=np.int32), count)
+    k = np.arange(n, dtype=np.int32)[:, None]
+    # slot[k, e]: where entry e of L sits, in block column k, within a block row
+    slot = n * ptr[row] + k * count[row] + (np.arange(nnz, dtype=np.int32) - ptr[row])
+    block, entry = np.empty((2, n * nnz), np.int32)
+    block[slot], entry[slot] = k, np.arange(nnz)
+    diagonal = L.indices == row
+    data = a.take(block, axis=1)  # C order, unlike a[:, block], so ravel() below copies nothing
+    data *= L.data[entry]  # in place: an out-of-place product holds a second copy of data
+    data[k, slot[:, diagonal]] += 1.0
+    cols = np.tile(L.indices[entry] + block * M, n)
+    indptr = np.append((n * k * nnz + n * ptr[:-1]).ravel(), n * n * nnz).astype(np.int32)
+    return SparseMatrix(sp.csr_matrix((data.ravel(), cols, indptr), shape=(n * M,) * 2))
 
 
 def lu_solve(A: SparseMatrix, b: np.ndarray) -> np.ndarray:

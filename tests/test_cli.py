@@ -72,6 +72,20 @@ class TestExitCodes:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["stochastic", "--n", "99"],
+        ["stochastic", "--method", "bicg"],
+        ["stochastic", "--tol", "5"],
+        ["stochastic", "--max-iter", "3"],
+        ["stochastic", "--dump-matrix", "s.mtx"],
+        ["validate", "--dump-matrix", "v.mtx"],
+    ])
+    def test_flag_the_subcommand_ignores(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--alpha", "2", "--T", "1", "--output", "out.csv"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_subcommand(self, tmp_path, capsys):
         assert main(["shred"]) == 1
         assert main([]) == 1
@@ -189,18 +203,52 @@ class TestOutputs:
         first = mtx.read_text().splitlines()[0]
         assert first == "%%MatrixMarket matrix coordinate real general"
         loaded = sp.csr_matrix(scipy.io.mmread(mtx))
-        # the dump is the K-slab system the solve chose, I + kron(a_K, L)
+        # the dump is the one-slab system I + kron(tau^alpha B_0, L) that every
+        # slab of the solve used, not the K-slab system, which no solve builds
         g, grid = InitialField1D.gaussian(1.0), Grid1D(-10.0, 10.0, 21)
-        slabs = solve_1d(MemoryOrder(1.5), 2.0, 3, grid, g).report.slabs
-        basis = build_basis(2.0, 3, slabs=slabs)
-        coupling = coupling_matrix(basis, MemoryOrder(1.5))
-        system = assemble_1d(coupling, source_weights(basis), g, grid)
+        order = MemoryOrder(1.5)
+        slabs = solve_1d(order, 2.0, 3, grid, g).report.slabs
+        assert slabs > 1 and loaded.shape == (3 * 21, 3 * 21)
+        slab = build_basis(2.0 / slabs, 3)
+        coupling = coupling_matrix(slab, order)
+        whole = coupling_matrix(build_basis(2.0, 3, slabs=slabs), order).entries
+        assert np.array_equal(coupling.entries, whole[:3, :3])
+        system = assemble_1d(coupling, source_weights(slab), g, grid)
         diff = (loaded - system.matrix.csr).tocsr()
         diff.eliminate_zeros()
         assert diff.nnz == 0
 
 
 class TestConfigHandling:
+    @pytest.mark.parametrize("argv", [
+        ["solve1d", "--alpha", "1.5", "--T", "2.0", "--n", "3", "--xmin", "-10", "--xmax", "10",
+         "--m", "21", "--times", "0.5,2"],
+        ["solve2d", "--alpha", "1.5", "--T", "1.0", "--n", "2", "--xmin", "-10", "--xmax", "10",
+         "--m", "15"],
+        ["stochastic", "--alpha", "2", "--T", "1.0", "--m", "41", "--xmin", "-10",
+         "--xmax", "10", "--steps", "4", "--seed", "7"],
+        ["validate", "--alpha", "1", "--T", "2.0", "--n", "6", "--m", "51"],
+    ])
+    def test_output_file_is_a_rerun_recipe(self, argv, tmp_path, capsys):
+        # the rerun reads only the output's echo and rewrites every CSV byte for byte
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        assert main(argv + ["--output", str(run_dir / "out.csv")]) == 0
+        first = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        recipe = tmp_path / "recipe.csv"
+        recipe.write_bytes(first["out.csv"])
+        for p in run_dir.iterdir():
+            p.unlink()
+        assert main([argv[0], "--config", str(recipe)]) == 0
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == first
+
+    def test_output_echo_stops_before_the_report(self):
+        # stochastic's "# steps=" report line must not override the echoed steps=0
+        text = "# memwave stochastic\n" + "".join(
+            f"# {line}\n" for line in RunConfig(subcommand="stochastic").to_text().splitlines()
+        ) + "# steps=30\n# tau=0.2\nt,x,f\n0.0,1.0,2.0\n"
+        assert RunConfig.from_text(text) == RunConfig(subcommand="stochastic")
+
     def test_to_from_text_round_trip(self):
         config = RunConfig(subcommand="solve2d", alpha=1.75, m=41, n=6,
                            times=(0.0, 1.5), output="x.csv")

@@ -107,6 +107,17 @@ class TestAssemble1D:
         with pytest.raises(ValueError):
             assemble_1d(coupling, weights, InitialField1D.gaussian(1.0), Grid1D(-6.0, 6.0, 5))
 
+    def test_nnz_cap(self, monkeypatch):
+        # the assembly's one cap holds in 1D too: n = 2, m = 5 predicts 4 (3m - 2) = 52
+        basis = build_basis(1.0, 2)
+        args = (coupling_matrix(basis, MemoryOrder(1.5)), source_weights(basis),
+                InitialField1D.gaussian(1.0), Grid1D(-6.0, 6.0, 5))
+        monkeypatch.setattr("memwave.sparse_linalg.MAX_NNZ", 51)
+        with pytest.raises(ValueError, match="predicted nnz 52 exceeds the cap 51"):
+            assemble_1d(*args)
+        monkeypatch.setattr("memwave.sparse_linalg.MAX_NNZ", 52)
+        assert assemble_1d(*args).matrix.nnz == 52
+
 
 class TestSolve1D:
     def test_boundary_warning(self):

@@ -124,13 +124,13 @@ class TestAssemble2D:
                 expected += np.eye(m * m)
             assert np.allclose(block, expected, atol=1e-13)
 
-    def test_memory_cap(self):
+    def test_memory_cap(self, monkeypatch):
+        monkeypatch.setattr("memwave.sparse_linalg.MAX_NNZ", 1000)
         basis = build_basis(1.0, 2)
         coupling = coupling_matrix(basis, MemoryOrder(1.5))
         with pytest.raises(ValueError):
             assemble_2d(coupling, source_weights(basis),
-                        InitialField2D.radial_gaussian(1.0), Grid2D(-6.0, 6.0, 50),
-                        nnz_cap=1000)
+                        InitialField2D.radial_gaussian(1.0), Grid2D(-6.0, 6.0, 50))
 
     def test_vector_layout_matches_mesh_ravel(self):
         # rhs ordering: basis index outermost, then x, then y
@@ -249,9 +249,10 @@ class TestSolve2D:
             raise AssertionError("choose_slabs ran before the nnz cap check")
 
         monkeypatch.setattr("memwave.solver_1d.choose_slabs", no_slabs)
+        monkeypatch.setattr("memwave.sparse_linalg.MAX_NNZ", 1000)
         with pytest.raises(ValueError, match="exceeds the cap 1000"):
             solve_2d(MemoryOrder(1.5), 6.0, 8, Grid2D(-15.0, 15.0, 50),
-                     InitialField2D.radial_gaussian(2.0), nnz_cap=1000)
+                     InitialField2D.radial_gaussian(2.0))
 
     def test_section_picks_nearest_row(self):
         grid = Grid2D(-6.0, 6.0, 13)

@@ -24,6 +24,9 @@ from memwave import (
     source_weights,
     write_matrix_market,
 )
+from memwave import sparse_linalg
+from memwave.solver_1d import laplacian_1d
+from memwave.solver_2d import laplacian_2d
 from memwave.sparse_linalg import sine_eigenvalues
 
 
@@ -178,6 +181,28 @@ class TestBicgSolve:
             bicg_solve(A, np.ones(2), tol=0.0)
         with pytest.raises(ValueError):
             bicg_solve(A, np.ones(2), max_iter=0)
+
+
+class TestKronSystem:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2]),
+        n=st.integers(1, 6),
+        m=st.integers(3, 12),
+        h=st.floats(0.05, 2.0),
+        data=st.data(),
+    )
+    def test_matches_scipy_kron_bit_for_bit(self, d, n, m, h, data):
+        # a dense a whose entries are often exactly 0 (either sign)
+        entry = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
+        a = np.array(data.draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+        L = laplacian_1d(m, h) if d == 1 else laplacian_2d(m, h)
+        built = sparse_linalg.kron_system(a, L).csr
+        expected = SparseMatrix(sp.identity(n * m**d) + sp.kron(sp.csr_matrix(a), L)).csr
+        assert built.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(built, name), getattr(expected, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def kron_system(d, n=3, m=6, alpha=1.5, T=2.0):
