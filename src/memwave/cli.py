@@ -23,13 +23,14 @@ import numpy as np
 from .analytic_reference import heat_solution, wave_solution
 from .memory_kernel import MemoryOrder
 from .solver_1d import Grid1D, InitialField1D, SolverConvergenceError, assemble_1d, solve_1d
-from .solver_2d import Grid2D, InitialField2D, solve_2d, assemble_2d
+from .solver_2d import Grid2D, InitialField2D, solve_2d
 from .sparse_linalg import DEFAULT_MAX_ITER, DEFAULT_TOL, write_matrix_market
 from .stochastic import NoiseModel, TimePartition, default_partition, simulate_trajectory
 from .time_basis import build_basis, coupling_matrix, source_weights
 
 # not called here; perfbench's tracer wraps them (SITES in perfbench/harness.py)
 from .solver_1d import sup_error  # noqa: F401
+from .solver_2d import assemble_2d  # noqa: F401
 from .sparse_linalg import bicg_solve, build_preconditioner  # noqa: F401
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
@@ -178,11 +179,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _out_path(config: RunConfig, default_name: str) -> str:
-    path = config.output or default_name
-    if not os.path.isabs(path):
-        path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), path)
-    return path
+def _out_path(path: str) -> str:
+    """Where an output file goes: a relative path is taken under $MEMWAVE_OUTDIR, if set."""
+    return path if os.path.isabs(path) else os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), path)
 
 
 def _fmt(v: float) -> str:
@@ -227,19 +226,20 @@ def _run_solve1d(config: RunConfig) -> int:
     for t in times:
         ft, vals = _fmt(t), field.reconstruct(float(t)).tolist()
         rows += [(ft, xi, repr(v)) for xi, v in zip(x, vals)]
-    path = _out_path(config, "solve1d.csv")
+    path = _out_path(config.output or "solve1d.csv")
     _write_csv(path, _metadata(config, [_report_line(field.report)]), "t,x,f", rows)
     if config.dump_matrix:
-        _dump_system(config, field, assemble_1d, g, grid)
+        _dump_system(config, field)
     print(f"solve1d: wrote {path} ({field.report.method}, residual {field.report.residual:.3e})")
     return 0
 
 
-def _dump_system(config: RunConfig, field, assemble, g, grid) -> None:
+def _dump_system(config: RunConfig, field) -> None:
     """Write I + kron(tau^alpha B_0, L), the one-slab system the solve used on every slab."""
     slab = build_basis(field.basis.slab_length, field.basis.size_n)
-    system = assemble(coupling_matrix(slab, field.order), source_weights(slab), g, grid)
-    write_matrix_market(system.matrix, config.dump_matrix)
+    coupling, weights = coupling_matrix(slab, field.order), source_weights(slab)
+    system = assemble_1d(coupling, weights, field.initial, field.grid)
+    write_matrix_market(system.matrix, _out_path(config.dump_matrix))
 
 
 def _run_solve2d(config: RunConfig) -> int:
@@ -255,7 +255,7 @@ def _run_solve2d(config: RunConfig) -> int:
     values = field.reconstruct(config.T).tolist()
     x = [_fmt(xi) for xi in grid.points]
     rows = [(xi, yj, repr(v)) for xi, row in zip(x, values) for yj, v in zip(x, row)]
-    path = _out_path(config, "solve2d.csv")
+    path = _out_path(config.output or "solve2d.csv")
     meta = _metadata(config, [_report_line(field.report)])
     _write_csv(path, meta, "x,y,f", rows)
     iy = grid.nearest_index(0.0)
@@ -263,7 +263,7 @@ def _run_solve2d(config: RunConfig) -> int:
     sec_path = os.path.splitext(path)[0] + "_section.csv"
     _write_csv(sec_path, meta, "x,f", [(xi, repr(v)) for xi, v in zip(x, section)])
     if config.dump_matrix:
-        _dump_system(config, field, assemble_2d, g, grid)
+        _dump_system(config, field)
     print(f"solve2d: wrote {path} and {sec_path} ({field.report.method})")
     return 0
 
@@ -286,7 +286,7 @@ def _run_stochastic(config: RunConfig) -> int:
         for t, fieldvals in zip(traj.times, traj.fields)
         for xi, v in zip(x, fieldvals)
     ]
-    path = _out_path(config, "stochastic.csv")
+    path = _out_path(config.output or "stochastic.csv")
     _write_csv(path, _metadata(config, [f"steps={partition.I}", f"tau={_fmt(partition.tau)}"]),
                "t,x,f", rows)
     print(f"stochastic: wrote {path} ({partition.I} steps, C={config.noise_C})")
@@ -316,7 +316,7 @@ def _run_validate(config: RunConfig) -> int:
         for xi, nv, av, ev in zip(x, numeric, analytic, err)
     ]
     meta = _metadata(config, [_report_line(field.report), f"max_error={_fmt(max_err)}"])
-    path = _out_path(config, "validate.csv")
+    path = _out_path(config.output or "validate.csv")
     _write_csv(path, meta, "x,numeric,analytic,abs_error", rows)
     print(f"validate: max error {max_err:.6e} (alpha={alpha}, n={config.n}, m={config.m}); wrote {path}")
     return 0

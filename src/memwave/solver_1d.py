@@ -1,13 +1,12 @@
-"""Assembly and solution of the 1D block system, and the slab marching both dimensions share.
+"""The 1D grid and initial field, and the one assembly and slab-wise solve of every dimension.
 
-Discretizing the Laplacian with the 3-point stencil on a uniform grid of
-m points turns the projected equations into the block system
-
-    (I + kron(a, L)) c = kron(w, g),    L = (1/h^2) tridiag(-1, 2, -1),
-
-with the basis index outermost in the unknown vector.  Ghost values
-outside the grid are zero (free boundary on a large enough grid), guarded
-by a decay check on the initial data's grid faces.
+Discretizing the Laplacian with the 3-point stencil along every grid axis,
+L = sparse_linalg.laplacian(grid shape, h), turns the projected equations
+into the block system (I + kron(a, L)) c = kron(w, g), with the basis
+index outermost in the unknown vector.  assemble_1d and solve_slabs see
+the grid only through its mesh and spacing, so they serve solver_2d too.
+Ghost values outside the grid are zero (free boundary on a large enough
+grid), guarded by a decay check on the initial data's grid faces.
 
 The solvers split [0, T] into K slabs (see time_basis).  The coupling
 matrix is then block lower-triangular, so the system is solved slab by
@@ -25,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dstn
 from scipy.special import roots_jacobi
 
@@ -39,6 +37,7 @@ from .sparse_linalg import (
     bicg_solve,
     build_preconditioner,
     kron_system,
+    laplacian,
     lu_solve,
     sine_eigenvalues,
 )
@@ -112,15 +111,19 @@ class Grid1D:
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.m)
 
+    def mesh(self) -> tuple:
+        """Coordinate arrays, one per axis: (points,)."""
+        return (self.points,)
+
 
 @dataclass(frozen=True)
 class _Gaussian:
-    """exp(-x^2 / sigma^2), a picklable rule for InitialField1D."""
+    """exp(-|x|^2 / sigma^2) over all given coordinates, a picklable rule for InitialField1D."""
 
     sigma: float
 
-    def __call__(self, x):
-        return np.exp(-np.asarray(x, dtype=float) ** 2 / self.sigma**2)
+    def __call__(self, *coords):
+        return np.exp(-sum(np.asarray(c, dtype=float) ** 2 for c in coords) / self.sigma**2)
 
 
 @dataclass(frozen=True)
@@ -136,13 +139,14 @@ class InitialField1D:
             raise ValueError(f"sigma must be positive, got {sigma!r}")
         return cls(rule=_Gaussian(sigma), label=f"gaussian(sigma={sigma})")
 
-    def evaluate(self, x) -> np.ndarray:
-        return np.asarray(self.rule(np.asarray(x, dtype=float)), dtype=float)
+    def evaluate(self, *coords) -> np.ndarray:
+        """g at the points given by one coordinate array per axis."""
+        return np.asarray(self.rule(*(np.asarray(c, dtype=float) for c in coords)), dtype=float)
 
 
 @dataclass
 class SolutionField1D:
-    """Galerkin coefficients c_k(x_i), shape (K*n, m), with everything needed to evaluate f_n."""
+    """Galerkin coefficients c_k(x_i), shape (K*n,) + grid shape, and all that evaluates f_n."""
 
     coefficients: np.ndarray
     grid: Grid1D
@@ -163,11 +167,13 @@ def boundary_magnitude(values) -> float:
     return float(max(abs(x) for axis in range(v.ndim) for x in v.take((0, -1), axis).flat))
 
 
-def laplacian_1d(m: int, h: float) -> sp.csr_matrix:
-    """Negative 3-point Laplacian (1/h^2) tridiag(-1, 2, -1), m x m."""
-    main = np.full(m, 2.0)
-    off = np.full(m - 1, -1.0)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
+def _sample(g: InitialField1D, grid: Grid1D) -> np.ndarray:
+    """g on grid.mesh(); a rule whose output is not shaped like the grid is refused."""
+    mesh = grid.mesh()
+    values = g.evaluate(*mesh)
+    if values.shape != mesh[0].shape:
+        raise ValueError(f"g gave shape {values.shape} on a grid of shape {mesh[0].shape}")
+    return values
 
 
 def assemble_1d(
@@ -176,11 +182,12 @@ def assemble_1d(
     g: InitialField1D,
     grid: Grid1D,
 ) -> BlockSystem:
-    """Assemble the N = n*m block system with tridiagonal blocks."""
+    """Assemble I + kron(a, L) and kron(w, g) on a 1D or 2D grid; solver_2d calls it assemble_2d."""
     if weights.n != coupling.n:
         raise ValueError(f"coupling size {coupling.n} does not match weights size {weights.n}")
-    A = kron_system(coupling.entries, laplacian_1d(grid.m, grid.h))
-    return BlockSystem(A, np.kron(weights.weights, g.evaluate(grid.points)))
+    values = _sample(g, grid)
+    A = kron_system(coupling.entries, laplacian(values.shape, grid.h))
+    return BlockSystem(A, np.kron(weights.weights, values.ravel()))
 
 
 def choose_slabs(order: MemoryOrder, T: float, n: int, g_values: np.ndarray, h: float):
@@ -212,25 +219,26 @@ def solve_slabs(
     order: MemoryOrder,
     T: float,
     n: int,
-    g_values: np.ndarray,
-    h: float,
-    laplacian: sp.csr_matrix,
+    grid: Grid1D,
+    g: InitialField1D,
     assemble,
     method: str,
     tol: float,
     max_iter: int,
 ):
-    """Choose K, then march the K-slab system slab by slab; shared by solve_1d and solve_2d.
+    """Choose K, then march the K-slab system slab by slab; solve_1d and solve_2d are this call.
 
-    Warns once when g_values exceed BOUNDARY_DECAY_TOL on the grid faces,
-    where the zero-ghost closure assumes them negligible.
-    assemble(coupling, weights) builds the one-slab BlockSystem.  Its matrix
-    is factored once (LU) or preconditioned once (BiCG) and reused on every
-    slab.  Each BiCG slab solve runs to a residual below tol * ||w g|| with
-    at most max_iter iterations, so the whole system's relative residual
-    stays below tol.  Returns the K-slab basis, the coefficients as a
-    (K*n, number of grid points) array and the SolveReport of the whole system.
+    Warns once when g on grid.mesh() exceeds BOUNDARY_DECAY_TOL on the grid
+    faces, where the zero-ghost closure assumes it negligible.
+    assemble(coupling, weights, g, grid) builds the one-slab BlockSystem.
+    Its matrix is factored once (LU) or preconditioned once (BiCG) and
+    reused on every slab.  Each BiCG slab solve runs to a residual below
+    tol * ||w g|| with at most max_iter iterations, so the whole system's
+    relative residual stays below tol.  Returns the K-slab basis, the
+    coefficients shaped (K*n,) + grid shape and the whole system's SolveReport.
     """
+    g_values, h = _sample(g, grid), grid.h
+    L = laplacian(g_values.shape, h)
     edge = boundary_magnitude(g_values)
     if edge > BOUNDARY_DECAY_TOL:
         warnings.warn(
@@ -251,7 +259,7 @@ def solve_slabs(
     a = coupling_matrix(basis, order).entries
     blocks = a[:, :n].reshape(K, n, n)  # tau^alpha B_d, d = 0 .. K-1
     slab = CouplingMatrix(blocks[0])
-    system = assemble(slab, source_weights(build_basis(basis.slab_length, n)))
+    system = assemble(slab, source_weights(build_basis(basis.slab_length, n)), g, grid)
     b = system.rhs.reshape(n, -1)
     norm_b = float(np.linalg.norm(b))
     use_direct = method == "direct" or (method == "auto" and system.N <= DIRECT_LIMIT)
@@ -282,14 +290,14 @@ def solve_slabs(
                                 slabs=K, time_drift=drift, slabs_capped=capped),
                 )
         X[j] = x.reshape(b.shape)
-        LX[j] = (laplacian @ X[j].T).T
+        LX[j] = (L @ X[j].T).T
     # true relative residual of the whole K-slab system: the slab matrix on
     # the diagonal blocks, the coupling matrix's lower blocks below them
     lower = a - np.kron(np.eye(K), blocks[0])
     R = np.concatenate([b - system.matrix.matvec(x.ravel()).reshape(b.shape) for x in X])
     R -= lower @ LX.reshape(K * n, -1)
     residual = float(np.linalg.norm(R) / (np.sqrt(K) * norm_b)) if norm_b > 0 else 0.0
-    coeffs = X.reshape(K * n, -1)
+    coeffs = X.reshape((K * n,) + g_values.shape)
     report = SolveReport(iterations, residual, True, name, breakdown,
                          slabs=K, time_drift=drift, slabs_capped=capped)
     return basis, coeffs, report
@@ -312,11 +320,9 @@ def solve_1d(
     most the direct threshold of unknowns and the preconditioned iteration
     beyond; "direct" or "bicg" force one path.
     """
-    basis, coeffs, report = solve_slabs(
-        order, T, n, g.evaluate(grid.points), grid.h, laplacian_1d(grid.m, grid.h),
-        lambda coupling, weights: assemble_1d(coupling, weights, g, grid),
-        method, tol, max_iter,
-    )
+    if len(grid.mesh()) != 1:
+        raise ValueError(f"solve_1d needs a 1D grid, got {type(grid).__name__}; use solve_2d")
+    basis, coeffs, report = solve_slabs(order, T, n, grid, g, assemble_1d, method, tol, max_iter)
     return SolutionField1D(coeffs, grid, basis, order, g, report)
 
 
@@ -357,7 +363,7 @@ def residual_orthogonality(field: SolutionField1D) -> float:
 
     C = field.coefficients.reshape(K, n, m)
     gvals = field.initial.evaluate(grid.points)
-    L = laplacian_1d(m, grid.h)
+    L = laplacian((m,), grid.h)
     LC = np.array([(L @ c.T).T for c in C])
 
     # polynomial part and distant slabs: Gauss-Legendre on a slab

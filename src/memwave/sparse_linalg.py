@@ -7,12 +7,13 @@ bi-conjugate gradient iteration.
 
 Its preconditioner is the exact inverse of the system.  The orthonormal
 type-I sine transform along every spatial axis diagonalizes the zero-ghost
-3-point and 5-point Laplacians (Lynch, Rice & Thomas, Numer. Math. 6,
-1964), so in sine space the system splits into one n x n block
-I + lambda a per grid mode.  The preconditioner inverts those blocks once
-and applies them between a forward and a backward transform; BiCG then
-converges in one or two iterations, and the iteration itself, with its
-true-residual check, confirms the solution on the assembled matrix.
+Laplacian L = laplacian(shape, h), with eigenvalues sine_eigenvalues(shape,
+h) (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so in sine space the
+system splits into one n x n block I + lambda a per grid mode.  The
+preconditioner inverts those blocks once and applies them between a
+forward and a backward transform; BiCG then converges in one or two
+iterations, and the iteration itself, with its true-residual check,
+confirms the solution on the assembled matrix.
 
 The iterative method is classic preconditioned BiCG (two matrix products
 per step, one with A and one with its transpose).  The stabilized variant
@@ -46,6 +47,7 @@ __all__ = [
     "lu_solve",
     "bicg_solve",
     "build_preconditioner",
+    "laplacian",
     "sine_eigenvalues",
     "write_matrix_market",
 ]
@@ -221,12 +223,28 @@ def lu_solve(A: SparseMatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def sine_eigenvalues(shape: tuple, h: float) -> np.ndarray:
-    """Eigenvalues of the zero-ghost negative Laplacian on a grid of this shape.
+def laplacian(shape: tuple, h: float) -> sp.csr_matrix:
+    """Negative zero-ghost Laplacian on a grid of this shape, in the grid's C order.
 
-    The type-I sine transform along every axis diagonalizes the 3-point and
-    5-point stencils; the eigenvalue of mode (i, l, ...) is the sum over axes
-    of (4/h^2) sin^2(i pi / (2(m+1))).
+    The 3-point stencil (1/h^2) tridiag(-1, 2, -1) along each axis, summed
+    over the axes (5 points in 2D).  A change of stencil reaches only here,
+    sine_eigenvalues (its spectrum) and solver_2d.sparsity_bound (its nnz).
+    """
+    L = None
+    for m in shape:
+        off = np.full(m - 1, -1.0)
+        axis = sp.diags([off, np.full(m, 2.0), off], [-1, 0, 1], format="csr") / h**2
+        L = axis if L is None else (sp.kron(L, sp.identity(m, format="csr"))
+                                    + sp.kron(sp.identity(L.shape[0], format="csr"), axis)).tocsr()
+    return L
+
+
+def sine_eigenvalues(shape: tuple, h: float) -> np.ndarray:
+    """Eigenvalues of laplacian(shape, h), one per sine mode, shaped like the grid.
+
+    The type-I sine transform along every axis diagonalizes the operator;
+    the eigenvalue of mode (i, l, ...) is the sum over axes of
+    (4/h^2) sin^2(i pi / (2(m+1))).
     """
     lam = np.zeros(())
     for m in shape:

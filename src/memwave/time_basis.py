@@ -282,17 +282,17 @@ def _unit_schur(n: int, order: MemoryOrder):
     return _UNIT_SCHUR[key]
 
 
-def coupling_matrix(basis: TimeBasis, order: MemoryOrder, quad: int | None = None) -> CouplingMatrix:
+def coupling_matrix(basis: TimeBasis, order: MemoryOrder) -> CouplingMatrix:
     """Compute the coupling matrix a_jk from the checked unit blocks.
 
     On K slabs of length tau (K = 1 included), block (j, k) is
-    tau^alpha B_{j-k} for j >= k and zero above the diagonal.  quad is
-    passed to unit_blocks, which checks every B_d to ENTRY_TOL at unit
-    scale, so the entries are accurate to tau^alpha * ENTRY_TOL.
+    tau^alpha B_{j-k} for j >= k and zero above the diagonal.  unit_blocks
+    checks every B_d to ENTRY_TOL at unit scale, so the entries are
+    accurate to tau^alpha * ENTRY_TOL.
     """
     n, K = basis.size_n, basis.slabs
     scale = basis.slab_length**order.alpha
-    blocks = unit_blocks(n, order, K, quad)
+    blocks = unit_blocks(n, order, K)
     a = np.zeros((basis.dimension, basis.dimension))
     for j in range(K):
         for k in range(j + 1):

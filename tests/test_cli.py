@@ -197,6 +197,17 @@ class TestOutputs:
         assert main(args) == 0
         assert (tmp_path / "rel.csv").exists()
 
+    def test_outdir_env_applies_to_the_matrix_dump(self, tmp_path, capsys, monkeypatch):
+        out, cwd = tmp_path / "out", tmp_path / "cwd"
+        out.mkdir()
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("MEMWAVE_OUTDIR", str(out))
+        assert main(["solve1d", "--T", "1", "--n", "3", "--m", "21", "--xmin", "-8",
+                     "--xmax", "8", "-o", "dd.csv", "--dump-matrix", "d.mtx"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["d.mtx", "dd.csv"]
+        assert list(cwd.iterdir()) == []
+
     def test_dump_matrix_round_trips(self, tmp_path, capsys):
         mtx = tmp_path / "system.mtx"
         assert main(solve1d_args(tmp_path, **{"dump-matrix": str(mtx)})) == 0

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from memwave import (
     CouplingMatrix,
     Grid1D,
+    Grid2D,
     InitialField1D,
     MemoryOrder,
     assemble_1d,
@@ -16,11 +17,12 @@ from memwave import (
     lu_solve,
     residual_orthogonality,
     solve_1d,
+    solve_2d,
     source_weights,
     sup_error,
 )
-from memwave.solver_1d import MAX_SLABS, boundary_magnitude, laplacian_1d
-from memwave.sparse_linalg import sine_eigenvalues
+from memwave.solver_1d import MAX_SLABS, boundary_magnitude
+from memwave.sparse_linalg import laplacian, sine_eigenvalues
 
 BENCH = dict(T=6.0, grid=Grid1D(-15.0, 15.0, 151))
 
@@ -107,6 +109,16 @@ class TestAssemble1D:
         with pytest.raises(ValueError):
             assemble_1d(coupling, weights, InitialField1D.gaussian(1.0), Grid1D(-6.0, 6.0, 5))
 
+    def test_rejects_g_not_shaped_like_the_grid(self):
+        # a 2D rule that ignores y must not pass for a consistent 1D system
+        basis = build_basis(1.0, 2)
+        args = (coupling_matrix(basis, MemoryOrder(1.5)), source_weights(basis))
+        g = InitialField1D(rule=lambda x, y: np.zeros(len(x)))
+        with pytest.raises(ValueError, match=r"g gave shape \(5,\) on a grid of shape \(5, 5\)"):
+            assemble_1d(*args, g, Grid2D(-6.0, 6.0, 5))
+        with pytest.raises(ValueError, match="grid of shape"):
+            solve_2d(MemoryOrder(1.5), 1.0, 2, Grid2D(-6.0, 6.0, 5), g)
+
     def test_nnz_cap(self, monkeypatch):
         # the assembly's one cap holds in 1D too: n = 2, m = 5 predicts 4 (3m - 2) = 52
         basis = build_basis(1.0, 2)
@@ -139,6 +151,15 @@ class TestSolve1D:
         f_iter = solve_1d(method="bicg", tol=1e-12, **kw)
         assert f_iter.report.method == "bicg+precond"
         assert np.max(np.abs(f_direct.coefficients - f_iter.coefficients)) < 1e-8
+
+    def test_grid_dimension_is_checked(self):
+        # solve_1d on a Grid2D would skip solve_2d's nnz pre-check; solve_2d on a
+        # Grid1D would return a 2D field holding a 1D solution
+        order, g = MemoryOrder(1.5), InitialField1D.gaussian(1.0)
+        with pytest.raises(ValueError, match="solve_1d needs a 1D grid, got Grid2D"):
+            solve_1d(order, 1.0, 2, Grid2D(-6.0, 6.0, 5), g)
+        with pytest.raises(ValueError, match="solve_2d needs a Grid2D, got Grid1D"):
+            solve_2d(order, 1.0, 2, Grid1D(-6.0, 6.0, 5), g)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -190,24 +211,22 @@ class TestSlabs:
     def test_sine_transform_diagonalizes_the_stencils(self):
         from scipy.fft import dstn
 
-        from memwave.solver_2d import laplacian_2d
-
         def sine_transform(x):
             return dstn(x, type=1, norm="ortho")
 
         rng = np.random.default_rng(3)
         x1 = rng.standard_normal(7)
         lam1 = sine_eigenvalues((7,), 0.5)
-        assert np.allclose(sine_transform(laplacian_1d(7, 0.5) @ x1), lam1 * sine_transform(x1))
+        assert np.allclose(sine_transform(laplacian((7,), 0.5) @ x1), lam1 * sine_transform(x1))
         assert np.allclose(sine_transform(sine_transform(x1)), x1)
         x2 = rng.standard_normal((5, 6))
         lam2 = sine_eigenvalues((5, 6), 0.5)
-        L2 = sp.kron(laplacian_1d(5, 0.5), sp.identity(6)) + sp.kron(sp.identity(5),
-                                                                      laplacian_1d(6, 0.5))
+        L2 = sp.kron(laplacian((5,), 0.5), sp.identity(6)) + sp.kron(sp.identity(5),
+                                                                     laplacian((6,), 0.5))
         assert np.allclose(sine_transform((L2 @ x2.ravel()).reshape(5, 6)),
                            lam2 * sine_transform(x2))
         assert np.allclose(np.sort(sine_eigenvalues((5, 5), 0.5).ravel()),
-                           np.linalg.eigvalsh(laplacian_2d(5, 0.5).toarray()))
+                           np.linalg.eigvalsh(laplacian((5, 5), 0.5).toarray()))
 
     def test_slab_count_ignores_the_scale_of_g(self):
         grid = BENCH["grid"]

@@ -17,7 +17,7 @@ from memwave import (
     verify_sparsity,
 )
 from memwave.solver_1d import boundary_magnitude
-from memwave.solver_2d import laplacian_2d
+from memwave.sparse_linalg import laplacian
 
 
 def five_point_dense(m, h, a):
@@ -59,6 +59,12 @@ class TestInitialField2D:
         g = InitialField2D.radial_gaussian(2.0)
         assert g.evaluate(0.0, 0.0) == 1.0
         assert g.evaluate(2.0, 0.0) == pytest.approx(np.exp(-1.0))
+
+    def test_inherited_gaussian_is_radial(self):
+        # InitialField2D subclasses InitialField1D, so its gaussian constructor must work in 2D
+        X, Y = Grid2D(-6.0, 6.0, 13).mesh()
+        assert np.allclose(InitialField2D.gaussian(2.0).evaluate(X, Y),
+                           np.exp(-(X**2 + Y**2) / 4.0), rtol=1e-15, atol=0)
 
     def test_anisotropic_symmetry_axis(self):
         g = InitialField2D.anisotropic_gaussian(4.0, 2.0)
@@ -244,11 +250,16 @@ class TestSolve2D:
         assert abs(mass_T - mass_0) <= 5e-3 * abs(mass_0)
 
     def test_nnz_cap_checked_before_any_work(self, monkeypatch):
-        # the cap guards memory, so it must refuse before the mesh and slab choice
+        # the cap guards memory, so it must refuse before the mesh, the Laplacian and
+        # the slab choice
         def no_slabs(*args, **kwargs):
             raise AssertionError("choose_slabs ran before the nnz cap check")
 
+        def no_laplacian(*args, **kwargs):
+            raise AssertionError("the Laplacian was built before the nnz cap check")
+
         monkeypatch.setattr("memwave.solver_1d.choose_slabs", no_slabs)
+        monkeypatch.setattr("memwave.solver_1d.laplacian", no_laplacian)
         monkeypatch.setattr("memwave.sparse_linalg.MAX_NNZ", 1000)
         with pytest.raises(ValueError, match="exceeds the cap 1000"):
             solve_2d(MemoryOrder(1.5), 6.0, 8, Grid2D(-15.0, 15.0, 50),
@@ -264,7 +275,7 @@ class TestSolve2D:
 
 def test_laplacian_2d_row_sums():
     # interior rows sum to zero; boundary rows leak through the ghost closure
-    L = laplacian_2d(5, 0.5).toarray()
+    L = laplacian((5, 5), 0.5).toarray()
     sums = L.sum(axis=1).reshape(5, 5)
     assert np.allclose(sums[1:-1, 1:-1], 0.0)
     assert sums[0, 0] > 0

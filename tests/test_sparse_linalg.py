@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.fft import dstn
 from scipy.io import mmread
 
 from memwave import (
@@ -25,9 +26,7 @@ from memwave import (
     write_matrix_market,
 )
 from memwave import sparse_linalg
-from memwave.solver_1d import laplacian_1d
-from memwave.solver_2d import laplacian_2d
-from memwave.sparse_linalg import sine_eigenvalues
+from memwave.sparse_linalg import laplacian, sine_eigenvalues
 
 
 def small_1d_system(n=2, m=5, alpha=1.5, T=1.0):
@@ -196,13 +195,52 @@ class TestKronSystem:
         # a dense a whose entries are often exactly 0 (either sign)
         entry = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
         a = np.array(data.draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
-        L = laplacian_1d(m, h) if d == 1 else laplacian_2d(m, h)
+        L = laplacian((m,) * d, h)
         built = sparse_linalg.kron_system(a, L).csr
         expected = SparseMatrix(sp.identity(n * m**d) + sp.kron(sp.csr_matrix(a), L)).csr
         assert built.shape == expected.shape
         for name in ("data", "indices", "indptr"):
             got, want = getattr(built, name), getattr(expected, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def stencil_3point(m, h):
+    """The 3-point operator (1/h^2) tridiag(-1, 2, -1), written out as scipy builds it."""
+    return sp.diags([np.full(m - 1, -1.0), np.full(m, 2.0), np.full(m - 1, -1.0)], [-1, 0, 1],
+                    format="csr") / h**2
+
+
+class TestLaplacian:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(3, 12)),
+            st.integers(3, 12).map(lambda m: (m, m)),
+            st.tuples(st.integers(3, 12), st.integers(3, 12)),
+        ),
+        h=st.floats(0.05, 2.0),
+    )
+    def test_stencil_and_spectrum(self, shape, h):
+        L = laplacian(shape, h)
+        if len(shape) == 1:
+            expected = stencil_3point(shape[0], h)
+        else:
+            m1, m2 = shape
+            expected = (sp.kron(stencil_3point(m1, h), sp.identity(m2, format="csr"))
+                        + sp.kron(sp.identity(m1, format="csr"), stencil_3point(m2, h))).tocsr()
+        assert L.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(L, name), getattr(expected, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        # the orthonormal DST-I along every axis diagonalizes L into sine_eigenvalues
+        eye = np.eye(L.shape[0]).reshape((-1,) + shape)
+        S = dstn(eye, type=1, norm="ortho", axes=tuple(range(1, len(shape) + 1)))
+        S = S.reshape(L.shape)
+        D = S @ L.toarray() @ S
+        lam = sine_eigenvalues(shape, h).ravel()
+        scale = np.max(lam)
+        assert np.allclose(np.diag(D), lam, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(D - np.diag(np.diag(D)))) <= 1e-12 * scale
 
 
 def kron_system(d, n=3, m=6, alpha=1.5, T=2.0):

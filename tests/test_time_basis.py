@@ -12,6 +12,7 @@ from memwave import (
     reconstruct,
     source_weights,
 )
+from memwave.time_basis import unit_blocks
 
 # coupling entries at alpha=1.5, T=1, frozen from an adaptive nested-quadrature
 # oracle (mpmath, 30 digits)
@@ -101,10 +102,10 @@ class TestCouplingMatrix:
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_quadrature_doubling(self, alpha):
-        basis = build_basis(6.0, 8)
-        q = 2 * 8 + 8
-        a1 = coupling_matrix(basis, MemoryOrder(alpha), quad=q).entries
-        a2 = coupling_matrix(basis, MemoryOrder(alpha), quad=2 * q).entries
+        # the one-slab coupling on [0, 6] is 6^alpha B_0
+        T, q = 6.0, 2 * 8 + 8
+        a1 = T**alpha * unit_blocks(8, MemoryOrder(alpha), 1, q)[0]
+        a2 = T**alpha * unit_blocks(8, MemoryOrder(alpha), 1, 2 * q)[0]
         assert np.max(np.abs(a1 - a2)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
@@ -117,9 +118,8 @@ class TestCouplingMatrix:
         assert np.max(np.abs(a2 - c**alpha * a1)) < 1e-11
 
     def test_rejects_bad_quadrature(self):
-        basis = build_basis(1.0, 2)
         with pytest.raises(ValueError):
-            coupling_matrix(basis, MemoryOrder(1.5), quad=0)
+            unit_blocks(2, MemoryOrder(1.5), 1, 0)
 
 
 class TestKernelConvolution:
