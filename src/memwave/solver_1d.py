@@ -9,13 +9,14 @@ Ghost values outside the grid are zero (free boundary on a large enough
 grid), guarded by a decay check on the initial data's grid faces.
 
 The solvers split [0, T] into K slabs (see time_basis).  The coupling
-matrix is then block lower-triangular, so the system is solved slab by
-slab: every slab has the same matrix I + kron(tau^alpha B_0, L), and
+matrix is then block lower-triangular, so time_basis.march solves it slab
+by slab: every slab has the same matrix I + kron(tau^alpha B_0, L), and
 earlier slabs enter its right-hand side through the blocks B_{j-k}.
 K is the first of 1, 2, 4, ... at which doubling it moves the solution
 at T by at most TIME_TOL * max|g|.  A type-I sine transform diagonalizes
-the zero-ghost stencils, so that check runs exactly, one sine mode at a
-time, before any system is built.
+the zero-ghost stencils, so that check runs the same march exactly, one
+sine mode at a time, before any system is built.  sup_error and
+residual_orthogonality check a solved field of either dimension.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .sparse_linalg import (
     SolveReport,
     bicg_solve,
     build_preconditioner,
+    check_nnz,
     kron_system,
     laplacian,
     lu_solve,
@@ -51,6 +53,7 @@ from .time_basis import (
     coupling_matrix,
     endpoint_transfer,
     kernel_convolution,
+    march,
     reconstruct,
     source_weights,
 )
@@ -226,7 +229,7 @@ def solve_slabs(
     tol: float,
     max_iter: int,
 ):
-    """Choose K, then march the K-slab system slab by slab; solve_1d and solve_2d are this call.
+    """Choose K, then solve the K-slab system through march; solve_1d and solve_2d are this call.
 
     Warns once when g on grid.mesh() exceeds BOUNDARY_DECAY_TOL on the grid
     faces, where the zero-ghost closure assumes it negligible.
@@ -239,6 +242,7 @@ def solve_slabs(
     """
     g_values, h = _sample(g, grid), grid.h
     L = laplacian(g_values.shape, h)
+    check_nnz(n * n * L.nnz)  # before the slab choice, which costs more at large grids
     edge = boundary_magnitude(g_values)
     if edge > BOUNDARY_DECAY_TOL:
         warnings.warn(
@@ -256,23 +260,18 @@ def solve_slabs(
             stacklevel=3,
         )
     basis = build_basis(T, n, K)
-    a = coupling_matrix(basis, order).entries
-    blocks = a[:, :n].reshape(K, n, n)  # tau^alpha B_d, d = 0 .. K-1
+    blocks = coupling_matrix(basis, order).entries[:, :n].reshape(K, n, n)  # tau^alpha B_d
     slab = CouplingMatrix(blocks[0])
     system = assemble(slab, source_weights(build_basis(basis.slab_length, n)), g, grid)
     b = system.rhs.reshape(n, -1)
     norm_b = float(np.linalg.norm(b))
     use_direct = method == "direct" or (method == "auto" and system.N <= DIRECT_LIMIT)
-    if use_direct:
-        name = "direct"
-    else:
-        pc = build_preconditioner(slab, h, g_values.ndim, b.shape[1])
-        name = "bicg+precond"
-    X = np.empty((K,) + b.shape)
-    LX = np.empty_like(X)
-    iterations, breakdown = 0, False
-    for j in range(K):
-        rhs = b - np.tensordot(blocks[j:0:-1], LX[:j], axes=([0, 2], [0, 1])) if j else b
+    name = "direct" if use_direct else "bicg+precond"
+    pc = None if use_direct else build_preconditioner(slab, h, g_values.ndim, b.shape[1])
+    iterations, breakdown, squares = 0, False, 0.0
+
+    def solve(rhs, j):
+        nonlocal iterations, breakdown, squares
         if use_direct:
             x = lu_solve(system.matrix, rhs.ravel())
         else:
@@ -287,20 +286,16 @@ def solve_slabs(
                     f"iterative solve failed ({kind}) on slab {j + 1} of {K} after "
                     f"{iterations} iterations, residual {rep.residual:.3e}",
                     SolveReport(iterations, rep.residual, False, name, rep.breakdown,
-                                slabs=K, time_drift=drift, slabs_capped=capped),
-                )
-        X[j] = x.reshape(b.shape)
-        LX[j] = (L @ X[j].T).T
-    # true relative residual of the whole K-slab system: the slab matrix on
-    # the diagonal blocks, the coupling matrix's lower blocks below them
-    lower = a - np.kron(np.eye(K), blocks[0])
-    R = np.concatenate([b - system.matrix.matvec(x.ravel()).reshape(b.shape) for x in X])
-    R -= lower @ LX.reshape(K * n, -1)
-    residual = float(np.linalg.norm(R) / (np.sqrt(K) * norm_b)) if norm_b > 0 else 0.0
-    coeffs = X.reshape((K * n,) + g_values.shape)
+                                slabs=K, time_drift=drift, slabs_capped=capped))
+        # slab j's rows of the whole K-slab system's true residual
+        squares += float(np.linalg.norm(rhs.ravel() - system.matrix.matvec(x))) ** 2
+        return x.reshape(b.shape)
+
+    X, _ = march(blocks, b, solve, lambda x: (L @ x.T).T)
+    residual = float(np.sqrt(squares) / (np.sqrt(K) * norm_b)) if norm_b > 0 else 0.0
     report = SolveReport(iterations, residual, True, name, breakdown,
                          slabs=K, time_drift=drift, slabs_capped=capped)
-    return basis, coeffs, report
+    return basis, X.reshape((K * n,) + g_values.shape), report
 
 
 def solve_1d(
@@ -329,12 +324,12 @@ def solve_1d(
 def sup_error(field: SolutionField1D, t: float, reference) -> float:
     """Sup-norm distance between the reconstruction at t and a reference.
 
-    reference is either a callable evaluated on the grid or an array of
-    per-point values on the same grid.
+    reference is either a callable evaluated on grid.mesh() (x, or x and y)
+    or an array of per-point values on the same grid.
     """
     numeric = field.reconstruct(t)
     if callable(reference):
-        ref = np.asarray(reference(field.grid.points), dtype=float)
+        ref = np.asarray(reference(*field.grid.mesh()), dtype=float)
     else:
         ref = np.asarray(reference, dtype=float)
     if ref.shape != numeric.shape:
@@ -343,7 +338,7 @@ def sup_error(field: SolutionField1D, t: float, reference) -> float:
 
 
 def residual_orthogonality(field: SolutionField1D) -> float:
-    """Largest Galerkin residual projection over basis functions and grid points.
+    """Largest Galerkin residual projection over basis functions and grid points, 1D or 2D.
 
     Evaluates eps_n(x_i, t) = f_n - g - int_0^t a(t-s) Lap_h f_n(., s) ds
     and projects it onto each phi_j by quadrature, slab by slab, without
@@ -356,14 +351,13 @@ def residual_orthogonality(field: SolutionField1D) -> float:
     """
     basis, order, grid = field.basis, field.order, field.grid
     n, K, tau, alpha = basis.size_n, basis.slabs, basis.slab_length, order.alpha
-    m = grid.m
     q = 4 * n + 16
     slab = build_basis(tau, n)
     ga = gamma_fn(alpha)
 
-    C = field.coefficients.reshape(K, n, m)
-    gvals = field.initial.evaluate(grid.points)
-    L = laplacian((m,), grid.h)
+    C = field.coefficients.reshape(K, n, -1)
+    values = _sample(field.initial, grid)
+    gvals, L = values.ravel(), laplacian(values.shape, grid.h)
     LC = np.array([(L @ c.T).T for c in C])
 
     # polynomial part and distant slabs: Gauss-Legendre on a slab

@@ -7,7 +7,7 @@ count is bounded by n^2 m (5m - 4), with equality when every coupling
 entry is nonzero.
 
 The assembly and the slab-wise solve are solver_1d's; solve_2d only checks
-its grid and that bound against sparse_linalg.MAX_NNZ before other work.
+its grid and that bound against sparse_linalg.check_nnz before other work.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sparse_linalg
 from .memory_kernel import MemoryOrder
 from .solver_1d import Grid1D, InitialField1D, SolutionField1D, _Gaussian, assemble_1d, solve_slabs
-from .sparse_linalg import DEFAULT_MAX_ITER, DEFAULT_TOL, BlockSystem
+from .sparse_linalg import DEFAULT_MAX_ITER, DEFAULT_TOL, BlockSystem, check_nnz
 
 # The solve routes and the reconstruction run inside solver_1d.  perfbench's
 # tracer wraps these module attributes (SITES in perfbench/harness.py), so
@@ -119,13 +118,11 @@ def solve_2d(
 
     n counts basis functions per time slab.  Before solver_1d.solve_slabs
     runs (the boundary check, the slab count, the marching, the route
-    choice), the grid must be a Grid2D and sparsity_bound must not exceed
-    the assembly's nonzero cap, sparse_linalg.MAX_NNZ.
+    choice), the grid must be a Grid2D and sparsity_bound must pass the
+    assembly's nonzero cap, sparse_linalg.check_nnz.
     """
     if not isinstance(grid, Grid2D):
         raise ValueError(f"solve_2d needs a Grid2D, got {type(grid).__name__}; use solve_1d")
-    predicted, cap = sparsity_bound(n, grid.m), sparse_linalg.MAX_NNZ
-    if predicted > cap:
-        raise ValueError(f"predicted nnz {predicted} exceeds the cap {cap}")
+    check_nnz(sparsity_bound(n, grid.m))
     basis, coeffs, report = solve_slabs(order, T, n, grid, g, assemble_2d, method, tol, max_iter)
     return SolutionField2D(coeffs, grid, basis, order, g, report)

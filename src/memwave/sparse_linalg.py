@@ -43,6 +43,7 @@ __all__ = [
     "SingularMatrixError",
     "DIRECT_LIMIT",
     "MAX_NNZ",
+    "check_nnz",
     "kron_system",
     "lu_solve",
     "bicg_solve",
@@ -170,18 +171,23 @@ class BlockSystem:
         return self.matrix.N
 
 
+def check_nnz(predicted: int) -> None:
+    """Refuse an assembly predicted to hold more than MAX_NNZ nonzeros."""
+    if predicted > MAX_NNZ:
+        raise ValueError(f"predicted nnz {predicted} exceeds the cap {MAX_NNZ}")
+
+
 def kron_system(a: np.ndarray, L: sp.csr_matrix) -> SparseMatrix:
     """I + kron(a, L) for a dense n x n a and an M x M L that stores its diagonal.
 
     Every block row has one pattern: spatial row r holds row r of L once
     per block column k, shifted by k M.  Block row j fills it with
     a[j, k] L.data and adds 1 where L stores its diagonal in block j.  The
-    nonzero count n^2 nnz(L) is checked against MAX_NNZ first, which also
-    keeps every int32 index in range.
+    nonzero count n^2 nnz(L) goes through check_nnz first, which also keeps
+    every int32 index in range.
     """
     n, M, nnz = a.shape[0], L.shape[0], L.nnz
-    if n * n * nnz > MAX_NNZ:
-        raise ValueError(f"predicted nnz {n * n * nnz} exceeds the cap {MAX_NNZ}")
+    check_nnz(n * n * nnz)
     ptr = L.indptr.astype(np.int32)
     count = np.diff(ptr)
     row = np.repeat(np.arange(M, dtype=np.int32), count)

@@ -45,6 +45,7 @@ __all__ = [
     "build_basis",
     "coupling_matrix",
     "endpoint_transfer",
+    "march",
     "kernel_convolution",
     "source_weights",
     "reconstruct",
@@ -301,16 +302,26 @@ def coupling_matrix(basis: TimeBasis, order: MemoryOrder) -> CouplingMatrix:
 
 
 def source_weights(basis: TimeBasis) -> SourceProjection:
-    """Compute w_j = int_0^T phi_j dt by Gauss-Legendre (exact for polynomials).
+    """w_j = int_0^T phi_j dt exactly: sqrt(tau) for each slab's phi_1 = 1/sqrt(tau), else 0."""
+    w = np.zeros((basis.slabs, basis.size_n))
+    w[:, 0] = np.sqrt(basis.slab_length)
+    return SourceProjection(weights=w.ravel())
 
-    Every slab has the same weights, so they are computed on one slab.
+
+def march(blocks, b, solve, op):
+    """Forward substitution through a block lower-triangular system over K slabs.
+
+    blocks, shaped (K, n, n), holds in blocks[d] the coupling of slabs d
+    apart.  Slab j gets x_j = solve(b - sum_{k<j} blocks[j-k] op(x_k), j);
+    b and each x_j are shaped (n, ...).  Returns x and op(x) of every slab,
+    shaped (K, n, ...).
     """
-    slab = build_basis(basis.slab_length, basis.size_n)
-    q = slab.size_n // 2 + 2
-    x, w = np.polynomial.legendre.leggauss(q)
-    t = slab.horizon_T * (x + 1.0) / 2.0
-    weights = slab.evaluate(t) @ w * (slab.horizon_T / 2.0)
-    return SourceProjection(weights=np.tile(weights, basis.slabs))
+    X, opX = np.empty((2, len(blocks)) + np.shape(b))
+    for j in range(len(blocks)):
+        rhs = b - np.tensordot(blocks[j:0:-1], opX[:j], axes=([0, 2], [0, 1])) if j else b
+        X[j] = solve(rhs, j)
+        opX[j] = op(X[j])
+    return X, opX
 
 
 def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
@@ -318,37 +329,31 @@ def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
 
     For each eigenvalue lam of the (negated) spatial operator this is
     phi(T) . (I + lam a)^{-1} w, so a field whose sine coefficients are g_i
-    has coefficients g_i * endpoint_transfer(lam_i) at T.  Slabs are
-    eliminated one after another with the unit blocks scaled by tau^alpha.
-    Returns an array of the shape of lam.
+    has coefficients g_i * endpoint_transfer(lam_i) at T.  march eliminates
+    the slabs, one column per distinct lam.  Returns an array shaped like lam.
     """
     lam = np.asarray(lam, dtype=float)
     vals, inverse = np.unique(lam.ravel(), return_inverse=True)
     n, K, tau = basis.size_n, basis.slabs, basis.slab_length
     blocks = np.array(unit_blocks(n, order, K)) * tau**order.alpha
-    # on its slab, phi_1 integrates to sqrt(tau) and the others to 0; at the
-    # slab's right end phi_j is sqrt((2j-1)/tau)
-    w = np.zeros(n)
-    w[0] = np.sqrt(tau)
-    end = np.sqrt((2.0 * np.arange(1, n + 1) - 1.0) / tau)
+    slab = build_basis(tau, n)
+    w, end = source_weights(slab).weights, slab.evaluate(tau)
     # Every slab has the same per-mode matrix I + lam tau^alpha B_0.  The
     # complex Schur form B_0 = Z U Z^H makes it the triangular
     # I + lam tau^alpha U in a unitary frame, solved for all modes at once.
     U, Z = _unit_schur(n, order)
     U = U * tau**order.alpha
-    pivots = 1.0 + vals[:, None] * np.diag(U)
-    y = np.empty((K, vals.size, n))
-    for j in range(K):
-        rhs = np.broadcast_to(w, (vals.size, n))
-        if j:
-            # slabs k < j reach slab j through blocks B_{j-k}
-            rhs = rhs - vals[:, None] * np.tensordot(y[:j], blocks[j:0:-1], axes=([0, 2], [0, 2]))
-        r = rhs @ Z.conj()
+    pivots = 1.0 + np.diag(U)[:, None] * vals
+
+    def solve(rhs, j):
+        r = Z.conj().T @ rhs
         z = np.empty_like(r)
         for p in range(n - 1, -1, -1):
-            z[:, p] = (r[:, p] - vals * (z[:, p + 1:] @ U[p, p + 1:])) / pivots[:, p]
-        y[j] = (z @ Z.T).real
-    return (y[-1] @ end)[inverse].reshape(lam.shape)
+            z[p] = (r[p] - vals * (U[p, p + 1:] @ z[p + 1:])) / pivots[p]
+        return (Z @ z).real
+
+    X, _ = march(blocks, np.broadcast_to(w[:, None], (n, vals.size)), solve, lambda x: vals * x)
+    return (end @ X[-1])[inverse].reshape(lam.shape)
 
 
 def reconstruct(coeffs, basis: TimeBasis, t: float):

@@ -130,6 +130,16 @@ class TestAssemble1D:
         monkeypatch.setattr("memwave.sparse_linalg.MAX_NNZ", 52)
         assert assemble_1d(*args).matrix.nnz == 52
 
+    def test_nnz_cap_checked_before_the_slab_choice(self, monkeypatch):
+        # a grid too large to assemble is refused as soon as its Laplacian is built
+        def no_slabs(*args, **kwargs):
+            raise AssertionError("choose_slabs ran before the nnz cap check")
+
+        monkeypatch.setattr("memwave.solver_1d.choose_slabs", no_slabs)
+        monkeypatch.setattr("memwave.sparse_linalg.MAX_NNZ", 51)
+        with pytest.raises(ValueError, match="predicted nnz 52 exceeds the cap 51"):
+            solve_1d(MemoryOrder(1.5), 1.0, 2, Grid1D(-6.0, 6.0, 5), InitialField1D.gaussian(1.0))
+
 
 class TestSolve1D:
     def test_boundary_warning(self):

@@ -11,11 +11,14 @@ from memwave import (
     assemble_2d,
     build_basis,
     coupling_matrix,
+    residual_orthogonality,
     solve_2d,
     source_weights,
     sparsity_bound,
+    sup_error,
     verify_sparsity,
 )
+from memwave.analytic_reference import heat_solution
 from memwave.solver_1d import boundary_magnitude
 from memwave.sparse_linalg import laplacian
 
@@ -264,6 +267,24 @@ class TestSolve2D:
         with pytest.raises(ValueError, match="exceeds the cap 1000"):
             solve_2d(MemoryOrder(1.5), 6.0, 8, Grid2D(-15.0, 15.0, 50),
                      InitialField2D.radial_gaussian(2.0))
+
+    @pytest.mark.parametrize("n, m", [(4, 21), (8, 25)])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_residual_orthogonality(self, alpha, n, m):
+        field = solve_2d(MemoryOrder(alpha), 1.0, n, Grid2D(-15.0, 15.0, m),
+                         InitialField2D.radial_gaussian(2.0))
+        assert residual_orthogonality(field) <= 1e-12
+
+    def test_sup_error_calls_the_reference_on_the_mesh(self):
+        # the 2D heat flow of a radial Gaussian is the product of two 1D flows
+        grid = Grid2D(-15.0, 15.0, 41)
+        field = solve_2d(MemoryOrder(1.0), 6.0, 8, grid, InitialField2D.radial_gaussian(2.0))
+        X, Y = grid.mesh()
+        oracle = heat_solution(X, 6.0, 2.0) * heat_solution(Y, 6.0, 2.0)
+        err = sup_error(field, 6.0,
+                        lambda x, y: heat_solution(x, 6.0, 2.0) * heat_solution(y, 6.0, 2.0))
+        assert err == sup_error(field, 6.0, oracle)
+        assert err < 1e-2 * np.max(oracle)  # the spatial error of h = 0.75
 
     def test_section_picks_nearest_row(self):
         grid = Grid2D(-6.0, 6.0, 13)

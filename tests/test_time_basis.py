@@ -12,7 +12,8 @@ from memwave import (
     reconstruct,
     source_weights,
 )
-from memwave.time_basis import unit_blocks
+from memwave import time_basis
+from memwave.time_basis import QuadratureError, march, unit_blocks
 
 # coupling entries at alpha=1.5, T=1, frozen from an adaptive nested-quadrature
 # oracle (mpmath, 30 digits)
@@ -117,6 +118,13 @@ class TestCouplingMatrix:
         a2 = coupling_matrix(build_basis(c * T, n), MemoryOrder(alpha)).entries
         assert np.max(np.abs(a2 - c**alpha * a1)) < 1e-11
 
+    def test_doubling_check_raises(self, monkeypatch):
+        # with a zero tolerance the rounding between the two quadrature orders fails the check
+        monkeypatch.setattr(time_basis, "_UNIT_BLOCKS", {})
+        monkeypatch.setattr(time_basis, "ENTRY_TOL", 0.0)
+        with pytest.raises(QuadratureError, match="B_0 did not converge"):
+            coupling_matrix(build_basis(1.0, 4), MemoryOrder(1.5))
+
     def test_rejects_bad_quadrature(self):
         with pytest.raises(ValueError):
             unit_blocks(2, MemoryOrder(1.5), 1, 0)
@@ -193,9 +201,14 @@ class TestSlabBasis:
             P.append(((2 * k + 1) * u * P[k] - k * P[k - 1]) / (k + 1))
         expected = np.array(P) * np.sqrt((2.0 * np.arange(1, n + 1) - 1.0) / T)[:, None]
         assert np.array_equal(basis.evaluate(t), expected)
+        # the weights are exact: sqrt(T) for phi_1 and 0 for the rest, which a
+        # Gauss-Legendre rule reproduces to rounding
+        exact_w = np.zeros(n)
+        exact_w[0] = np.sqrt(T)
+        assert np.array_equal(source_weights(basis).weights, exact_w)
         x, w = np.polynomial.legendre.leggauss(n // 2 + 2)
-        expected_w = basis.evaluate(T * (x + 1.0) / 2.0) @ w * (T / 2.0)
-        assert np.array_equal(source_weights(basis).weights, expected_w)
+        quadrature_w = basis.evaluate(T * (x + 1.0) / 2.0) @ w * (T / 2.0)
+        assert np.max(np.abs(quadrature_w - exact_w)) <= 1e-14
         for alpha in (1.0, 1.5, 2.0):
             order = MemoryOrder(alpha)
             assert np.array_equal(coupling_matrix(basis, order).entries,
@@ -321,3 +334,31 @@ class TestSlabBasis:
     def test_rejects_bad_slab_count(self):
         with pytest.raises(ValueError):
             build_basis(1.0, 3, slabs=0)
+
+
+class TestMarch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_dense_block_lower_triangular_solve(self, K, n, M, seed):
+        # slab j solves S_j x_j = rhs_j; op(x) = x P^T, so slab k reaches slab j through
+        # kron(blocks[j - k], P) in the (n, M) C-order layout
+        rng = np.random.default_rng(seed)
+        blocks = rng.standard_normal((K, n, n)) / 2
+        P = rng.standard_normal((M, M)) / 2
+        S = 2.0 * np.eye(n * M) + rng.standard_normal((K, n * M, n * M)) / (2 * n * M)
+        b = rng.standard_normal((n, M))
+
+        def solve(rhs, j):
+            return np.linalg.solve(S[j], rhs.ravel()).reshape(n, M)
+
+        X, opX = march(blocks, b, solve, lambda x: x @ P.T)
+        dense = np.zeros((K * n * M, K * n * M))
+        for j in range(K):
+            for k in range(j + 1):
+                block = S[j] if j == k else np.kron(blocks[j - k], P)
+                dense[j * n * M:(j + 1) * n * M, k * n * M:(k + 1) * n * M] = block
+        expected = np.linalg.solve(dense, np.tile(b.ravel(), K))
+        assert X.shape == opX.shape == (K, n, M)
+        assert np.max(np.abs(X.ravel() - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
+        assert np.array_equal(opX, X @ P.T)
