@@ -37,6 +37,7 @@ from .sparse_linalg import (
     SolveReport,
     bicg_solve,
     build_preconditioner,
+    check_direct,
     check_nnz,
     kron_system,
     laplacian,
@@ -56,6 +57,7 @@ from .time_basis import (
     march,
     reconstruct,
     source_weights,
+    unit_blocks,
 )
 
 __all__ = [
@@ -243,6 +245,8 @@ def solve_slabs(
     g_values, h = _sample(g, grid), grid.h
     L = laplacian(g_values.shape, h)
     check_nnz(n * n * L.nnz)  # before the slab choice, which costs more at large grids
+    if method == "direct":
+        check_direct(n * L.shape[0])
     edge = boundary_magnitude(g_values)
     if edge > BOUNDARY_DECAY_TOL:
         warnings.warn(
@@ -260,8 +264,8 @@ def solve_slabs(
             stacklevel=3,
         )
     basis = build_basis(T, n, K)
-    blocks = coupling_matrix(basis, order).entries[:, :n].reshape(K, n, n)  # tau^alpha B_d
-    slab = CouplingMatrix(blocks[0])
+    slab = coupling_matrix(build_basis(basis.slab_length, n), order)  # tau^alpha B_0
+    blocks = np.array(unit_blocks(n, order, K)) * basis.slab_length**order.alpha
     system = assemble(slab, source_weights(build_basis(basis.slab_length, n)), g, grid)
     b = system.rhs.reshape(n, -1)
     norm_b = float(np.linalg.norm(b))

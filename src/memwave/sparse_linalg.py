@@ -10,7 +10,7 @@ type-I sine transform along every spatial axis diagonalizes the zero-ghost
 Laplacian L = laplacian(shape, h), with eigenvalues sine_eigenvalues(shape,
 h) (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so in sine space the
 system splits into one n x n block I + lambda a per grid mode.  The
-preconditioner inverts those blocks once and applies them between a
+preconditioner solves those blocks by time_basis.mode_solve between a
 forward and a backward transform; BiCG then converges in one or two
 iterations, and the iteration itself, with its true-residual check,
 confirms the solution on the assembled matrix.
@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dstn
+from scipy.linalg import schur
 from scipy.sparse.linalg import splu
 
-from .time_basis import CouplingMatrix
+from .time_basis import CouplingMatrix, mode_solve
 
 __all__ = [
     "SparseMatrix",
@@ -43,6 +44,7 @@ __all__ = [
     "SingularMatrixError",
     "DIRECT_LIMIT",
     "MAX_NNZ",
+    "check_direct",
     "check_nnz",
     "kron_system",
     "lu_solve",
@@ -132,31 +134,29 @@ class SolveReport:
 class SinePreconditioner:
     """Exact inverse of I + kron(a, L) for the zero-ghost Laplacian L on a grid.
 
-    blocks holds the inverse of I + lambda a for every sine mode of the
-    grid, in the grid's C order.  With the basis index outermost in the
-    unknown vector, applying it is a sine transform of the n spatial fields,
-    one n x n product per mode, and the transform back (the orthonormal
-    DST-I is its own inverse).
+    schur and schur_transpose are the complex Schur forms (U, Z) of a and
+    a^T, and lam holds L's eigenvalue for every sine mode in the grid's C order.
+    With the basis index outermost in the unknown vector, applying it is a
+    sine transform of the n spatial fields, mode_solve per mode, and the
+    transform back (the orthonormal DST-I is its own inverse).
     """
 
-    blocks: np.ndarray = field(repr=False)
+    schur: tuple = field(repr=False)
+    schur_transpose: tuple = field(repr=False)
+    lam: np.ndarray = field(repr=False)
     shape: tuple
 
-    @property
-    def n(self) -> int:
-        return self.blocks.shape[1]
-
-    def _apply(self, v: np.ndarray, products: str) -> np.ndarray:
+    def _apply(self, v: np.ndarray, U: np.ndarray, Z: np.ndarray) -> np.ndarray:
         axes = tuple(range(1, len(self.shape) + 1))
-        v_hat = dstn(v.reshape((self.n,) + self.shape), type=1, norm="ortho", axes=axes)
-        y_hat = np.einsum(products, self.blocks, v_hat.reshape(self.n, -1))
+        v_hat = dstn(v.reshape((len(U),) + self.shape), type=1, norm="ortho", axes=axes)
+        y_hat = mode_solve(U, Z, self.lam, v_hat.reshape(len(U), -1))
         return dstn(y_hat.reshape(v_hat.shape), type=1, norm="ortho", axes=axes).ravel()
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, "pij,jp->ip")
+        return self._apply(v, *self.schur)
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, "pji,jp->ip")
+        return self._apply(v, *self.schur_transpose)
 
 
 @dataclass
@@ -175,6 +175,12 @@ def check_nnz(predicted: int) -> None:
     """Refuse an assembly predicted to hold more than MAX_NNZ nonzeros."""
     if predicted > MAX_NNZ:
         raise ValueError(f"predicted nnz {predicted} exceeds the cap {MAX_NNZ}")
+
+
+def check_direct(N: int) -> None:
+    """Refuse a direct solve of more than DIRECT_LIMIT unknowns."""
+    if N > DIRECT_LIMIT:
+        raise ValueError(f"N={N} exceeds the direct-solver threshold {DIRECT_LIMIT}")
 
 
 def kron_system(a: np.ndarray, L: sp.csr_matrix) -> SparseMatrix:
@@ -211,8 +217,7 @@ def lu_solve(A: SparseMatrix, b: np.ndarray) -> np.ndarray:
     The factors are kept on A, so later solves with the same matrix (one
     per time slab) only substitute.
     """
-    if A.N > DIRECT_LIMIT:
-        raise ValueError(f"N={A.N} exceeds the direct-solver threshold {DIRECT_LIMIT}")
+    check_direct(A.N)
     b = np.asarray(b, dtype=float)
     if b.shape != (A.N,):
         raise ValueError(f"right-hand side length {b.shape} does not match N={A.N}")
@@ -264,10 +269,10 @@ def build_preconditioner(
 ) -> SinePreconditioner:
     """Sine-mode inverse of I + kron(a, L) on the d-dimensional grid of m_block = m**d points.
 
-    I + lambda a is inverted once per distinct eigenvalue lambda of L, all
-    in one batched inversion.  A block that is singular, or singular to
-    rounding (its inverse reaches 1/(n eps) times the size of its two
-    terms, so that I and lambda a cancel), raises SingularMatrixError.
+    Keeps the complex Schur forms of a and a^T, so that every apply solves
+    I + lambda a per sine mode by one back substitution.  A block whose
+    pivot 1 + lambda U_ii is zero to rounding, |1 + lambda U_ii| <=
+    n eps (1 + lambda |U_ii|), is singular and raises SingularMatrixError.
     """
     if not h > 0:
         raise ValueError(f"grid spacing must be positive, got {h!r}")
@@ -277,18 +282,16 @@ def build_preconditioner(
     if m < 1 or m**d != m_block:
         raise ValueError(f"m_block={m_block!r} is not m**{d} for a whole number m of points")
     a = coupling.entries
-    lam, mode_index = np.unique(sine_eigenvalues((m,) * d, h), return_inverse=True)
-    try:
-        inverses = np.linalg.inv(np.eye(coupling.n) + lam[:, None, None] * a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"preconditioner block is singular: {exc}") from exc
-    size = (1.0 + lam * np.linalg.norm(a, np.inf)) * np.linalg.norm(inverses, np.inf, axis=(1, 2))
-    singular = ~np.isfinite(size) | (size * coupling.n * np.finfo(float).eps >= 1.0)
+    lam = sine_eigenvalues((m,) * d, h).ravel()
+    pairs = [schur(x, output="complex") for x in (a, a.T)]
+    u = np.concatenate([np.diag(U) for U, _ in pairs])[:, None]
+    rounding = coupling.n * np.finfo(float).eps * (1.0 + np.abs(u) * lam)
+    singular = np.any(np.abs(1.0 + u * lam) <= rounding, axis=0)
     if np.any(singular):
         raise SingularMatrixError(
             f"preconditioner block I + lambda a is singular at lambda = {float(lam[singular][0])!r}"
         )
-    return SinePreconditioner(inverses[mode_index.ravel()], (m,) * d)
+    return SinePreconditioner(*pairs, lam, (m,) * d)
 
 
 def _fresh_shadow(N: int, attempt: int) -> np.ndarray:

@@ -38,6 +38,7 @@ from .analytic_reference import (
     shift_average,
 )
 from .solver_1d import Grid1D, InitialField1D
+from .sparse_linalg import MAX_NNZ
 
 __all__ = [
     "NoiseModel",
@@ -197,9 +198,13 @@ def simulate_trajectory(
     """Mild-solution trajectory f(x, s_k) = S(s_k) g + convolution up to s_k.
 
     The edge warnings of the S(s_k) g steps are collected into one warning
-    that counts the steps; the noise terms are not edge-checked.
+    that counts the steps; the noise terms are not edge-checked.  A
+    trajectory of more than MAX_NNZ values is refused before sampling.
     """
     order = endpoint_order(alpha)
+    if (partition.I + 1) * grid.m > MAX_NNZ:
+        raise ValueError(f"a trajectory of {partition.I + 1} steps on {grid.m} points "
+                         f"exceeds the cap of {MAX_NNZ} values")
     increments = sample_increments(model, grid, partition, trajectory_index)
     gvals = g.evaluate(grid.points)
     tau = partition.tau

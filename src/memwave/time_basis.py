@@ -46,6 +46,7 @@ __all__ = [
     "coupling_matrix",
     "endpoint_transfer",
     "march",
+    "mode_solve",
     "kernel_convolution",
     "source_weights",
     "reconstruct",
@@ -324,13 +325,27 @@ def march(blocks, b, solve, op):
     return X, opX
 
 
+def mode_solve(U, Z, lam, rhs) -> np.ndarray:
+    """Solve (I + lam[p] a) x_p = rhs[:, p] for every column p, where a = Z U Z^H is real.
+
+    (U, Z) is a complex Schur form, so every system is triangular in Z's frame,
+    and one back substitution over the n rows serves all columns of the real rhs.
+    """
+    r = Z.conj().T @ rhs
+    z = np.empty_like(r)
+    for i in range(len(U) - 1, -1, -1):
+        z[i] = (r[i] - lam * (U[i, i + 1:] @ z[i + 1:])) / (1.0 + U[i, i] * lam)
+    return Z.real @ z.real - Z.imag @ z.imag  # Re(Z z), as a and rhs are real
+
+
 def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
     """Solution value at T of the projected scalar equation f = 1 - lam (a * f).
 
     For each eigenvalue lam of the (negated) spatial operator this is
     phi(T) . (I + lam a)^{-1} w, so a field whose sine coefficients are g_i
     has coefficients g_i * endpoint_transfer(lam_i) at T.  march eliminates
-    the slabs, one column per distinct lam.  Returns an array shaped like lam.
+    the slabs, one column per distinct lam, and mode_solve each slab on the
+    Schur form of B_0.  Returns an array shaped like lam.
     """
     lam = np.asarray(lam, dtype=float)
     vals, inverse = np.unique(lam.ravel(), return_inverse=True)
@@ -338,21 +353,9 @@ def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
     blocks = np.array(unit_blocks(n, order, K)) * tau**order.alpha
     slab = build_basis(tau, n)
     w, end = source_weights(slab).weights, slab.evaluate(tau)
-    # Every slab has the same per-mode matrix I + lam tau^alpha B_0.  The
-    # complex Schur form B_0 = Z U Z^H makes it the triangular
-    # I + lam tau^alpha U in a unitary frame, solved for all modes at once.
     U, Z = _unit_schur(n, order)
-    U = U * tau**order.alpha
-    pivots = 1.0 + np.diag(U)[:, None] * vals
-
-    def solve(rhs, j):
-        r = Z.conj().T @ rhs
-        z = np.empty_like(r)
-        for p in range(n - 1, -1, -1):
-            z[p] = (r[p] - vals * (U[p, p + 1:] @ z[p + 1:])) / pivots[p]
-        return (Z @ z).real
-
-    X, _ = march(blocks, np.broadcast_to(w[:, None], (n, vals.size)), solve, lambda x: vals * x)
+    X, _ = march(blocks, np.broadcast_to(w[:, None], (n, vals.size)),
+                 lambda rhs, j: mode_solve(U * tau**order.alpha, Z, vals, rhs), lambda x: vals * x)
     return (end @ X[-1])[inverse].reshape(lam.shape)
 
 

@@ -72,6 +72,13 @@ class TestExitCodes:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_trajectory_too_large_to_hold(self, tmp_path, capsys):
+        # T = 1e12 at h = 0.2 asks for 5e12 steps; it is refused before any sampling
+        out = tmp_path / "out.csv"
+        assert main(["stochastic", "--alpha", "1", "--T", "1e12", "--output", str(out)]) == 1
+        assert "exceeds the cap of" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["stochastic", "--n", "99"],
         ["stochastic", "--method", "bicg"],

@@ -140,6 +140,16 @@ class TestAssemble1D:
         with pytest.raises(ValueError, match="predicted nnz 52 exceeds the cap 51"):
             solve_1d(MemoryOrder(1.5), 1.0, 2, Grid1D(-6.0, 6.0, 5), InitialField1D.gaussian(1.0))
 
+    def test_forced_direct_above_the_limit_checked_before_the_slab_choice(self, monkeypatch):
+        # n M = 2 * 10_001 unknowns per slab: LU would refuse them after the slab choice
+        def no_slabs(*args, **kwargs):
+            raise AssertionError("choose_slabs ran before the direct-solve limit check")
+
+        monkeypatch.setattr("memwave.solver_1d.choose_slabs", no_slabs)
+        with pytest.raises(ValueError, match="N=20002 exceeds the direct-solver threshold"):
+            solve_1d(MemoryOrder(1.5), 1.0, 2, Grid1D(-6.0, 6.0, 10_001),
+                     InitialField1D.gaussian(1.0), method="direct")
+
 
 class TestSolve1D:
     def test_boundary_warning(self):
@@ -252,6 +262,18 @@ class TestSlabs:
         assert 0.0 < field.report.time_drift <= 1e-6
         assert field.coefficients.shape == (4 * 8, 151)
         assert field.basis == build_basis(6.0, 8, slabs=4)
+
+    def test_solve_couples_one_slab_only(self, monkeypatch):
+        # every slab shares tau^alpha B_0, so the dense K-slab coupling is never built
+        seen = []
+
+        def recording(basis, order):
+            seen.append(basis.slabs)
+            return coupling_matrix(basis, order)
+
+        monkeypatch.setattr("memwave.solver_1d.coupling_matrix", recording)
+        field = solve_1d(MemoryOrder(1.0), **BENCH, n=8, g=InitialField1D.gaussian(1.0))
+        assert field.report.slabs == 4 and seen == [1]
 
     def test_marching_solves_the_whole_slab_system(self):
         g = InitialField1D.gaussian(1.0)

@@ -259,11 +259,14 @@ def kron_system(d, n=3, m=6, alpha=1.5, T=2.0):
 
 class TestSinePreconditioner:
     def test_scalar_one_dimensional(self):
+        # every sine mode is an eigenvector, scaled by 1 / (1 + 0.5 lambda)
         coupling = CouplingMatrix(np.array([[0.5]]))
         pc = build_preconditioner(coupling, 1.0, 1, 3)
         lam = 4.0 * np.sin(np.arange(1, 4) * np.pi / 8.0) ** 2
         assert pc.shape == (3,)
-        assert np.allclose(pc.blocks[:, 0, 0], 1.0 / (1.0 + 0.5 * lam), rtol=1e-14)
+        modes = dstn(np.eye(3), type=1, norm="ortho", axes=0)
+        out = np.column_stack([pc.apply(modes[:, i]) for i in range(3)])
+        assert np.allclose(out, modes / (1.0 + 0.5 * lam), rtol=1e-14, atol=1e-15)
 
     def test_scalar_two_dimensional(self):
         coupling = CouplingMatrix(np.array([[0.5]]))
@@ -271,17 +274,27 @@ class TestSinePreconditioner:
         lam = 4.0 * np.sin(np.arange(1, 4) * np.pi / 8.0) ** 2
         expected = 1.0 / (1.0 + 0.5 * (lam[:, None] + lam[None, :]))
         assert pc.shape == (3, 3)
-        assert np.allclose(pc.blocks[:, 0, 0].reshape(3, 3), expected, rtol=1e-14)
+        for i, l in np.ndindex(3, 3):
+            mode = dstn(np.eye(9)[3 * i + l].reshape(3, 3), type=1, norm="ortho")
+            out = pc.apply(mode.ravel()).reshape(3, 3)
+            assert np.allclose(out, expected[i, l] * mode, rtol=1e-14, atol=1e-15)
 
     def test_inverse_contract(self):
+        # in sine space, apply solves I + lambda a mode by mode
         coupling, h, _ = kron_system(2, n=2, m=5, alpha=1.0)
         pc = build_preconditioner(coupling, h, 2, 25)
         lam = sine_eigenvalues((5, 5), h).ravel()
-        blocks = np.eye(2) + lam[:, None, None] * coupling.entries
-        assert np.max(np.abs(pc.blocks @ blocks - np.eye(2))) < 1e-12
-        # modes (i, l) and (l, i) share an eigenvalue, and so their block
-        grid_blocks = pc.blocks.reshape(5, 5, 2, 2)
-        assert np.array_equal(grid_blocks, grid_blocks.transpose(1, 0, 2, 3))
+        v = np.random.default_rng(7).standard_normal((2, 5, 5))
+        v_hat = dstn(v, type=1, norm="ortho", axes=(1, 2)).reshape(2, 25)
+        y_hat = np.column_stack([
+            np.linalg.solve(np.eye(2) + lam[p] * coupling.entries, v_hat[:, p]) for p in range(25)
+        ])
+        expected = dstn(y_hat.reshape(2, 5, 5), type=1, norm="ortho", axes=(1, 2))
+        y = pc.apply(v.ravel())
+        assert np.max(np.abs(y - expected.ravel())) < 1e-12
+        # modes (i, l) and (l, i) share an eigenvalue, so apply commutes with swapping x and y
+        swapped = pc.apply(v.transpose(0, 2, 1).ravel()).reshape(2, 5, 5)
+        assert np.max(np.abs(swapped.transpose(0, 2, 1).ravel() - y)) < 1e-14
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_apply_is_the_exact_inverse(self, d):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import schur
 
 from memwave import (
     MemoryOrder,
@@ -13,7 +14,7 @@ from memwave import (
     source_weights,
 )
 from memwave import time_basis
-from memwave.time_basis import QuadratureError, march, unit_blocks
+from memwave.time_basis import QuadratureError, march, mode_solve, unit_blocks
 
 # coupling entries at alpha=1.5, T=1, frozen from an adaptive nested-quadrature
 # oracle (mpmath, 30 digits)
@@ -334,6 +335,24 @@ class TestSlabBasis:
     def test_rejects_bad_slab_count(self):
         with pytest.raises(ValueError):
             build_basis(1.0, 3, slabs=0)
+
+
+class TestModeSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(1.0, 2.0), T=st.floats(0.1, 12.0), n=st.integers(1, 12),
+           lam=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=20),
+           transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_solve_per_mode(self, alpha, T, n, lam, transpose, seed):
+        a = T**alpha * unit_blocks(n, MemoryOrder(alpha), 1)[0]
+        a = a.T if transpose else a
+        lam = np.array(lam)
+        rhs = np.random.default_rng(seed).standard_normal((n, lam.size))
+        U, Z = schur(a, output="complex")
+        x = mode_solve(U, Z, lam, rhs)
+        assert x.dtype == float and x.shape == rhs.shape
+        for p in range(lam.size):
+            expected = np.linalg.solve(np.eye(n) + lam[p] * a, rhs[:, p])
+            assert np.linalg.norm(x[:, p] - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 class TestMarch:
