@@ -244,7 +244,10 @@ def _dump_system(config: RunConfig, field) -> None:
 
 def _run_solve2d(config: RunConfig) -> int:
     grid = Grid2D(config.x_min, config.x_max, config.m)
-    if config.sigma1 > 0 and config.sigma2 > 0:
+    if config.sigma1 or config.sigma2:  # 0, the default, leaves a width unset
+        if not (config.sigma1 > 0 and config.sigma2 > 0):
+            raise ConfigError("--sigma1 and --sigma2 must both be set and positive, "
+                              f"got {config.sigma1!r} and {config.sigma2!r}")
         g = InitialField2D.anisotropic_gaussian(config.sigma1, config.sigma2)
     else:
         g = InitialField2D.radial_gaussian(config.sigma)

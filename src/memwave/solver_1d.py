@@ -4,7 +4,8 @@ Discretizing the Laplacian with the 3-point stencil along every grid axis,
 L = sparse_linalg.laplacian(grid shape, h), turns the projected equations
 into the block system (I + kron(a, L)) c = kron(w, g), with the basis
 index outermost in the unknown vector.  assemble_1d and solve_slabs see
-the grid only through its mesh and spacing, so they serve solver_2d too.
+the grid only through its shape, mesh and spacing, so they serve solver_2d
+too.
 Ghost values outside the grid are zero (free boundary on a large enough
 grid), guarded by a decay check on the initial data's grid faces.
 
@@ -21,6 +22,7 @@ residual_orthogonality check a solved field of either dimension.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,6 +43,7 @@ from .sparse_linalg import (
     check_nnz,
     kron_system,
     laplacian,
+    laplacian_nnz,
     lu_solve,
     sine_eigenvalues,
 )
@@ -90,11 +93,13 @@ class SolverConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid of m points spanning [x_min, x_max] inclusive.
+    """Uniform grid of m points spanning [x_min, x_max] inclusive along each of ndim axes.
 
     The stencil's ghost neighbors sit one spacing outside the interval and
     carry zero values.
     """
+
+    ndim = 1  # unannotated: a class constant, not a dataclass field
 
     x_min: float
     x_max: float
@@ -116,9 +121,13 @@ class Grid1D:
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.m)
 
+    @property
+    def shape(self) -> tuple:
+        return (self.m,) * self.ndim
+
     def mesh(self) -> tuple:
-        """Coordinate arrays, one per axis: (points,)."""
-        return (self.points,)
+        """Coordinate arrays, one per axis, each shaped like the grid (x along the first axis)."""
+        return tuple(np.meshgrid(*(self.points,) * self.ndim, indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -174,10 +183,9 @@ def boundary_magnitude(values) -> float:
 
 def _sample(g: InitialField1D, grid: Grid1D) -> np.ndarray:
     """g on grid.mesh(); a rule whose output is not shaped like the grid is refused."""
-    mesh = grid.mesh()
-    values = g.evaluate(*mesh)
-    if values.shape != mesh[0].shape:
-        raise ValueError(f"g gave shape {values.shape} on a grid of shape {mesh[0].shape}")
+    values = g.evaluate(*grid.mesh())
+    if values.shape != grid.shape:
+        raise ValueError(f"g gave shape {values.shape} on a grid of shape {grid.shape}")
     return values
 
 
@@ -191,8 +199,9 @@ def assemble_1d(
     if weights.n != coupling.n:
         raise ValueError(f"coupling size {coupling.n} does not match weights size {weights.n}")
     values = _sample(g, grid)
-    A = kron_system(coupling.entries, laplacian(values.shape, grid.h))
-    return BlockSystem(A, np.kron(weights.weights, values.ravel()))
+    L = laplacian(grid.shape, grid.h)
+    rhs = np.kron(weights.weights, values.ravel())
+    return BlockSystem(kron_system(coupling.entries, L), rhs, L)
 
 
 def choose_slabs(order: MemoryOrder, T: float, n: int, g_values: np.ndarray, h: float):
@@ -233,20 +242,23 @@ def solve_slabs(
 ):
     """Choose K, then solve the K-slab system through march; solve_1d and solve_2d are this call.
 
-    Warns once when g on grid.mesh() exceeds BOUNDARY_DECAY_TOL on the grid
-    faces, where the zero-ghost closure assumes it negligible.
-    assemble(coupling, weights, g, grid) builds the one-slab BlockSystem.
-    Its matrix is factored once (LU) or preconditioned once (BiCG) and
-    reused on every slab.  Each BiCG slab solve runs to a residual below
+    Before g is sampled, grid.shape alone decides check_nnz and, for a forced
+    direct solve, check_direct.  Warns once when g on grid.mesh() exceeds
+    BOUNDARY_DECAY_TOL on the grid faces, where the zero-ghost closure
+    assumes it negligible.  assemble(coupling, weights, g, grid) builds the
+    one-slab BlockSystem, whose Laplacian also carries earlier slabs into
+    the right-hand side.  Its matrix is factored once (LU) or
+    preconditioned once (BiCG) and reused on every slab.  Each BiCG slab solve runs to a residual below
     tol * ||w g|| with at most max_iter iterations, so the whole system's
     relative residual stays below tol.  Returns the K-slab basis, the
     coefficients shaped (K*n,) + grid shape and the whole system's SolveReport.
     """
-    g_values, h = _sample(g, grid), grid.h
-    L = laplacian(g_values.shape, h)
-    check_nnz(n * n * L.nnz)  # before the slab choice, which costs more at large grids
+    if method not in ("auto", "direct", "bicg"):
+        raise ValueError(f"unknown method {method!r}")
+    check_nnz(n * n * laplacian_nnz(grid.shape))
     if method == "direct":
-        check_direct(n * L.shape[0])
+        check_direct(n * math.prod(grid.shape))
+    g_values, h = _sample(g, grid), grid.h
     edge = boundary_magnitude(g_values)
     if edge > BOUNDARY_DECAY_TOL:
         warnings.warn(
@@ -254,8 +266,6 @@ def solve_slabs(
             "free-boundary closure assumes negligible values there",
             stacklevel=3,
         )
-    if method not in ("auto", "direct", "bicg"):
-        raise ValueError(f"unknown method {method!r}")
     K, drift, capped = choose_slabs(order, T, n, g_values, h)
     if capped:
         warnings.warn(
@@ -271,7 +281,7 @@ def solve_slabs(
     norm_b = float(np.linalg.norm(b))
     use_direct = method == "direct" or (method == "auto" and system.N <= DIRECT_LIMIT)
     name = "direct" if use_direct else "bicg+precond"
-    pc = None if use_direct else build_preconditioner(slab, h, g_values.ndim, b.shape[1])
+    pc = None if use_direct else build_preconditioner(slab, h, grid.ndim, b.shape[1])
     iterations, breakdown, squares = 0, False, 0.0
 
     def solve(rhs, j):
@@ -295,11 +305,11 @@ def solve_slabs(
         squares += float(np.linalg.norm(rhs.ravel() - system.matrix.matvec(x))) ** 2
         return x.reshape(b.shape)
 
-    X, _ = march(blocks, b, solve, lambda x: (L @ x.T).T)
+    X, _ = march(blocks, b, solve, lambda x: (system.laplacian @ x.T).T)
     residual = float(np.sqrt(squares) / (np.sqrt(K) * norm_b)) if norm_b > 0 else 0.0
     report = SolveReport(iterations, residual, True, name, breakdown,
                          slabs=K, time_drift=drift, slabs_capped=capped)
-    return basis, X.reshape((K * n,) + g_values.shape), report
+    return basis, X.reshape((K * n,) + grid.shape), report
 
 
 def solve_1d(
@@ -319,7 +329,7 @@ def solve_1d(
     most the direct threshold of unknowns and the preconditioned iteration
     beyond; "direct" or "bicg" force one path.
     """
-    if len(grid.mesh()) != 1:
+    if len(grid.shape) != 1:
         raise ValueError(f"solve_1d needs a 1D grid, got {type(grid).__name__}; use solve_2d")
     basis, coeffs, report = solve_slabs(order, T, n, grid, g, assemble_1d, method, tol, max_iter)
     return SolutionField1D(coeffs, grid, basis, order, g, report)

@@ -2,12 +2,12 @@
 
 The unknown vector is ordered with the basis index outermost, then x, then
 y.  Each outer block [A_jk] is delta_jk I + a_jk L2, where L2 =
-sparse_linalg.laplacian((m, m), h) is the 5-point stencil, so the nonzero
-count is bounded by n^2 m (5m - 4), with equality when every coupling
-entry is nonzero.
+sparse_linalg.laplacian((m, m), h), so the nonzero count is bounded by
+n^2 sparse_linalg.laplacian_nnz((m, m)), with equality when every
+coupling entry is nonzero.
 
-The assembly and the slab-wise solve are solver_1d's; solve_2d only checks
-its grid and that bound against sparse_linalg.check_nnz before other work.
+The assembly, the size checks and the slab-wise solve are solver_1d's;
+solve_2d only checks that its grid is a Grid2D.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .memory_kernel import MemoryOrder
 from .solver_1d import Grid1D, InitialField1D, SolutionField1D, _Gaussian, assemble_1d, solve_slabs
-from .sparse_linalg import DEFAULT_MAX_ITER, DEFAULT_TOL, BlockSystem, check_nnz
+from .sparse_linalg import DEFAULT_MAX_ITER, DEFAULT_TOL, BlockSystem, laplacian_nnz
 
 # The solve routes and the reconstruction run inside solver_1d.  perfbench's
 # tracer wraps these module attributes (SITES in perfbench/harness.py), so
@@ -39,9 +39,7 @@ __all__ = [
 class Grid2D(Grid1D):
     """Square domain [x_min, x_max]^2 with m points per axis; the axis is a Grid1D."""
 
-    def mesh(self):
-        """Coordinate arrays X, Y of shape (m, m), x along the first axis."""
-        return np.meshgrid(self.points, self.points, indexing="ij")
+    ndim = 2
 
     def nearest_index(self, y: float) -> int:
         """Index of the grid coordinate nearest to y (the first one on a tie)."""
@@ -91,8 +89,8 @@ class SolutionField2D(SolutionField1D):
 
 
 def sparsity_bound(n: int, m: int) -> int:
-    """Upper bound n^2 m (5m - 4) on the nonzero count of the 2D matrix (5-point stencil)."""
-    return n * n * m * (5 * m - 4)
+    """Upper bound n^2 nnz(L2) on the nonzero count of the 2D matrix on an m x m grid."""
+    return n * n * laplacian_nnz((m, m))
 
 
 # the one assembly, under the name the acceptance tests import and perfbench traces
@@ -100,7 +98,7 @@ assemble_2d = assemble_1d
 
 
 def verify_sparsity(system: BlockSystem, n: int, m: int) -> bool:
-    """True iff the assembled nonzero count respects the n^2 m (5m-4) bound."""
+    """True iff the assembled nonzero count respects sparsity_bound(n, m)."""
     return system.matrix.nnz <= sparsity_bound(n, m)
 
 
@@ -116,13 +114,11 @@ def solve_2d(
 ) -> SolutionField2D:
     """Solve on [0, T]; large systems go through preconditioned iteration.
 
-    n counts basis functions per time slab.  Before solver_1d.solve_slabs
-    runs (the boundary check, the slab count, the marching, the route
-    choice), the grid must be a Grid2D and sparsity_bound must pass the
-    assembly's nonzero cap, sparse_linalg.check_nnz.
+    n counts basis functions per time slab.  The grid must be a Grid2D;
+    solver_1d.solve_slabs does the rest (the size checks, the boundary
+    check, the slab count, the marching, the route choice).
     """
     if not isinstance(grid, Grid2D):
         raise ValueError(f"solve_2d needs a Grid2D, got {type(grid).__name__}; use solve_1d")
-    check_nnz(sparsity_bound(n, grid.m))
     basis, coeffs, report = solve_slabs(order, T, n, grid, g, assemble_2d, method, tol, max_iter)
     return SolutionField2D(coeffs, grid, basis, order, g, report)

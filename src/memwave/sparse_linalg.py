@@ -25,6 +25,7 @@ polynomial.  Classic BiCG converges cleanly on the same instances.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -51,6 +52,7 @@ __all__ = [
     "bicg_solve",
     "build_preconditioner",
     "laplacian",
+    "laplacian_nnz",
     "sine_eigenvalues",
     "write_matrix_market",
 ]
@@ -161,10 +163,11 @@ class SinePreconditioner:
 
 @dataclass
 class BlockSystem:
-    """Assembled block system: matrix and right-hand side."""
+    """Assembled block system: matrix, right-hand side and the Laplacian the matrix holds."""
 
     matrix: SparseMatrix
     rhs: np.ndarray
+    laplacian: sp.csr_matrix = field(repr=False)
 
     @property
     def N(self) -> int:
@@ -239,7 +242,7 @@ def laplacian(shape: tuple, h: float) -> sp.csr_matrix:
 
     The 3-point stencil (1/h^2) tridiag(-1, 2, -1) along each axis, summed
     over the axes (5 points in 2D).  A change of stencil reaches only here,
-    sine_eigenvalues (its spectrum) and solver_2d.sparsity_bound (its nnz).
+    sine_eigenvalues (its spectrum) and laplacian_nnz (its nonzero count).
     """
     L = None
     for m in shape:
@@ -248,6 +251,16 @@ def laplacian(shape: tuple, h: float) -> sp.csr_matrix:
         L = axis if L is None else (sp.kron(L, sp.identity(m, format="csr"))
                                     + sp.kron(sp.identity(L.shape[0], format="csr"), axis)).tocsr()
     return L
+
+
+def laplacian_nnz(shape: tuple) -> int:
+    """laplacian(shape, h).nnz without building it: M (2d + 1) - 2 sum over axes of M / m.
+
+    Every point stores its diagonal and two neighbors per axis, except that
+    the M / m points on each of an axis's two faces lose one neighbor there.
+    """
+    M = math.prod(shape)
+    return M * (2 * len(shape) + 1) - 2 * sum(M // m for m in shape)
 
 
 def sine_eigenvalues(shape: tuple, h: float) -> np.ndarray:

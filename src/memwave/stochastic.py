@@ -29,6 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .analytic_reference import (
     EDGE_WARNING,
@@ -143,9 +144,9 @@ def sample_increments(
         offsets = h * np.arange(-w, w + 1)
         kernel = np.exp(-(offsets**2) / (2.0 * ell**2))
         kernel /= h * kernel.sum()
-        draws = np.array(
-            [h * np.convolve(row, kernel, mode="full")[w : w + grid.m] for row in draws]
-        )
+        # every row at once; n >= m + 2w holds the whole linear convolution, so none wraps
+        n = next_fast_len(grid.m + 2 * w, real=True)
+        draws = h * irfft(rfft(draws, n, axis=1) * rfft(kernel, n), n, axis=1)[:, w : w + grid.m]
     return draws
 
 

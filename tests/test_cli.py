@@ -312,6 +312,16 @@ class TestSubcommands:
         meta, _, _ = read_csv(out)
         assert "# sigma1=3.0" in meta
 
+    @pytest.mark.parametrize("widths", [["--sigma1", "3"], ["--sigma2", "1.5"],
+                                        ["--sigma1", "-3", "--sigma2", "2"]])
+    def test_solve2d_refuses_a_half_set_or_negative_width_pair(self, tmp_path, capsys, widths):
+        # either would otherwise run the radial default under a sigma1/sigma2 echo
+        out = tmp_path / "aniso.csv"
+        assert main(["solve2d", "--T", "1.0", "--n", "2", "--m", "15", *widths,
+                     "--output", str(out)]) == 1
+        assert "--sigma1 and --sigma2 must both be set and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_stochastic_requires_endpoint_order(self, tmp_path, capsys):
         assert main(["stochastic", "--alpha", "1.5", "--T", "1.0",
                      "--output", str(tmp_path / "s.csv")]) == 1

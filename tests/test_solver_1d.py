@@ -131,11 +131,16 @@ class TestAssemble1D:
         assert assemble_1d(*args).matrix.nnz == 52
 
     def test_nnz_cap_checked_before_the_slab_choice(self, monkeypatch):
-        # a grid too large to assemble is refused as soon as its Laplacian is built
-        def no_slabs(*args, **kwargs):
-            raise AssertionError("choose_slabs ran before the nnz cap check")
+        # a grid too large to assemble is refused from its shape alone, before g is
+        # sampled, the Laplacian is built or the slab choice runs
+        def fails(what):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"{what} ran before the nnz cap check")
+            return refuse
 
-        monkeypatch.setattr("memwave.solver_1d.choose_slabs", no_slabs)
+        monkeypatch.setattr("memwave.solver_1d.choose_slabs", fails("choose_slabs"))
+        monkeypatch.setattr("memwave.solver_1d.laplacian", fails("laplacian"))
+        monkeypatch.setattr(InitialField1D, "evaluate", fails("g.evaluate"))
         monkeypatch.setattr("memwave.sparse_linalg.MAX_NNZ", 51)
         with pytest.raises(ValueError, match="predicted nnz 52 exceeds the cap 51"):
             solve_1d(MemoryOrder(1.5), 1.0, 2, Grid1D(-6.0, 6.0, 5), InitialField1D.gaussian(1.0))
@@ -172,14 +177,33 @@ class TestSolve1D:
         assert f_iter.report.method == "bicg+precond"
         assert np.max(np.abs(f_direct.coefficients - f_iter.coefficients)) < 1e-8
 
-    def test_grid_dimension_is_checked(self):
-        # solve_1d on a Grid2D would skip solve_2d's nnz pre-check; solve_2d on a
-        # Grid1D would return a 2D field holding a 1D solution
+    def test_grid_dimension_is_checked(self, monkeypatch):
+        # each solver returns a field of its own dimension, so it refuses the other
+        # one's grid; solve_1d reads the dimension from grid.shape, without the mesh
         order, g = MemoryOrder(1.5), InitialField1D.gaussian(1.0)
+
+        def no_mesh(self):
+            raise AssertionError("solve_1d built the mesh to count the grid's axes")
+
+        monkeypatch.setattr(Grid2D, "mesh", no_mesh)
         with pytest.raises(ValueError, match="solve_1d needs a 1D grid, got Grid2D"):
             solve_1d(order, 1.0, 2, Grid2D(-6.0, 6.0, 5), g)
         with pytest.raises(ValueError, match="solve_2d needs a Grid2D, got Grid1D"):
             solve_2d(order, 1.0, 2, Grid1D(-6.0, 6.0, 5), g)
+
+    @pytest.mark.parametrize("solve, grid", [(solve_1d, Grid1D(-15.0, 15.0, 61)),
+                                             (solve_2d, Grid2D(-15.0, 15.0, 21))])
+    def test_one_laplacian_per_solve(self, monkeypatch, solve, grid):
+        # the slab march applies the Laplacian that the assembly built
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return laplacian(*args, **kwargs)
+
+        monkeypatch.setattr("memwave.solver_1d.laplacian", counted)
+        solve(MemoryOrder(1.5), 6.0, 4, grid, InitialField1D.gaussian(2.0))
+        assert len(calls) == 1
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from memwave import (
     write_matrix_market,
 )
 from memwave import sparse_linalg
-from memwave.sparse_linalg import laplacian, sine_eigenvalues
+from memwave.sparse_linalg import laplacian, laplacian_nnz, sine_eigenvalues
 
 
 def small_1d_system(n=2, m=5, alpha=1.5, T=1.0):
@@ -217,21 +217,24 @@ class TestLaplacian:
             st.tuples(st.integers(3, 12)),
             st.integers(3, 12).map(lambda m: (m, m)),
             st.tuples(st.integers(3, 12), st.integers(3, 12)),
+            st.tuples(st.integers(3, 5), st.integers(3, 5), st.integers(3, 5)),
         ),
         h=st.floats(0.05, 2.0),
     )
     def test_stencil_and_spectrum(self, shape, h):
         L = laplacian(shape, h)
+        assert laplacian_nnz(shape) == L.nnz
         if len(shape) == 1:
             expected = stencil_3point(shape[0], h)
-        else:
+        elif len(shape) == 2:
             m1, m2 = shape
             expected = (sp.kron(stencil_3point(m1, h), sp.identity(m2, format="csr"))
                         + sp.kron(sp.identity(m1, format="csr"), stencil_3point(m2, h))).tocsr()
-        assert L.shape == expected.shape
-        for name in ("data", "indices", "indptr"):
-            got, want = getattr(L, name), getattr(expected, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        if len(shape) < 3:  # the explicit construction; 3D is checked by its count and spectrum
+            assert L.shape == expected.shape
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(L, name), getattr(expected, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
         # the orthonormal DST-I along every axis diagonalizes L into sine_eigenvalues
         eye = np.eye(L.shape[0]).reshape((-1,) + shape)
         S = dstn(eye, type=1, norm="ortho", axes=tuple(range(1, len(shape) + 1)))

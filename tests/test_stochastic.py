@@ -116,6 +116,21 @@ class TestSampleIncrements:
         assert corr_near > 0.9
         assert abs(corr_far) < 0.1
 
+    @pytest.mark.parametrize("ell", [1.0, 40.0])  # a kernel narrower and wider than the grid
+    def test_smooth_mode_smooths_the_per_node_draws(self, ell):
+        # one batched convolution equals the per-row np.convolve of the same draws
+        part, h = TimePartition(1.0, 30), self.grid.h
+        raw = sample_increments(NoiseModel(strength=0.5, seed=5), self.grid, part)
+        smooth = sample_increments(
+            NoiseModel(strength=0.5, spatial_mode="smooth", correlation_length=ell, seed=5),
+            self.grid, part,
+        )
+        w = int(np.ceil(5.0 * ell / h))
+        kernel = np.exp(-((h * np.arange(-w, w + 1)) ** 2) / (2.0 * ell**2))
+        kernel /= h * kernel.sum()
+        rows = [h * np.convolve(row, kernel, mode="full")[w : w + self.grid.m] for row in raw]
+        assert np.max(np.abs(smooth - np.array(rows))) <= 1e-14 * np.max(np.abs(smooth))
+
     def test_smooth_mode_reduces_variance(self):
         part = TimePartition(1.0, 2000)
         raw = sample_increments(NoiseModel(strength=0.5, seed=5), self.grid, part)
