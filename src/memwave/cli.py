@@ -248,6 +248,9 @@ def _run_solve2d(config: RunConfig) -> int:
         if not (config.sigma1 > 0 and config.sigma2 > 0):
             raise ConfigError("--sigma1 and --sigma2 must both be set and positive, "
                               f"got {config.sigma1!r} and {config.sigma2!r}")
+        if config.sigma != RunConfig.sigma:
+            raise ConfigError(f"--sigma {config.sigma!r} does not apply with --sigma1 and "
+                              "--sigma2, which set the anisotropic widths")
         g = InitialField2D.anisotropic_gaussian(config.sigma1, config.sigma2)
     else:
         g = InitialField2D.radial_gaussian(config.sigma)

@@ -247,11 +247,14 @@ def solve_slabs(
     BOUNDARY_DECAY_TOL on the grid faces, where the zero-ghost closure
     assumes it negligible.  assemble(coupling, weights, g, grid) builds the
     one-slab BlockSystem, whose Laplacian also carries earlier slabs into
-    the right-hand side.  Its matrix is factored once (LU) or
-    preconditioned once (BiCG) and reused on every slab.  Each BiCG slab solve runs to a residual below
-    tol * ||w g|| with at most max_iter iterations, so the whole system's
-    relative residual stays below tol.  Returns the K-slab basis, the
-    coefficients shaped (K*n,) + grid shape and the whole system's SolveReport.
+    the right-hand side.  method "auto" takes LU for a 1D slab system of at
+    most DIRECT_LIMIT unknowns and the preconditioned BiCG otherwise, in 2D
+    at every size.  The matrix is factored once (LU) or preconditioned once
+    (BiCG) and reused on every slab.  Each BiCG slab solve runs to a
+    residual below tol * ||w g|| with at most max_iter iterations, so the
+    whole system's relative residual stays below tol.  Returns the K-slab
+    basis, the coefficients shaped (K*n,) + grid shape and the whole
+    system's SolveReport.
     """
     if method not in ("auto", "direct", "bicg"):
         raise ValueError(f"unknown method {method!r}")
@@ -279,7 +282,8 @@ def solve_slabs(
     system = assemble(slab, source_weights(build_basis(basis.slab_length, n)), g, grid)
     b = system.rhs.reshape(n, -1)
     norm_b = float(np.linalg.norm(b))
-    use_direct = method == "direct" or (method == "auto" and system.N <= DIRECT_LIMIT)
+    use_direct = method == "direct" or (method == "auto" and grid.ndim == 1
+                                        and system.N <= DIRECT_LIMIT)
     name = "direct" if use_direct else "bicg+precond"
     pc = None if use_direct else build_preconditioner(slab, h, grid.ndim, b.shape[1])
     iterations, breakdown, squares = 0, False, 0.0

@@ -112,11 +112,12 @@ def solve_2d(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolutionField2D:
-    """Solve on [0, T]; large systems go through preconditioned iteration.
+    """Solve on [0, T]; method "auto" takes the preconditioned iteration at every size.
 
-    n counts basis functions per time slab.  The grid must be a Grid2D;
-    solver_1d.solve_slabs does the rest (the size checks, the boundary
-    check, the slab count, the marching, the route choice).
+    n counts basis functions per time slab; "direct" or "bicg" force one
+    path.  The grid must be a Grid2D; solver_1d.solve_slabs does the rest
+    (the size checks, the boundary check, the slab count, the marching,
+    the route choice).
     """
     if not isinstance(grid, Grid2D):
         raise ValueError(f"solve_2d needs a Grid2D, got {type(grid).__name__}; use solve_1d")

@@ -1,9 +1,12 @@
-"""Sparse storage, direct and iterative solvers, and the sine-mode preconditioner.
+"""The block system operator, direct and iterative solvers, and the sine-mode preconditioner.
 
-The assembled Galerkin systems I + kron(a, L) are real and non-symmetric,
-with an n x n outer block structure over the coupling matrix a.  Small
-systems go through a sparse LU factorization; large ones use the
-bi-conjugate gradient iteration.
+The Galerkin systems I + kron(a, L) are real and non-symmetric, with an
+n x n outer block structure over the coupling matrix a.  kron_system keeps
+them as their two factors, the dense a and the sparse Laplacian L, and
+applies them through those; the compressed-row matrix is built only when
+its entries are read.  Small systems go through a sparse LU factorization
+of that matrix; large ones use the bi-conjugate gradient iteration, which
+needs only the products.
 
 Its preconditioner is the exact inverse of the system.  The orthonormal
 type-I sine transform along every spatial axis diagonalizes the zero-ghost
@@ -13,7 +16,7 @@ system splits into one n x n block I + lambda a per grid mode.  The
 preconditioner solves those blocks by time_basis.mode_solve between a
 forward and a backward transform; BiCG then converges in one or two
 iterations, and the iteration itself, with its true-residual check,
-confirms the solution on the assembled matrix.
+confirms the solution on the system's own products.
 
 The iterative method is classic preconditioned BiCG (two matrix products
 per step, one with A and one with its transpose).  The stabilized variant
@@ -25,6 +28,7 @@ polynomial.  Classic BiCG converges cleanly on the same instances.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -61,7 +65,7 @@ __all__ = [
 # solver is mandatory.
 DIRECT_LIMIT = 20_000
 
-# Largest nonzero count kron_system assembles; it guards desk machines' memory.
+# Largest nonzero count of a kron_system matrix's CSR form; it guards desk machines' memory.
 MAX_NNZ = 200_000_000
 
 DEFAULT_TOL = 1e-10
@@ -73,44 +77,65 @@ class SingularMatrixError(RuntimeError):
 
 
 class SparseMatrix:
-    """Square sparse matrix in compressed-row storage.
+    """Square real matrix, applied by matvec and rmatvec, with its CSR form on demand.
 
-    Thin wrapper over a CSR matrix that enforces the storage contract:
-    square shape, indices in range, no explicitly stored zero values.
-    The matrix is not modified after construction, so lu_solve keeps the
-    LU factors of its first call here and reuses them.
+    kron_system(a, L) makes I + kron(a, L) from a copy of the dense n x n a
+    and the sparse M x M L, and applies it through them: x, reshaped to X of
+    shape (n, M), maps to X + a (L X), with L acting on every row of X.  A
+    product costs n nnz(L) + n^2 M multiply-adds, not the n^2 nnz(L) of the
+    matrix.  SparseMatrix(matrix) wraps an explicit matrix instead.
+
+    csr, the compressed-row matrix, is built from the factors on first read
+    and cached; nnz, lu_solve and write_matrix_market read it.  It keeps the
+    storage contract: square shape, indices in range, no explicitly stored
+    zero values.  The matrix is not modified after construction, so lu_solve
+    keeps the LU factors of its first call here and reuses them.
     """
 
     def __init__(self, matrix):
-        csr = sp.csr_matrix(matrix)
-        if csr.shape[0] != csr.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {csr.shape}")
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.check_format()
-        self.csr = csr
+        self.csr = _checked_csr(matrix)  # an instance value takes the cached property's place
+        self.N = self.csr.shape[0]
+        self._factors = None
         self._lu = None
 
-    @property
-    def N(self) -> int:
-        return self.csr.shape[0]
+    @classmethod
+    def _kron(cls, a: np.ndarray, L: sp.csr_matrix) -> "SparseMatrix":
+        A = cls.__new__(cls)
+        A.N = a.shape[0] * L.shape[0]
+        A._factors = (np.array(a, dtype=float), L)
+        A._lu = None
+        return A
+
+    @functools.cached_property
+    def csr(self) -> sp.csr_matrix:
+        return _kron_csr(*self._factors)
 
     @property
     def nnz(self) -> int:
         return self.csr.nnz
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def _vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.N,):
             raise ValueError(f"vector length {x.shape} does not match N={self.N}")
-        return self.csr @ x
+        return x
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        x = self._vector(x)
+        if self._factors is None:
+            return self.csr @ x
+        a, L = self._factors
+        X = x.reshape(len(a), -1)
+        return (X + a @ (L @ X.T).T).ravel()
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """Product with the transpose, A^T x."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.N,):
-            raise ValueError(f"vector length {x.shape} does not match N={self.N}")
-        return self.csr.T @ x
+        x = self._vector(x)
+        if self._factors is None:
+            return self.csr.T @ x
+        a, L = self._factors
+        X = x.reshape(len(a), -1)
+        return (X + a.T @ (L.T @ X.T).T).ravel()
 
 
 @dataclass
@@ -189,14 +214,33 @@ def check_direct(N: int) -> None:
 def kron_system(a: np.ndarray, L: sp.csr_matrix) -> SparseMatrix:
     """I + kron(a, L) for a dense n x n a and an M x M L that stores its diagonal.
 
+    The nonzero count n^2 nnz(L) of its CSR form goes through check_nnz
+    first, which also keeps every int32 index of that form in range.  The
+    returned matrix holds a copy of a and L itself and applies the system
+    through them; its csr is built on first read, by _kron_csr.
+    """
+    check_nnz(a.shape[0] ** 2 * L.nnz)
+    return SparseMatrix._kron(a, L)
+
+
+def _checked_csr(matrix) -> sp.csr_matrix:
+    csr = sp.csr_matrix(matrix)
+    if csr.shape[0] != csr.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {csr.shape}")
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    csr.check_format()
+    return csr
+
+
+def _kron_csr(a: np.ndarray, L: sp.csr_matrix) -> sp.csr_matrix:
+    """I + kron(a, L) in int32-indexed CSR, built straight from L's rows.
+
     Every block row has one pattern: spatial row r holds row r of L once
     per block column k, shifted by k M.  Block row j fills it with
-    a[j, k] L.data and adds 1 where L stores its diagonal in block j.  The
-    nonzero count n^2 nnz(L) goes through check_nnz first, which also keeps
-    every int32 index in range.
+    a[j, k] L.data and adds 1 where L stores its diagonal in block j.
     """
     n, M, nnz = a.shape[0], L.shape[0], L.nnz
-    check_nnz(n * n * nnz)
     ptr = L.indptr.astype(np.int32)
     count = np.diff(ptr)
     row = np.repeat(np.arange(M, dtype=np.int32), count)
@@ -211,7 +255,7 @@ def kron_system(a: np.ndarray, L: sp.csr_matrix) -> SparseMatrix:
     data[k, slot[:, diagonal]] += 1.0
     cols = np.tile(L.indices[entry] + block * M, n)
     indptr = np.append((n * k * nnz + n * ptr[:-1]).ravel(), n * n * nnz).astype(np.int32)
-    return SparseMatrix(sp.csr_matrix((data.ravel(), cols, indptr), shape=(n * M,) * 2))
+    return _checked_csr(sp.csr_matrix((data.ravel(), cols, indptr), shape=(n * M,) * 2))
 
 
 def lu_solve(A: SparseMatrix, b: np.ndarray) -> np.ndarray:

@@ -1,0 +1,75 @@
+"""The benchmark's traced routes still reach every layer its workloads expect.
+
+perfbench's traced runs report a layer guard failure when a workload's op
+records no span for one of its expected_layers.  Here a small op of each
+solve workload runs under perfbench's Tracer, loaded from
+perfbench/harness.py by path, and every layer in that workload's
+expected_layers (read from perfbench/workloads.py by ast, which imports
+the benchmark's host-speed kernels) must have recorded a span.  So a change
+that moves a solve off a traced route fails here, in tier-1, before a
+benchmark run finds it.
+"""
+
+import ast
+import importlib.util
+import sys
+from pathlib import Path
+
+import memwave.cli
+from memwave import Grid1D, InitialField1D, MemoryOrder, solver_1d
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_harness():
+    name = "perfbench_harness"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "harness.py")
+        harness = importlib.util.module_from_spec(spec)
+        sys.modules[name] = harness  # its dataclass looks its module up there
+        spec.loader.exec_module(harness)
+    return sys.modules[name]
+
+
+def expected_layers(workload: str) -> tuple:
+    """The expected_layers tuple of the workload class whose name attribute is workload."""
+    path = PERFBENCH / "workloads.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        values = {t.id: stmt.value for stmt in node.body if isinstance(stmt, ast.Assign)
+                  for t in stmt.targets if isinstance(t, ast.Name)}
+        if "name" in values and ast.literal_eval(values["name"]) == workload:
+            return ast.literal_eval(values["expected_layers"])
+    raise AssertionError(f"no workload named {workload!r} in {path}")
+
+
+def traced_missing_layers(workload: str, op) -> list:
+    harness = load_harness()
+    tracer = harness.Tracer()
+    tracer.install()
+    try:
+        with tracer.op(0):
+            op()
+    finally:
+        tracer.uninstall()
+    return harness.missing_layers(harness.layer_totals(tracer.spans), expected_layers(workload))
+
+
+def test_field2d_route_records_every_expected_layer(tmp_path, capsys):
+    # n = 8, m = 51: 20,808 unknowns per slab, above DIRECT_LIMIT, through field2d's CLI call
+    def op():
+        argv = ["solve2d", "--alpha", "1.5", "--T", "6.0", "--n", "8", "--m", "51",
+                "--sigma", "2.0", "-o", str(tmp_path / "field.csv"), "--max-iter", "400"]
+        assert memwave.cli.main(argv) == 0
+
+    assert traced_missing_layers("field2d", op) == []
+
+
+def test_sweep1d_route_records_every_expected_layer():
+    def op():
+        field = solver_1d.solve_1d(MemoryOrder(1.5), 3.0, 8, Grid1D(-15.0, 15.0, 151),
+                                   InitialField1D.gaussian(1.0))
+        field.reconstruct(3.0)
+
+    assert traced_missing_layers("sweep1d", op) == []

@@ -322,6 +322,14 @@ class TestSubcommands:
         assert "--sigma1 and --sigma2 must both be set and positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_solve2d_refuses_a_radial_width_beside_the_anisotropic_pair(self, tmp_path, capsys):
+        # the anisotropic pair sets the field, so --sigma would be ignored under a sigma=3.0 echo
+        out = tmp_path / "aniso.csv"
+        assert main(["solve2d", "--T", "1.0", "--n", "2", "--m", "11", "--sigma", "3",
+                     "--sigma1", "2", "--sigma2", "1", "--output", str(out)]) == 1
+        assert "--sigma 3.0 does not apply with --sigma1 and --sigma2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_stochastic_requires_endpoint_order(self, tmp_path, capsys):
         assert main(["stochastic", "--alpha", "1.5", "--T", "1.0",
                      "--output", str(tmp_path / "s.csv")]) == 1

@@ -22,6 +22,7 @@ from memwave import (
     build_preconditioner,
     coupling_matrix,
     lu_solve,
+    solve_2d,
     source_weights,
     write_matrix_market,
 )
@@ -202,6 +203,34 @@ class TestKronSystem:
         for name in ("data", "indices", "indptr"):
             got, want = getattr(built, name), getattr(expected, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(1.0, 2.0),
+        n=st.integers(1, 10),
+        T=st.floats(0.5, 12.0),
+        d=st.sampled_from([1, 2]),
+        m=st.integers(3, 12),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_products_match_the_csr_form(self, alpha, n, T, d, m, seed):
+        _, _, system = kron_system(d, n=n, m=m, alpha=alpha, T=T)
+        A = system.matrix
+        x = np.random.default_rng(seed).standard_normal(A.N)
+        for got, want in ((A.matvec(x), A.csr @ x), (A.rmatvec(x), A.csr.T @ x)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_2d_bicg_solve_never_builds_the_csr_form(self, monkeypatch):
+        def refuse(a, L):
+            raise AssertionError("the CSR form of I + kron(a, L) was built")
+
+        monkeypatch.setattr(sparse_linalg, "_kron_csr", refuse)
+        field = solve_2d(MemoryOrder(1.5), 1.0, 3, Grid2D(-8.0, 8.0, 15),
+                         InitialField2D.radial_gaussian(1.0), method="bicg")
+        assert field.report.converged and field.report.method == "bicg+precond"
+        system = kron_system(2)[2]
+        with pytest.raises(AssertionError, match="CSR form"):
+            system.matrix.nnz
 
 
 def stencil_3point(m, h):
