@@ -13,7 +13,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .memory_kernel import MemoryOrder
 from .solver_1d import BOUNDARY_DECAY_TOL, Grid1D, boundary_magnitude
@@ -22,8 +21,6 @@ __all__ = [
     "heat_solution",
     "wave_solution",
     "resolvent_apply",
-    "heat_matrix",
-    "shift_average",
     "KERNEL_TRUNCATION",
 ]
 
@@ -89,43 +86,24 @@ def _heat_kernel(t: float, grid: Grid1D):
     return kernel, w
 
 
-def heat_matrix(t: float, grid: Grid1D) -> np.ndarray:
-    """The alpha = 1 resolvent S(t), t > 0, as a symmetric m x m Toeplitz matrix.
+def _interpolate(f: np.ndarray, rows, q, grid: Grid1D) -> np.ndarray:
+    """Linear interpolant of the fields f[rows] at the points q, zero beyond the edges.
 
-    Entry (i, j) is h K(x_i - x_j) with the truncated kernel of
-    resolvent_apply, so its columns are resolvent_apply of the unit fields,
-    without the edge check.
-    """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t!r}")
-    kernel, w = _heat_kernel(t, grid)
-    column = np.zeros(grid.m)
-    column[: w + 1] = grid.h * kernel[w:]
-    return toeplitz(column)
-
-
-def shift_average(fields, shifts, grid: Grid1D) -> np.ndarray:
-    """The alpha = 2 resolvent on a block of fields, row r at its own t = shifts[r].
-
-    Row r of the result is (f_r(x - t) + f_r(x + t)) / 2, interpolated
-    linearly between the nodes and zero beyond the edges, as resolvent_apply
-    does it with np.interp, but without the edge check.  The bracket comes
+    f has shape (r, m) and rows broadcasts against q.  This is the alpha = 2
+    resolvent's np.interp(q, x, f, left=0, right=0), but the bracket comes
     from the uniform spacing, so a point within rounding of a node may use
-    the neighbouring bracket; the edge test uses the shifted points
-    themselves, exactly as np.interp does.
+    the neighbouring bracket; the edge test uses the points themselves,
+    exactly as np.interp does.
     """
-    f = np.asarray(fields, dtype=float)
-    r, m = f.shape
-    x, h = grid.points, grid.h
-    q = x + np.multiply.outer((-1.0, 1.0), shifts)[:, :, None]  # (2, r, m)
+    x, h, m = grid.points, grid.h, grid.m
     node = ((q - x[0]) / h).astype(np.intp)
-    np.minimum(np.maximum(node, 0, out=node), m - 2, out=node)
-    at = node + np.arange(0, r * m, m)[:, None]
+    np.clip(node, 0, m - 2, out=node)
+    at = rows * m + node
     flat = f.ravel()
     left = flat[at]
     value = (flat[at + 1] - left) / h * (q - x[node]) + left
     value[(q < x[0]) | (q > x[-1])] = 0.0
-    return 0.5 * (value[0] + value[1])
+    return value
 
 
 def resolvent_apply(alpha, t: float, field, grid: Grid1D) -> np.ndarray:

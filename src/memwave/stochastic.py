@@ -7,16 +7,23 @@ uses left-endpoint evaluation of the resolvent.  Only the endpoint orders
 alpha in {1, 2} have a closed-form resolvent, so simulation is restricted
 to those.
 
-simulate_trajectory groups the double sum by time lag: for j = 1..I it
-applies S once to the block dW_0 .. dW_{I-j} and adds the result into the
-fields at s_j .. s_I.  At alpha = 1 that is one product with the Toeplitz
-matrix of the Gaussian kernel at t = j tau (a smooth function of t, so the
-lag's rounding does not matter).  At alpha = 2 every row keeps its own lag
-(i + j) tau - i tau, rounded as the pairwise sum rounds it: the
-shift-average jumps to zero past the grid edge, and when tau = h the
-shifts land on grid nodes, so one ulp decides whether an edge node is
-inside.  stochastic_convolution keeps the pairwise resolvent_apply sum as
-the reference for the final field.
+At both orders S(t) acts on a field as a convolution in x: the truncated
+Gaussian at alpha = 1, the two-tap linear interpolation at +-t at
+alpha = 2.  The noise sum depends on k and i only through the lag
+j = k - i, so it is a discrete convolution in time and space at once, and
+simulate_trajectory evaluates it for every step by one zero-padded 2D real
+FFT of the increments against a table of S(j tau) for j = 0..I (after
+Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  The
+table holds one S per lag; the pairwise sum rounds each row's lag
+(i + j) tau - i tau on its own.  At alpha = 1 the Gaussian is a smooth
+function of t, so that rounding does not matter.  At alpha = 2 the
+interpolant is zero beyond the grid edge, which a convolution cannot
+express, and when tau = h one ulp of a row's lag decides whether an edge
+node is inside; so the few points within a cell of an edge are
+re-evaluated from each row's own lag, a block of steps at a time so that
+memory stays O(I m) even when all I (I + 1) / 2 (row, step) pairs reach
+the grid.  stochastic_convolution keeps the
+pairwise resolvent_apply sum as the reference for the final field.
 
 Reproducibility contract: the increment stream is fully determined by
 (master seed, trajectory index) through a splittable seed sequence, so
@@ -25,18 +32,19 @@ ensemble members are independent of evaluation order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import irfft, irfft2, next_fast_len, rfft, rfft2
 
 from .analytic_reference import (
     EDGE_WARNING,
+    _heat_kernel,
+    _interpolate,
     endpoint_order,
-    heat_matrix,
     resolvent_apply,
-    shift_average,
 )
 from .solver_1d import Grid1D, InitialField1D
 from .sparse_linalg import MAX_NNZ
@@ -175,17 +183,120 @@ def stochastic_convolution(
     return out
 
 
+def _fft_shape(I: int, m: int) -> tuple:
+    """Padded (time, space) shape of the noise sum's FFT convolution.
+
+    Lags 0..I of increments 0..I-1 reach time index 2I - 1, so 2I rows keep
+    every wrapped term out of steps 0..I; offsets -(m-1)..m-1 of m points
+    need 2m - 1 columns.
+    """
+    return next_fast_len(2 * I), next_fast_len(2 * m - 1, real=True)
+
+
+def _cells(r: np.ndarray, m: int) -> tuple:
+    """Whole cells n and fraction theta of the shifts r (in grid steps).
+
+    A shift of more than m + 1 cells reaches no point of an m-point grid
+    from any other; it is cut to m + 1, so that n fits an integer.
+    """
+    r = np.minimum(r, m + 1)
+    n = np.floor(r)
+    return n.astype(np.intp), r - n
+
+
+def _lag_table(alpha: int, I: int, tau: float, grid: Grid1D) -> np.ndarray:
+    """S(j tau) for j = 0..I as convolution weights, shape (I + 1, 2m - 1).
+
+    (S(j tau) f)_p = sum_d table[j, m - 1 + d] f_{p - d}, with f zero off
+    the grid.  Row 0 is zero: an increment does not act at its own step.
+    At alpha = 1 row j is h times _heat_kernel(j tau); at alpha = 2 it holds
+    the interpolation weights of f(x -+ j tau), halved, without the zero
+    beyond the edges that resolvent_apply's interpolant has.
+    """
+    m = grid.m
+    table = np.zeros((I + 1, 2 * m - 1))
+    if alpha == 1:
+        for j in range(1, I + 1):
+            kernel, w = _heat_kernel(j * tau, grid)
+            table[j, m - 1 - w : m + w] = grid.h * kernel
+    else:
+        lags = np.arange(1, I + 1)
+        n, theta = _cells(lags * tau / grid.h, m)
+        for d, weight in ((n, 1.0 - theta), (n + 1, theta)):
+            inside = d < m
+            for sign in (-1, 1):
+                table[lags[inside], m - 1 + sign * d[inside]] += 0.5 * weight[inside]
+    return table
+
+
+def _edge_correction(fields: np.ndarray, increments: np.ndarray, tau: float,
+                     grid: Grid1D) -> None:
+    """Make the alpha = 2 convolution equal the interpolant within a cell of the edges.
+
+    For each increment row i and step k > i, take the row's own lag
+    k tau - i tau, as the pairwise sum rounds it.  On each side, the point
+    whose shift x -+ lag lands within a cell of the edge, and its two
+    neighbours, get half the interpolant's value minus half the
+    convolution's two taps.  Elsewhere the two agree up to rounding; a lag
+    past the whole grid reaches no point at all, so only the lags 1..J of
+    fewer than m + 1 cells are visited.  The steps go in blocks of at most
+    about I m / 6 (row, step) pairs, so the six points of a block take about
+    one fields array, however many of the I (I + 1) / 2 pairs reach the grid.
+    """
+    I, m = increments.shape
+    # j tau / h grows with j, so the lags that reach the grid are 1..J
+    n, theta = _cells(np.arange(1, I + 1) * tau / grid.h, m)
+    J = int(np.count_nonzero(n <= m))
+    if J == 0:
+        return
+    # held[k]: the pairs of steps 1..k, where step k pairs with rows k - 1..k - J
+    held = np.cumsum(np.minimum(np.arange(I + 1), J))
+    budget = max(J, fields.size // 6)
+    # the minus shift nears the left edge, the plus shift the right one; three points each
+    sign = np.array([-1, 1])[:, None, None]
+    # two zero nodes beyond each edge hold every tap of these points
+    padded = np.pad(increments, ((0, 0), (2, 2))).ravel()
+    start = 1
+    while start <= I:
+        stop = int(np.searchsorted(held, held[start - 1] + budget, "right"))
+        # pair number held[k - 1] + j of step k is lag j + 1, row k - 1 - j
+        k = np.repeat(np.arange(start, stop), np.diff(held[start - 1 : stop]))
+        j = np.arange(held[start - 1], held[stop - 1]) - held[k - 1]
+        k, i, j = k[:, None], (k - 1 - j)[:, None], j[:, None]
+        lag = k * tau - i * tau
+        n_j = n[j]
+        p = np.stack((n_j, m - 1 - n_j)) + np.arange(-1, 2)
+        inside = (p >= 0) & (p < m)
+        np.clip(p, 0, m - 1, out=p)
+        value = _interpolate(increments, i, grid.points[p] + sign * lag, grid)
+        at = i * (m + 4) + 2 + p + sign * n_j
+        value -= (1.0 - theta[j]) * padded[at] + theta[j] * padded[at + sign]
+        value[~inside] = 0.0
+        rows = stop - start
+        correction = np.bincount(((k - start) * m + p).ravel(), value.ravel(), rows * m)
+        fields[start:stop] += 0.5 * correction.reshape(rows, m)
+        start = stop
+
+
 def _add_noise(fields: np.ndarray, alpha: int, increments: np.ndarray, tau: float,
                grid: Grid1D) -> None:
-    """Add sum_{i<k} S(s_k - s_i) dW_i to fields[k], one lag j = k - i at a time."""
-    I = len(increments)
-    for j in range(1, I + 1):
-        block = increments[: I - j + 1]
-        if alpha == 1:
-            fields[j:] += block @ heat_matrix(j * tau, grid).T
-        else:
-            i = np.arange(I - j + 1)
-            fields[j:] += shift_average(block, (i + j) * tau - i * tau, grid)
+    """Add sum_{i<k} S(s_k - s_i) dW_i to fields[k] for every step k at once.
+
+    The sum is the 2D convolution of the (I, m) increments with the
+    (I + 1, 2m - 1) lag table over (time, space); one zero-padded real FFT
+    evaluates it, sliced back to steps 1..I and the m grid points.  At
+    alpha = 2 the points within a cell of an edge are then corrected to the
+    interpolant at each row's own lag, in blocks of steps whose work arrays
+    stay O(I m), like the FFT's.
+    """
+    I, m = increments.shape
+    shape = _fft_shape(I, m)
+    table = _lag_table(alpha, I, tau, grid)
+    spectrum = rfft2(increments, shape) * rfft2(table, shape)
+    # step 0 has no earlier increment: it keeps S(0) g bit for bit, without the FFT's rounding
+    fields[1:] += irfft2(spectrum, shape)[1 : I + 1, m - 1 : 2 * m - 1]
+    if alpha == 2:
+        _edge_correction(fields, increments, tau, grid)
 
 
 def simulate_trajectory(
@@ -200,12 +311,14 @@ def simulate_trajectory(
 
     The edge warnings of the S(s_k) g steps are collected into one warning
     that counts the steps; the noise terms are not edge-checked.  A
-    trajectory of more than MAX_NNZ values is refused before sampling.
+    trajectory whose padded FFT work array of the noise sum holds more than
+    MAX_NNZ values is refused before sampling.
     """
     order = endpoint_order(alpha)
-    if (partition.I + 1) * grid.m > MAX_NNZ:
-        raise ValueError(f"a trajectory of {partition.I + 1} steps on {grid.m} points "
-                         f"exceeds the cap of {MAX_NNZ} values")
+    work = math.prod(_fft_shape(partition.I, grid.m))
+    if work > MAX_NNZ:
+        raise ValueError(f"a trajectory of {partition.I + 1} steps on {grid.m} points needs "
+                         f"{work} FFT work values, which exceeds the cap of {MAX_NNZ} values")
     increments = sample_increments(model, grid, partition, trajectory_index)
     gvals = g.evaluate(grid.points)
     tau = partition.tau
@@ -228,7 +341,8 @@ def simulate_trajectory(
             f"first at s_k = {edge_steps[0] * tau:.6g}: {first.message}",
             stacklevel=2,
         )
-    _add_noise(fields, order, increments, tau, grid)
+    if model.strength > 0:
+        _add_noise(fields, order, increments, tau, grid)
     return Trajectory(
         times=partition.nodes,
         fields=fields,

@@ -2,12 +2,13 @@
 
 perfbench's traced runs report a layer guard failure when a workload's op
 records no span for one of its expected_layers.  Here a small op of each
-solve workload runs under perfbench's Tracer, loaded from
+workload runs under perfbench's Tracer, loaded from
 perfbench/harness.py by path, and every layer in that workload's
 expected_layers (read from perfbench/workloads.py by ast, which imports
 the benchmark's host-speed kernels) must have recorded a span.  So a change
-that moves a solve off a traced route fails here, in tier-1, before a
-benchmark run finds it.
+that moves a solve or a trajectory off a traced route, such as one that
+reuses S(s_k) g across calls instead of applying the resolvent, fails
+here, in tier-1, before a benchmark run finds it.
 """
 
 import ast
@@ -16,7 +17,8 @@ import sys
 from pathlib import Path
 
 import memwave.cli
-from memwave import Grid1D, InitialField1D, MemoryOrder, solver_1d
+from memwave import (Grid1D, InitialField1D, MemoryOrder, NoiseModel, TimePartition,
+                     solver_1d, stochastic)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -73,3 +75,11 @@ def test_sweep1d_route_records_every_expected_layer():
         field.reconstruct(3.0)
 
     assert traced_missing_layers("sweep1d", op) == []
+
+
+def test_ensemble_route_records_every_expected_layer():
+    def op():
+        stochastic.simulate_trajectory(2, InitialField1D.gaussian(1.0), NoiseModel(0.1, seed=3),
+                                       TimePartition(1.0, 5), Grid1D(-15.0, 15.0, 151))
+
+    assert traced_missing_layers("ensemble", op) == []

@@ -1,7 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memwave import (
     Grid1D,
@@ -15,7 +17,9 @@ from memwave import (
     simulate_trajectory,
     stochastic_convolution,
 )
-from memwave.analytic_reference import heat_matrix, shift_average
+from memwave import stochastic
+from memwave.analytic_reference import _interpolate
+from memwave.stochastic import _add_noise, _fft_shape, _lag_table
 
 
 class TestNoiseModel:
@@ -257,9 +261,8 @@ class TestSimulateTrajectory:
         assert np.all(dev <= band)
 
 
-def pairwise_fields(alpha, g, model, part, grid, index):
+def pairwise_fields(alpha, g, part, grid, increments):
     """The mild solution summed one (s_k, s_i) pair at a time through resolvent_apply."""
-    increments = sample_increments(model, grid, part, index)
     gvals = g.evaluate(grid.points)
     tau = part.tau
     fields = np.empty((part.I + 1, grid.m))
@@ -274,24 +277,99 @@ def pairwise_fields(alpha, g, model, part, grid, index):
     return fields
 
 
-# tau = h, where the alpha = 2 shifts land on grid nodes, and tau != h
+def quiet_trajectory(alpha, g, model, part, grid, index=0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return simulate_trajectory(alpha, g, model, part, grid, trajectory_index=index)
+
+
+# tau = h, where the alpha = 2 shifts land on grid nodes: at h = 0.2 every j tau / h
+# rounds to j or above, at h = 30/172 the quotient for j = 7 rounds one ulp below 7;
+# and tau != h
 SHAPES = [(TimePartition(6.0, 30), Grid1D(-15.0, 15.0, 151)),
+          (TimePartition(16 * 30 / 172, 16), Grid1D(-15.0, 15.0, 173)),
           (TimePartition(3.0, 17), Grid1D(-10.0, 10.0, 101))]
 
 
 class TestBatchedNoiseSum:
     g = InitialField1D.gaussian(1.0)
 
-    @pytest.mark.parametrize("shape", SHAPES, ids=["tau=h", "tau!=h"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=["tau=h", "tau=h-below-node", "tau!=h"])
     @pytest.mark.parametrize("mode", ["per-node", "smooth"])
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_matches_pairwise_sum(self, alpha, mode, shape):
         part, grid = shape
         model = NoiseModel(strength=0.1, spatial_mode=mode, seed=31)
+        traj = quiet_trajectory(alpha, self.g, model, part, grid, 5)
+        ref = pairwise_fields(alpha, self.g, part, grid, traj.increments)
+        assert np.max(np.abs(traj.fields - ref)) <= 1e-12
+        assert np.array_equal(traj.fields[0], self.g.evaluate(grid.points))
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.sampled_from([1, 2]), mode=st.sampled_from(["per-node", "smooth"]),
+           I=st.integers(1, 40), m=st.integers(3, 201),
+           # tau / h exact, where the alpha = 2 shifts land on nodes, or anywhere up to
+           # 4 cells, where late lags carry the shifted points past the whole grid
+           ratio=st.one_of(st.sampled_from([1.0, 0.5, 2.0]), st.floats(0.05, 4.0)),
+           index=st.integers(0, 2**20))
+    def test_property_matches_pairwise_sum(self, alpha, mode, I, m, ratio, index):
+        grid = Grid1D(-15.0, 15.0, m)
+        part = TimePartition(I * ratio * grid.h, I)
+        model = NoiseModel(strength=0.1, spatial_mode=mode, seed=17)
+        traj = quiet_trajectory(alpha, self.g, model, part, grid, index)
+        ref = pairwise_fields(alpha, self.g, part, grid, traj.increments)
+        assert np.max(np.abs(traj.fields - ref)) <= 1e-12
+        # no increment acts at s_0, so the first field is the datum itself, not within rounding
+        assert np.array_equal(traj.fields[0], self.g.evaluate(grid.points))
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_one_nonzero_increment_row(self, alpha, monkeypatch):
+        # only dW_12 is nonzero: steps 0..12 keep S(s_k) g, later ones add S((k - 12) tau) dW_12
+        part, grid = SHAPES[0]
+        row = 0.05 * np.random.default_rng(2).standard_normal(grid.m)
+        increments = np.zeros((part.I, grid.m))
+        increments[12] = row
+        monkeypatch.setattr(stochastic, "sample_increments", lambda *args: increments)
+        traj = quiet_trajectory(alpha, self.g, NoiseModel(strength=0.1), part, grid)
+        ref = pairwise_fields(alpha, self.g, part, grid, increments)
+        assert np.max(np.abs(traj.fields - ref)) <= 1e-12
+
+    # tau = h, where 11 lags reach the grid, and tau = h / 1000, where all 3000 do and the
+    # (row, step) pairs that need the edge correction number I (I + 1) / 2 = 4.5M
+    @pytest.mark.parametrize("ratio", [1.0, 1e-3], ids=["tau=h", "tau=h/1000"])
+    def test_many_steps_keep_memory_linear(self, ratio):
+        grid = Grid1D(-5.0, 5.0, 11)
+        part = TimePartition(3000 * ratio * grid.h, 3000)
+        increments = sample_increments(NoiseModel(strength=0.1, seed=9), grid, part, 0)
+        noise = np.zeros((part.I + 1, grid.m))
+        tracemalloc.start()
+        try:
+            _add_noise(noise, 2, increments, part.tau, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 19 fields arrays at both ratios; one array per (row, step) pair and
+        # point would take 6 x 4.5M values
+        assert peak <= 32 * noise.nbytes
+        tau = part.tau
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            traj = simulate_trajectory(alpha, self.g, model, part, grid, trajectory_index=5)
-        ref = pairwise_fields(alpha, self.g, model, part, grid, 5)
+            for k in (1, 11, 12, 1500, 3000):
+                ref = sum(resolvent_apply(2, k * tau - i * tau, increments[i], grid)
+                          for i in range(k))
+                assert np.max(np.abs(noise[k] - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_lag_far_past_the_grid(self, alpha):
+        # tau = 1e20: every shifted point lies beyond the grid, and the shift in cells
+        # overflows an integer
+        part, grid = TimePartition(3e20, 3), Grid1D(-15.0, 15.0, 151)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = simulate_trajectory(alpha, self.g, NoiseModel(strength=0.1, seed=8), part,
+                                       grid)
+        ref = pairwise_fields(alpha, self.g, part, grid, traj.increments)
         assert np.max(np.abs(traj.fields - ref)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [1, 2])
@@ -305,32 +383,51 @@ class TestBatchedNoiseSum:
                     + stochastic_convolution(alpha, part, traj.increments, grid))
         assert np.max(np.abs(traj.final_field - mild)) <= 1e-12
 
-    # (t of the matrix, lag given to resolvent_apply); 29 tau - 22 tau is the
+    # (lag j of the table row, lag given to resolvent_apply); 29 tau - 22 tau is the
     # pairwise loop's lag for j = 7, one ulp away from 7 tau at tau = 0.2
-    @pytest.mark.parametrize("t, lag", [(0.2, 0.2), (6.0, 6.0), (7 * 0.2, 29 * 0.2 - 22 * 0.2)],
+    @pytest.mark.parametrize("j, lag", [(1, 0.2), (30, 6.0), (7, 29 * 0.2 - 22 * 0.2)],
                              ids=["h", "30h", "lag-one-ulp-off"])
-    def test_heat_matrix_columns_are_resolvent_apply(self, t, lag):
-        grid = SHAPES[0][1]
+    def test_heat_table_rows_are_resolvent_apply(self, j, lag):
+        part, grid = SHAPES[0]
+        t = j * part.tau
         assert abs(lag - t) <= np.spacing(t)
-        matrix = heat_matrix(t, grid)
+        row = _lag_table(1, part.I, part.tau, grid)[j]
+        # entry (p, y) of S(t) weighs f_y at x_p: table column m - 1 + p - y
+        offsets = np.subtract.outer(np.arange(grid.m), np.arange(grid.m))
+        matrix = row[grid.m - 1 + offsets]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             columns = np.column_stack([resolvent_apply(1, lag, e, grid) for e in np.eye(grid.m)])
         assert np.max(np.abs(matrix - columns)) <= 1e-15
 
-    def test_shift_average_rows_are_resolvent_apply(self):
+    def test_interpolant_rows_are_resolvent_apply(self):
         part, grid = SHAPES[0]
         fields = 0.05 * np.random.default_rng(4).standard_normal((7, grid.m))
         # no shift, the pairwise lag one ulp off 7 tau, off-grid, the whole
         # domain (one node left), beyond it
         shifts = np.array([0.0, 29 * part.tau - 22 * part.tau, 7 * part.tau, 1.234,
-                           29.9, 30.0, 45.0])
-        rows = shift_average(fields, shifts, grid)
+                           29.9, 30.0, 45.0])[:, None]
+        x, rows = grid.points, np.arange(7)[:, None]
+        average = 0.5 * (_interpolate(fields, rows, x - shifts, grid)
+                         + _interpolate(fields, rows, x + shifts, grid))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ref = np.array([resolvent_apply(2, t, f, grid) for t, f in zip(shifts, fields)])
-        assert np.max(np.abs(rows - ref)) <= 1e-14
-        assert np.array_equal(rows[-1], np.zeros(grid.m))
+            ref = np.array([resolvent_apply(2, t, f, grid) for t, f in zip(shifts[:, 0], fields)])
+        assert np.max(np.abs(average - ref)) <= 1e-14
+        assert np.array_equal(average[-1], np.zeros(grid.m))
+
+    def test_fft_work_array_over_the_cap_is_refused_before_sampling(self, monkeypatch):
+        part, grid = SHAPES[0]
+        padded = np.prod(_fft_shape(part.I, grid.m))
+        assert (part.I + 1) * grid.m < padded - 1
+        monkeypatch.setattr(stochastic, "MAX_NNZ", padded - 1)
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before the size check")
+
+        monkeypatch.setattr(stochastic, "sample_increments", no_sampling)
+        with pytest.raises(ValueError, match=f"exceeds the cap of {padded - 1} values"):
+            simulate_trajectory(1, self.g, NoiseModel(), part, grid)
 
 
 class TestEdgeWarning:
