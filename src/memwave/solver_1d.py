@@ -292,6 +292,8 @@ def solve_slabs(
         nonlocal iterations, breakdown, squares
         if use_direct:
             x = lu_solve(system.matrix, rhs.ravel())
+            # slab j's rows of the whole K-slab system's true residual
+            squares += float(np.linalg.norm(rhs.ravel() - system.matrix.matvec(x))) ** 2
         else:
             norm_rhs = float(np.linalg.norm(rhs))
             slab_tol = tol * norm_b / norm_rhs if norm_rhs > 0 else tol
@@ -305,8 +307,8 @@ def solve_slabs(
                     f"{iterations} iterations, residual {rep.residual:.3e}",
                     SolveReport(iterations, rep.residual, False, name, rep.breakdown,
                                 slabs=K, time_drift=drift, slabs_capped=capped))
-        # slab j's rows of the whole K-slab system's true residual
-        squares += float(np.linalg.norm(rhs.ravel() - system.matrix.matvec(x))) ** 2
+            # bicg_solve confirmed this true residual, relative to ||rhs||, before returning
+            squares += (rep.residual * norm_rhs) ** 2
         return x.reshape(b.shape)
 
     X, _ = march(blocks, b, solve, lambda x: (system.laplacian @ x.T).T)

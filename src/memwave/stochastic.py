@@ -15,15 +15,11 @@ simulate_trajectory evaluates it for every step by one zero-padded 2D real
 FFT of the increments against a table of S(j tau) for j = 0..I (after
 Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  The
 table holds one S per lag; the pairwise sum rounds each row's lag
-(i + j) tau - i tau on its own.  At alpha = 1 the Gaussian is a smooth
-function of t, so that rounding does not matter.  At alpha = 2 the
-interpolant is zero beyond the grid edge, which a convolution cannot
-express, and when tau = h one ulp of a row's lag decides whether an edge
-node is inside; so the few points within a cell of an edge are
-re-evaluated from each row's own lag, a block of steps at a time so that
-memory stays O(I m) even when all I (I + 1) / 2 (row, step) pairs reach
-the grid.  stochastic_convolution keeps the
-pairwise resolvent_apply sum as the reference for the final field.
+(i + j) tau - i tau on its own.  Both resolvents are continuous in t (the
+alpha = 2 interpolant falls linearly to a zero ghost node one spacing
+beyond each edge), so that rounding moves a field by O(ulp) only, and the
+FFT sum needs no correction.  stochastic_convolution keeps the pairwise
+resolvent_apply sum as the reference for the final field.
 
 Reproducibility contract: the increment stream is fully determined by
 (master seed, trajectory index) through a splittable seed sequence, so
@@ -41,8 +37,8 @@ from scipy.fft import irfft, irfft2, next_fast_len, rfft, rfft2
 
 from .analytic_reference import (
     EDGE_WARNING,
+    _cells,
     _heat_kernel,
-    _interpolate,
     endpoint_order,
     resolvent_apply,
 )
@@ -193,34 +189,21 @@ def _fft_shape(I: int, m: int) -> tuple:
     return next_fast_len(2 * I), next_fast_len(2 * m - 1, real=True)
 
 
-def _cells(r: np.ndarray, m: int) -> tuple:
-    """Whole cells n and fraction theta of the shifts r (in grid steps).
-
-    A shift of more than m + 1 cells reaches no point of an m-point grid
-    from any other; it is cut to m + 1, so that n fits an integer.
-    """
-    r = np.minimum(r, m + 1)
-    n = np.floor(r)
-    return n.astype(np.intp), r - n
-
-
 def _lag_table(alpha: int, I: int, tau: float, grid: Grid1D) -> np.ndarray:
     """S(j tau) for j = 0..I as convolution weights, shape (I + 1, 2m - 1).
 
     (S(j tau) f)_p = sum_d table[j, m - 1 + d] f_{p - d}, with f zero off
     the grid.  Row 0 is zero: an increment does not act at its own step.
-    At alpha = 1 row j is h times _heat_kernel(j tau); at alpha = 2 it holds
-    the interpolation weights of f(x -+ j tau), halved, without the zero
-    beyond the edges that resolvent_apply's interpolant has.
+    At alpha = 1 row j is h times the truncated heat kernel at j tau, every
+    row from one exp over the offsets; at alpha = 2 it holds
+    resolvent_apply's two taps at -+ j tau, halved.
     """
     m = grid.m
     table = np.zeros((I + 1, 2 * m - 1))
+    lags = np.arange(1, I + 1)
     if alpha == 1:
-        for j in range(1, I + 1):
-            kernel, w = _heat_kernel(j * tau, grid)
-            table[j, m - 1 - w : m + w] = grid.h * kernel
+        table[1:] = grid.h * _heat_kernel(lags[:, None] * tau, grid.h, np.arange(1 - m, m))
     else:
-        lags = np.arange(1, I + 1)
         n, theta = _cells(lags * tau / grid.h, m)
         for d, weight in ((n, 1.0 - theta), (n + 1, theta)):
             inside = d < m
@@ -229,65 +212,13 @@ def _lag_table(alpha: int, I: int, tau: float, grid: Grid1D) -> np.ndarray:
     return table
 
 
-def _edge_correction(fields: np.ndarray, increments: np.ndarray, tau: float,
-                     grid: Grid1D) -> None:
-    """Make the alpha = 2 convolution equal the interpolant within a cell of the edges.
-
-    For each increment row i and step k > i, take the row's own lag
-    k tau - i tau, as the pairwise sum rounds it.  On each side, the point
-    whose shift x -+ lag lands within a cell of the edge, and its two
-    neighbours, get half the interpolant's value minus half the
-    convolution's two taps.  Elsewhere the two agree up to rounding; a lag
-    past the whole grid reaches no point at all, so only the lags 1..J of
-    fewer than m + 1 cells are visited.  The steps go in blocks of at most
-    about I m / 6 (row, step) pairs, so the six points of a block take about
-    one fields array, however many of the I (I + 1) / 2 pairs reach the grid.
-    """
-    I, m = increments.shape
-    # j tau / h grows with j, so the lags that reach the grid are 1..J
-    n, theta = _cells(np.arange(1, I + 1) * tau / grid.h, m)
-    J = int(np.count_nonzero(n <= m))
-    if J == 0:
-        return
-    # held[k]: the pairs of steps 1..k, where step k pairs with rows k - 1..k - J
-    held = np.cumsum(np.minimum(np.arange(I + 1), J))
-    budget = max(J, fields.size // 6)
-    # the minus shift nears the left edge, the plus shift the right one; three points each
-    sign = np.array([-1, 1])[:, None, None]
-    # two zero nodes beyond each edge hold every tap of these points
-    padded = np.pad(increments, ((0, 0), (2, 2))).ravel()
-    start = 1
-    while start <= I:
-        stop = int(np.searchsorted(held, held[start - 1] + budget, "right"))
-        # pair number held[k - 1] + j of step k is lag j + 1, row k - 1 - j
-        k = np.repeat(np.arange(start, stop), np.diff(held[start - 1 : stop]))
-        j = np.arange(held[start - 1], held[stop - 1]) - held[k - 1]
-        k, i, j = k[:, None], (k - 1 - j)[:, None], j[:, None]
-        lag = k * tau - i * tau
-        n_j = n[j]
-        p = np.stack((n_j, m - 1 - n_j)) + np.arange(-1, 2)
-        inside = (p >= 0) & (p < m)
-        np.clip(p, 0, m - 1, out=p)
-        value = _interpolate(increments, i, grid.points[p] + sign * lag, grid)
-        at = i * (m + 4) + 2 + p + sign * n_j
-        value -= (1.0 - theta[j]) * padded[at] + theta[j] * padded[at + sign]
-        value[~inside] = 0.0
-        rows = stop - start
-        correction = np.bincount(((k - start) * m + p).ravel(), value.ravel(), rows * m)
-        fields[start:stop] += 0.5 * correction.reshape(rows, m)
-        start = stop
-
-
 def _add_noise(fields: np.ndarray, alpha: int, increments: np.ndarray, tau: float,
                grid: Grid1D) -> None:
     """Add sum_{i<k} S(s_k - s_i) dW_i to fields[k] for every step k at once.
 
     The sum is the 2D convolution of the (I, m) increments with the
     (I + 1, 2m - 1) lag table over (time, space); one zero-padded real FFT
-    evaluates it, sliced back to steps 1..I and the m grid points.  At
-    alpha = 2 the points within a cell of an edge are then corrected to the
-    interpolant at each row's own lag, in blocks of steps whose work arrays
-    stay O(I m), like the FFT's.
+    evaluates it, sliced back to steps 1..I and the m grid points.
     """
     I, m = increments.shape
     shape = _fft_shape(I, m)
@@ -295,8 +226,6 @@ def _add_noise(fields: np.ndarray, alpha: int, increments: np.ndarray, tau: floa
     spectrum = rfft2(increments, shape) * rfft2(table, shape)
     # step 0 has no earlier increment: it keeps S(0) g bit for bit, without the FFT's rounding
     fields[1:] += irfft2(spectrum, shape)[1 : I + 1, m - 1 : 2 * m - 1]
-    if alpha == 2:
-        _edge_correction(fields, increments, tau, grid)
 
 
 def simulate_trajectory(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,43 @@ class TestResolventApply:
         x = grid.points
         g = lambda y: np.where(np.abs(y) <= 15.0, np.exp(-(y**2) / 4.0), 0.0)
         assert np.allclose(out, 0.5 * (g(x - 2.0) + g(x + 2.0)), atol=1e-15)
+
+    def test_wave_shift_past_an_edge_falls_to_a_zero_ghost_node(self):
+        # h = 0.25 and t = 3.25 h are exact: n = 3 whole cells, theta = 1/4.  Only the
+        # edge nodes are nonzero, so each output is one tap on one edge value.
+        grid = Grid1D(-5.0, 5.0, 41)
+        m, left, right = grid.m, 0.3, -0.7
+        f = np.zeros(m)
+        f[0], f[-1] = left, right
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = resolvent_apply(2, 3.25 * grid.h, f, grid)
+            # a shift of m cells or more carries every point past the ghost node
+            beyond = [resolvent_apply(2, t, f + 1.0, grid) for t in (m * grid.h, 1.5 * m, 1e20)]
+        expected = np.zeros(m)
+        # x_3 - t lies a quarter cell beyond the left edge: 0.5 (1 - theta) f_0, not 0
+        expected[3], expected[4] = 0.5 * 0.75 * left, 0.5 * 0.25 * left
+        expected[m - 4], expected[m - 5] = 0.5 * 0.75 * right, 0.5 * 0.25 * right
+        assert np.array_equal(out, expected)
+        for far in beyond:
+            assert np.array_equal(far, np.zeros(m))
+
+    def test_wave_action_continuous_in_t(self):
+        # at h = 30/172, 7h / h rounds one ulp below 7 cells and the pairwise loop's
+        # lag 9h - 2h one ulp above; the last t with x_7 - t on the left edge node and
+        # the next float, whose x_7 - t lies beyond it.  Each pair differs by O(ulp |f|).
+        grid = Grid1D(-15.0, 15.0, 173)
+        h, x = grid.h, grid.points
+        assert 7 * h / h < 7 < (9 * h - 2 * h) / h
+        on_edge = x[7] - x[0]
+        while x[7] - np.nextafter(on_edge, np.inf) >= x[0]:
+            on_edge = np.nextafter(on_edge, np.inf)
+        f = np.random.default_rng(4).standard_normal(grid.m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for pair in ((7 * h, 9 * h - 2 * h), (on_edge, np.nextafter(on_edge, np.inf))):
+                below, above = (resolvent_apply(2, t, f, grid) for t in pair)
+                assert np.max(np.abs(below - above)) <= 1e-14 * np.max(np.abs(f))
 
     def test_heat_semigroup_composition(self):
         grid = self.grid()

@@ -9,8 +9,10 @@ from memwave import (
     Grid1D,
     Grid2D,
     InitialField1D,
+    InitialField2D,
     MemoryOrder,
     assemble_1d,
+    assemble_2d,
     build_basis,
     choose_slabs,
     coupling_matrix,
@@ -311,6 +313,21 @@ class TestSlabs:
         r = system.matrix.matvec(field.coefficients.ravel()) - system.rhs
         assert np.linalg.norm(r) / np.linalg.norm(system.rhs) < 1e-13
         assert field.report.residual < 1e-13
+
+    @pytest.mark.parametrize("grid, g, solve, assemble", [
+        (BENCH["grid"], InitialField1D.gaussian(1.0), solve_1d, assemble_1d),
+        (Grid2D(-15.0, 15.0, 31), InitialField2D.radial_gaussian(2.0), solve_2d, assemble_2d),
+    ], ids=["1d", "2d"])
+    def test_bicg_report_residual_is_the_whole_systems(self, grid, g, solve, assemble):
+        # the BiCG route sums bicg_solve's confirmed slab residuals; the assembled
+        # K-slab system gives the same relative residual to rounding
+        order = MemoryOrder(2.0)
+        field = solve(order, 6.0, 8, grid, g, method="bicg")
+        assert field.report.method == "bicg+precond" and field.report.slabs > 1
+        system = assemble(coupling_matrix(field.basis, order), source_weights(field.basis), g, grid)
+        r = system.matrix.matvec(field.coefficients.ravel()) - system.rhs
+        whole = np.linalg.norm(r) / np.linalg.norm(system.rhs)
+        assert abs(field.report.residual - whole) <= 1e-16
 
     def test_lu_and_bicg_agree_on_four_slabs(self):
         g = InitialField1D.gaussian(1.0)

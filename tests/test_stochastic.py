@@ -18,7 +18,6 @@ from memwave import (
     stochastic_convolution,
 )
 from memwave import stochastic
-from memwave.analytic_reference import _interpolate
 from memwave.stochastic import _add_noise, _fft_shape, _lag_table
 
 
@@ -334,8 +333,8 @@ class TestBatchedNoiseSum:
         ref = pairwise_fields(alpha, self.g, part, grid, increments)
         assert np.max(np.abs(traj.fields - ref)) <= 1e-12
 
-    # tau = h, where 11 lags reach the grid, and tau = h / 1000, where all 3000 do and the
-    # (row, step) pairs that need the edge correction number I (I + 1) / 2 = 4.5M
+    # tau = h, where 11 lags reach the grid, and tau = h / 1000, where all 3000 do and
+    # I (I + 1) / 2 = 4.5M (row, step) pairs land within the grid
     @pytest.mark.parametrize("ratio", [1.0, 1e-3], ids=["tau=h", "tau=h/1000"])
     def test_many_steps_keep_memory_linear(self, ratio):
         grid = Grid1D(-5.0, 5.0, 11)
@@ -348,8 +347,8 @@ class TestBatchedNoiseSum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 19 fields arrays at both ratios; one array per (row, step) pair and
-        # point would take 6 x 4.5M values
+        # the FFT work arrays, about 16 fields arrays at both ratios; one value per
+        # (row, step) pair and point would take 11 x 4.5M
         assert peak <= 32 * noise.nbytes
         tau = part.tau
         with warnings.catch_warnings():
@@ -399,22 +398,6 @@ class TestBatchedNoiseSum:
             warnings.simplefilter("ignore")
             columns = np.column_stack([resolvent_apply(1, lag, e, grid) for e in np.eye(grid.m)])
         assert np.max(np.abs(matrix - columns)) <= 1e-15
-
-    def test_interpolant_rows_are_resolvent_apply(self):
-        part, grid = SHAPES[0]
-        fields = 0.05 * np.random.default_rng(4).standard_normal((7, grid.m))
-        # no shift, the pairwise lag one ulp off 7 tau, off-grid, the whole
-        # domain (one node left), beyond it
-        shifts = np.array([0.0, 29 * part.tau - 22 * part.tau, 7 * part.tau, 1.234,
-                           29.9, 30.0, 45.0])[:, None]
-        x, rows = grid.points, np.arange(7)[:, None]
-        average = 0.5 * (_interpolate(fields, rows, x - shifts, grid)
-                         + _interpolate(fields, rows, x + shifts, grid))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ref = np.array([resolvent_apply(2, t, f, grid) for t, f in zip(shifts[:, 0], fields)])
-        assert np.max(np.abs(average - ref)) <= 1e-14
-        assert np.array_equal(average[-1], np.zeros(grid.m))
 
     def test_fft_work_array_over_the_cap_is_refused_before_sampling(self, monkeypatch):
         part, grid = SHAPES[0]
