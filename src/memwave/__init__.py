@@ -34,6 +34,7 @@ from .sparse_linalg import (
     write_matrix_market,
 )
 from .solver_1d import (
+    EdgeWarning,
     Grid1D,
     InitialField1D,
     SolutionField1D,
@@ -41,6 +42,7 @@ from .solver_1d import (
     assemble_1d,
     choose_slabs,
     residual_orthogonality,
+    sample,
     solve_1d,
     sup_error,
 )
@@ -74,8 +76,8 @@ __all__ = [
     "SparseMatrix", "SolveReport", "SinePreconditioner", "BlockSystem",
     "SingularMatrixError", "DIRECT_LIMIT",
     "lu_solve", "bicg_solve", "build_preconditioner", "write_matrix_market",
-    "Grid1D", "InitialField1D", "SolutionField1D", "SolverConvergenceError",
-    "assemble_1d", "choose_slabs", "solve_1d", "sup_error", "residual_orthogonality",
+    "Grid1D", "InitialField1D", "SolutionField1D", "SolverConvergenceError", "EdgeWarning",
+    "assemble_1d", "choose_slabs", "sample", "solve_1d", "sup_error", "residual_orthogonality",
     "Grid2D", "InitialField2D", "SolutionField2D",
     "assemble_2d", "solve_2d", "sparsity_bound", "verify_sparsity",
     "heat_solution", "wave_solution", "resolvent_apply",

@@ -275,17 +275,16 @@ def _run_solve2d(config: RunConfig) -> int:
 
 
 def _run_stochastic(config: RunConfig) -> int:
-    alpha = config.alpha
-    if alpha not in (1.0, 2.0):
-        raise ConfigError("stochastic simulation requires alpha 1 or 2 (closed-form resolvent)")
     grid = Grid1D(config.x_min, config.x_max, config.m)
     g = InitialField1D.gaussian(config.sigma)
     model = NoiseModel(config.noise_C, config.noise_mode, config.ell, config.seed)
+    # steps 0 takes the default partition; TimePartition refuses a negative count
     partition = (
-        TimePartition(config.T, config.steps) if config.steps > 0
+        TimePartition(config.T, config.steps) if config.steps
         else default_partition(config.T, grid)
     )
-    traj = simulate_trajectory(int(alpha), g, model, partition, grid)
+    # simulate_trajectory refuses an alpha other than 1 or 2 (closed-form resolvent)
+    traj = simulate_trajectory(config.alpha, g, model, partition, grid)
     x = grid.points
     rows = [
         (_fmt(t), _fmt(xi), _fmt(v))

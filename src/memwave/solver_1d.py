@@ -7,7 +7,8 @@ index outermost in the unknown vector.  assemble_1d and solve_slabs see
 the grid only through its shape, mesh and spacing, so they serve solver_2d
 too.
 Ghost values outside the grid are zero (free boundary on a large enough
-grid), guarded by a decay check on the initial data's grid faces.
+grid), guarded by one decay check on grid faces (an EdgeWarning) for this
+solve and every resolvent action; initial data reaches a grid only through sample.
 
 The solvers split [0, T] into K slabs (see time_basis).  The coupling
 matrix is then block lower-triangular, so time_basis.march solves it slab
@@ -23,6 +24,7 @@ residual_orthogonality check a solved field of either dimension.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -68,6 +70,7 @@ __all__ = [
     "InitialField1D",
     "SolutionField1D",
     "SolverConvergenceError",
+    "EdgeWarning",
     "BOUNDARY_DECAY_TOL",
     "MAX_SLABS",
     "assemble_1d",
@@ -75,9 +78,15 @@ __all__ = [
     "solve_1d",
     "sup_error",
     "residual_orthogonality",
+    "sample",
 ]
 
 BOUNDARY_DECAY_TOL = 1e-12
+
+
+class EdgeWarning(UserWarning):
+    """Data above BOUNDARY_DECAY_TOL on the grid faces, where the zero-ghost closure needs none."""
+
 
 # Largest slab count choose_slabs returns; reaching it is recorded in the report.
 MAX_SLABS = 64
@@ -112,6 +121,10 @@ class Grid1D:
             raise ValueError(f"need a finite span x_max - x_min, got [{self.x_min}, {self.x_max}]")
         if not (isinstance(self.m, (int, np.integer)) and self.m >= 3):
             raise ValueError(f"m must be an integer >= 3, got {self.m!r}")
+        # the stencil and its sine eigenvalues are multiples of 1/h^2, computed through h^2
+        h2 = float(self.h) * float(self.h)
+        if not (0 < h2 < math.inf and 1 / h2 < math.inf):
+            raise ValueError(f"spacing h = {self.h!r} has no finite h^2 and 1/h^2")
 
     @property
     def h(self) -> float:
@@ -127,6 +140,8 @@ class Grid1D:
 
     def mesh(self) -> tuple:
         """Coordinate arrays, one per axis, each shaped like the grid (x along the first axis)."""
+        if self.ndim == 1:  # meshgrid would only copy, once per trajectory member
+            return (self.points,)
         return tuple(np.meshgrid(*(self.points,) * self.ndim, indexing="ij"))
 
 
@@ -137,7 +152,18 @@ class _Gaussian:
     sigma: float
 
     def __call__(self, *coords):
-        return np.exp(-sum(np.asarray(c, dtype=float) ** 2 for c in coords) / self.sigma**2)
+        # a quotient past the float range only reaches exp's underflow to 0 one step early
+        with np.errstate(over="ignore"):
+            return np.exp(-sum(np.asarray(c, dtype=float) ** 2 for c in coords) / self.sigma**2)
+
+
+def _check_width(sigma, name: str = "sigma") -> None:
+    """Refuse a Gaussian width unless it is positive and its square a finite normal float.
+
+    A subnormal square would lose digits in sigma / sqrt(sigma^2) and similar ratios.
+    """
+    if not (sigma > 0 and sys.float_info.min <= float(sigma) * float(sigma) < math.inf):
+        raise ValueError(f"{name} must be positive with a finite normal square, got {sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +175,7 @@ class InitialField1D:
 
     @classmethod
     def gaussian(cls, sigma: float = 1.0) -> "InitialField1D":
-        if not sigma > 0:
-            raise ValueError(f"sigma must be positive, got {sigma!r}")
+        _check_width(sigma)
         return cls(rule=_Gaussian(sigma), label=f"gaussian(sigma={sigma})")
 
     def evaluate(self, *coords) -> np.ndarray:
@@ -181,11 +206,20 @@ def boundary_magnitude(values) -> float:
     return float(max(abs(x) for axis in range(v.ndim) for x in v.take((0, -1), axis).flat))
 
 
-def _sample(g: InitialField1D, grid: Grid1D) -> np.ndarray:
-    """g on grid.mesh(); a rule whose output is not shaped like the grid is refused."""
+def _check_edges(values, template: str, stacklevel: int) -> None:
+    """The one face check: warns EdgeWarning(template.format(edge)) above BOUNDARY_DECAY_TOL."""
+    edge = boundary_magnitude(values)
+    if edge > BOUNDARY_DECAY_TOL:
+        warnings.warn(template.format(edge), EdgeWarning, stacklevel=stacklevel + 1)
+
+
+def sample(g: InitialField1D, grid: Grid1D) -> np.ndarray:
+    """g on grid.mesh(), the one gate to a grid: refuses values not finite or not grid-shaped."""
     values = g.evaluate(*grid.mesh())
     if values.shape != grid.shape:
         raise ValueError(f"g gave shape {values.shape} on a grid of shape {grid.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"g is not finite on the grid ({g.label})")
     return values
 
 
@@ -198,7 +232,7 @@ def assemble_1d(
     """Assemble I + kron(a, L) and kron(w, g) on a 1D or 2D grid; solver_2d calls it assemble_2d."""
     if weights.n != coupling.n:
         raise ValueError(f"coupling size {coupling.n} does not match weights size {weights.n}")
-    values = _sample(g, grid)
+    values = sample(g, grid)
     L = laplacian(grid.shape, grid.h)
     rhs = np.kron(weights.weights, values.ravel())
     return BlockSystem(kron_system(coupling.entries, L), rhs, L)
@@ -261,14 +295,9 @@ def solve_slabs(
     check_nnz(n * n * laplacian_nnz(grid.shape))
     if method == "direct":
         check_direct(n * math.prod(grid.shape))
-    g_values, h = _sample(g, grid), grid.h
-    edge = boundary_magnitude(g_values)
-    if edge > BOUNDARY_DECAY_TOL:
-        warnings.warn(
-            f"initial data is {edge:.2e} at the grid boundary; "
-            "free-boundary closure assumes negligible values there",
-            stacklevel=3,
-        )
+    g_values, h = sample(g, grid), grid.h
+    _check_edges(g_values, "initial data is {:.2e} at the grid boundary; free-boundary "
+                 "closure assumes negligible values there", stacklevel=3)
     K, drift, capped = choose_slabs(order, T, n, g_values, h)
     if capped:
         warnings.warn(
@@ -376,7 +405,7 @@ def residual_orthogonality(field: SolutionField1D) -> float:
     ga = gamma_fn(alpha)
 
     C = field.coefficients.reshape(K, n, -1)
-    values = _sample(field.initial, grid)
+    values = sample(field.initial, grid)
     gvals, L = values.ravel(), laplacian(values.shape, grid.h)
     LC = np.array([(L @ c.T).T for c in C])
 

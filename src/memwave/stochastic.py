@@ -21,6 +21,12 @@ beyond each edge), so that rounding moves a field by O(ulp) only, and the
 FFT sum needs no correction.  stochastic_convolution keeps the pairwise
 resolvent_apply sum as the reference for the final field.
 
+The closed forms assume data negligible on the grid faces.  A trajectory
+reports where S(s_k) g breaks that in one solver_1d.EdgeWarning, computed
+from its own fields rather than from resolvent_apply's per-call warnings,
+which it ignores by category like stochastic_convolution does; noise never
+decays at the faces and is not checked.
+
 Reproducibility contract: the increment stream is fully determined by
 (master seed, trajectory index) through a splittable seed sequence, so
 ensemble members are independent of evaluation order.
@@ -35,14 +41,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, irfft2, next_fast_len, rfft, rfft2
 
-from .analytic_reference import (
-    EDGE_WARNING,
-    _cells,
-    _heat_kernel,
-    endpoint_order,
-    resolvent_apply,
+from .analytic_reference import _cells, _heat_kernel, endpoint_order, resolvent_apply
+from .solver_1d import (
+    BOUNDARY_DECAY_TOL,
+    EdgeWarning,
+    Grid1D,
+    InitialField1D,
+    boundary_magnitude,
+    sample,
 )
-from .solver_1d import Grid1D, InitialField1D
 from .sparse_linalg import MAX_NNZ
 
 __all__ = [
@@ -68,12 +75,14 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.strength >= 0:
-            raise ValueError(f"noise strength must be non-negative, got {self.strength!r}")
+        if not 0 <= self.strength < math.inf:
+            raise ValueError(f"noise strength must be non-negative and finite, "
+                             f"got {self.strength!r}")
         if self.spatial_mode not in _MODES:
             raise ValueError(f"spatial mode must be one of {_MODES}, got {self.spatial_mode!r}")
-        if not self.correlation_length > 0:
-            raise ValueError(f"correlation length must be positive, got {self.correlation_length!r}")
+        if not 0 < self.correlation_length < math.inf:
+            raise ValueError(f"correlation length must be positive and finite, "
+                             f"got {self.correlation_length!r}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -134,20 +143,31 @@ def sample_increments(
 
     Per-node mode: independent N(0, C^2 tau) at every node.  Smooth mode:
     the same draws convolved in x with a unit-mass Gaussian of width
-    correlation_length.  C = 0 returns exact zeros.
+    correlation_length, over 5 widths each side; a width whose FFT work
+    array would hold more than MAX_NNZ values is refused before drawing.
+    C = 0 returns exact zeros.
     """
     if model.strength == 0.0:
         return np.zeros((partition.I, grid.m))
+    smooth = model.spatial_mode == "smooth"
+    if smooth:
+        h = grid.h
+        # below h/40 every off-centre weight is under e^-800, which rounds to 0: the kernel
+        # is [0, 1, 0] as at h/40, and offsets^2 / 2 ell^2 stays finite
+        ell = max(model.correlation_length, h / 40.0)
+        reach = np.ceil(5.0 * ell / h)  # a float, as 5 ell / h may pass every integer size
+        if partition.I * (grid.m + 2 * reach) > MAX_NNZ:
+            raise ValueError(f"correlation length {model.correlation_length!r} spans {reach:g} "
+                             f"steps each side, whose FFT exceeds the cap of {MAX_NNZ} values")
+        w = max(1, int(reach))
+        offsets = h * np.arange(-w, w + 1)
+        kernel = np.exp(-(offsets**2) / (2.0 * ell**2))
+        kernel /= h * kernel.sum()
     seq = np.random.SeedSequence(entropy=model.seed, spawn_key=(trajectory_index,))
     rng = np.random.default_rng(seq)
     scale = model.strength * np.sqrt(partition.tau)
     draws = scale * rng.standard_normal((partition.I, grid.m))
-    if model.spatial_mode == "smooth":
-        ell, h = model.correlation_length, grid.h
-        w = max(1, int(np.ceil(5.0 * ell / h)))
-        offsets = h * np.arange(-w, w + 1)
-        kernel = np.exp(-(offsets**2) / (2.0 * ell**2))
-        kernel /= h * kernel.sum()
+    if smooth:
         # every row at once; n >= m + 2w holds the whole linear convolution, so none wraps
         n = next_fast_len(grid.m + 2 * w, real=True)
         draws = h * irfft(rfft(draws, n, axis=1) * rfft(kernel, n), n, axis=1)[:, w : w + grid.m]
@@ -166,11 +186,12 @@ def stochastic_convolution(
         raise ValueError(
             f"increments shape {increments.shape} does not match (I={partition.I}, m={grid.m})"
         )
+    alpha = endpoint_order(alpha)
     t = partition.t_final
     out = np.zeros(grid.m)
     with warnings.catch_warnings():
         # noise never decays at the boundary; the edge check is for initial data
-        warnings.filterwarnings("ignore", message=".*grid edge.*")
+        warnings.simplefilter("ignore", EdgeWarning)
         for i in range(partition.I):
             dw = increments[i]
             if not dw.any():
@@ -238,8 +259,11 @@ def simulate_trajectory(
 ) -> Trajectory:
     """Mild-solution trajectory f(x, s_k) = S(s_k) g + convolution up to s_k.
 
-    The edge warnings of the S(s_k) g steps are collected into one warning
-    that counts the steps; the noise terms are not edge-checked.  A
+    g reaches the grid through solver_1d.sample.  The edge report is
+    computed from the fields: step k >= 1 counts when g or S(s_k) g exceeds
+    BOUNDARY_DECAY_TOL on the grid faces, and one EdgeWarning gives the
+    count and the first such s_k.  Any other warning of those steps reaches
+    the caller as raised; the noise terms are not edge-checked.  A
     trajectory whose padded FFT work array of the noise sum holds more than
     MAX_NNZ values is refused before sampling.
     """
@@ -249,27 +273,23 @@ def simulate_trajectory(
         raise ValueError(f"a trajectory of {partition.I + 1} steps on {grid.m} points needs "
                          f"{work} FFT work values, which exceeds the cap of {MAX_NNZ} values")
     increments = sample_increments(model, grid, partition, trajectory_index)
-    gvals = g.evaluate(grid.points)
+    gvals = sample(g, grid)
     tau = partition.tau
     fields = np.empty((partition.I + 1, grid.m))
-    edge_steps = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EdgeWarning)
         for k in range(partition.I + 1):
-            seen = len(caught)
             fields[k] = resolvent_apply(order, k * tau, gvals, grid)
-            if any(EDGE_WARNING in str(w.message) for w in caught[seen:]):
-                edge_steps.append(k)
-    for w in caught:
-        if EDGE_WARNING not in str(w.message):
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    if edge_steps:
-        first = next(w for w in caught if EDGE_WARNING in str(w.message))
-        warnings.warn(
-            f"S(s_k) g warned at {len(edge_steps)} of {partition.I + 1} steps, "
-            f"first at s_k = {edge_steps[0] * tau:.6g}: {first.message}",
-            stacklevel=2,
-        )
+    # A step's faces are its field's two ends, as boundary_magnitude reads a 1D field, taken
+    # for all steps at once: a call per step would cost about 5 % of a trajectory.  S(0) g is
+    # g itself and goes unchecked, as in resolvent_apply.
+    ends = np.maximum(np.abs(fields[1:, 0]), np.abs(fields[1:, -1]))
+    edges = np.maximum(ends, boundary_magnitude(gvals))
+    edge_steps = (edges > BOUNDARY_DECAY_TOL).nonzero()[0] + 1
+    if edge_steps.size:
+        warnings.warn(f"S(s_k) g is up to {edges.max():.2e} at the grid edge at {edge_steps.size} "
+                      f"of {partition.I + 1} steps, first at s_k = {edge_steps[0] * tau:.6g}; "
+                      "mass is leaving the grid", EdgeWarning, stacklevel=2)
     if model.strength > 0:
         _add_noise(fields, order, increments, tau, grid)
     return Trajectory(

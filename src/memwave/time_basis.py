@@ -126,7 +126,8 @@ class TimeBasis:
 
 def build_basis(T: float, n: int, slabs: int = 1) -> TimeBasis:
     """Construct the orthonormal basis with n functions on each of `slabs` slabs of [0, T]."""
-    return TimeBasis(horizon_T=float(T), size_n=int(n), slabs=int(slabs))
+    # n and slabs go uncast, so TimeBasis refuses a fractional count instead of truncating it
+    return TimeBasis(horizon_T=float(T), size_n=n, slabs=slabs)
 
 
 @dataclass

@@ -46,6 +46,22 @@ class TestHeatSolution:
             heat_solution(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             heat_solution(0.0, -0.1, 1.0)
+        with pytest.raises(ValueError, match="t must be non-negative"):
+            heat_solution(0.0, math.nan, 1.0)
+        for sigma in (math.nan, math.inf, 1e160, 1e-300):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                heat_solution(0.0, 1.0, sigma)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1.0])
+    def test_narrowest_accepted_width_stays_finite(self, t):
+        # sigma^2 = 2.25e-308: x^2 / sigma^2 overflows for |x| > 1.4, where the Gaussian is 0
+        x = np.linspace(-3.0, 3.0, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = heat_solution(x, t, 1.5e-154)
+        assert np.all(np.isfinite(out))
+        if t == 0.0:
+            assert np.array_equal(out, x == 0.0)
 
 
 class TestWaveSolution:
@@ -180,6 +196,10 @@ class TestResolventApply:
         grid = self.grid(31)
         with pytest.raises(ValueError):
             resolvent_apply(1, -1.0, np.zeros(31), grid)
+        # NaN has neither a shift (alpha = 2) nor a kernel window (alpha = 1)
+        for alpha in (1, 2):
+            with pytest.raises(ValueError, match="t must be non-negative"):
+                resolvent_apply(alpha, math.nan, np.zeros(31), grid)
 
     def test_shape_mismatch_rejected(self):
         grid = self.grid(31)

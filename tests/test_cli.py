@@ -1,4 +1,6 @@
+import argparse
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from memwave import (
     solve_2d,
     source_weights,
 )
-from memwave.cli import ConfigError, RunConfig, main, run
+from memwave.cli import ConfigError, RunConfig, build_parser, main, run
 
 
 def read_csv(path):
@@ -125,6 +127,61 @@ class TestExitCodes:
         args[-1] = str(blocker / "out.csv")
         assert main(args) == 3
         assert "I/O failure" in capsys.readouterr().err
+
+
+# a small valid run per subcommand; solve2d at n <= 2 would run K to its cap
+SWEEP_BASES = {
+    "solve1d": ["--T", "1", "--n", "3", "--m", "21", "--xmin", "-10", "--xmax", "10"],
+    "validate": ["--T", "1", "--n", "3", "--m", "21", "--xmin", "-10", "--xmax", "10",
+                 "--alpha", "1"],
+    "solve2d": ["--n", "4", "--m", "11"],
+    "stochastic": ["--alpha", "2", "--steps", "3", "--m", "21", "--noise-mode", "smooth"],
+}
+SWEEP_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e-160", "1e160", "1e300")
+
+
+def numeric_flags(subcommand):
+    """Every int or float option the subcommand's parser takes, read from the parser itself."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in sub.choices[subcommand]._actions
+            if a.type in (int, float)]
+
+
+class TestExtremeInputs:
+    @pytest.mark.parametrize("subcommand", sorted(SWEEP_BASES))
+    def test_every_numeric_flag_at_every_extreme(self, subcommand, tmp_path, capsys):
+        # tier-1 turns a RuntimeWarning into an exception, so one escaping main is a failure here
+        out = tmp_path / "out.csv"
+        failures = []
+        for flag in numeric_flags(subcommand):
+            for value in SWEEP_VALUES:
+                argv = [subcommand, *SWEEP_BASES[subcommand], f"{flag}={value}", "-o", str(out)]
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)
+                        code = main(argv)
+                except Exception as exc:  # noqa: BLE001 - any escape is the finding
+                    failures.append(f"{flag}={value}: {type(exc).__name__}: {exc}")
+                    continue
+                if code not in (0, 1, 2, 3):
+                    failures.append(f"{flag}={value}: exit {code}")
+                elif code == 0:
+                    _, _, rows = read_csv(out)
+                    values = np.array(rows, dtype=float)
+                    if not np.all(np.isfinite(values)):
+                        failures.append(f"{flag}={value}: exit 0 with non-finite CSV values")
+                capsys.readouterr()
+        assert not failures, "\n".join(failures)
+
+    def test_negative_step_count_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        base = ["stochastic", "--alpha", "2", "-o", str(out)]
+        assert main(base + ["--steps=-1"]) == 1
+        assert "I must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(base + ["--steps=0", "--T", "1"]) == 0
+        assert "# steps=5" in read_csv(out)[0]  # the default partition: T / h = 1 / 0.2
 
 
 class TestOutputs:

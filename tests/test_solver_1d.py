@@ -1,4 +1,6 @@
+import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from memwave import (
     source_weights,
     sup_error,
 )
+from memwave import sample, solver_1d
 from memwave.solver_1d import MAX_SLABS, boundary_magnitude
 from memwave.sparse_linalg import laplacian, sine_eigenvalues
 
@@ -53,6 +56,13 @@ class TestGrid1D:
         with pytest.raises(ValueError, match="finite span"):
             Grid1D(x_min, x_max, 11)
 
+    @pytest.mark.parametrize("x_min, x_max, m", [(-1e160, 1e160, 21), (-1e300, 10.0, 21),
+                                                 (0.0, 1e-160, 3), (0.0, 1e-300, 11)])
+    def test_rejects_spacing_without_finite_square_and_reciprocal(self, x_min, x_max, m):
+        # the sine eigenvalues need h^2 and the stencil 1/h^2 as finite floats
+        with pytest.raises(ValueError, match="no finite h\\^2 and 1/h\\^2"):
+            Grid1D(x_min, x_max, m)
+
 
 class TestInitialField1D:
     def test_gaussian(self):
@@ -68,6 +78,20 @@ class TestInitialField1D:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             InitialField1D.gaussian(0.0)
+        # past about 1e154 sigma^2 overflows; below about 1e-154 it is subnormal
+        for sigma in (-1.0, math.nan, math.inf, 1e160, 1e300, 1e-160, 1e-300):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                InitialField1D.gaussian(sigma)
+
+    @pytest.mark.parametrize("sigma", [1.5e-154, 1e-8, 1.0, 2.5, 1e154])
+    def test_extreme_accepted_widths_stay_finite_and_exact(self, sigma):
+        x = Grid1D(-15.0, 15.0, 151).points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = InitialField1D.gaussian(sigma).evaluate(x)
+        assert np.all(np.isfinite(values))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(values, np.exp(-(x**2) / sigma**2))
 
     def test_pickle_round_trip(self):
         g = InitialField1D.gaussian(1.5)
@@ -156,6 +180,28 @@ class TestAssemble1D:
         with pytest.raises(ValueError, match="N=20002 exceeds the direct-solver threshold"):
             solve_1d(MemoryOrder(1.5), 1.0, 2, Grid1D(-6.0, 6.0, 10_001),
                      InitialField1D.gaussian(1.0), method="direct")
+
+
+class TestSampleGate:
+    nan_at_origin = InitialField1D(lambda *c: np.where(c[0] == 0.0, np.nan, 0.0), "nan at 0")
+
+    def test_non_finite_sample_is_refused(self):
+        with pytest.raises(ValueError, match="not finite on the grid"):
+            sample(self.nan_at_origin, Grid1D(-10.0, 10.0, 21))
+
+    def test_solve_1d_refuses_before_the_solve(self):
+        with pytest.raises(ValueError, match="not finite on the grid"):
+            solve_1d(MemoryOrder(1.5), 1.0, 3, Grid1D(-10.0, 10.0, 21), self.nan_at_origin)
+
+    def test_solve_2d_refuses_before_the_slab_choice(self, monkeypatch):
+        # refused before the slab choice, which a NaN would drive to its cap
+        def no_slabs(*args):
+            raise AssertionError("chose slabs for a non-finite g")
+
+        monkeypatch.setattr(solver_1d, "choose_slabs", no_slabs)
+        g = InitialField2D(self.nan_at_origin.rule, "nan at 0")
+        with pytest.raises(ValueError, match="not finite on the grid"):
+            solve_2d(MemoryOrder(1.5), 1.0, 4, Grid2D(-10.0, 10.0, 21), g)
 
 
 class TestSolve1D:

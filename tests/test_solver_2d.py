@@ -1,4 +1,6 @@
+import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +88,28 @@ class TestInitialField2D:
             InitialField2D.radial_gaussian(0.0)
         with pytest.raises(ValueError):
             InitialField2D.anisotropic_gaussian(1.0, -2.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 1e160, 1e300, 1e-160, 1e-300])
+    def test_rejects_widths_without_a_finite_normal_square(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            InitialField2D.radial_gaussian(sigma)
+        with pytest.raises(ValueError, match="sigma1 must be positive"):
+            InitialField2D.anisotropic_gaussian(sigma, 1.0)
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            InitialField2D.anisotropic_gaussian(1.0, sigma)
+
+    @pytest.mark.parametrize("sigma", [1.5e-154, 1e-8, 2.0, 1e154])
+    def test_extreme_accepted_widths_stay_finite_and_exact(self, sigma):
+        X, Y = Grid2D(-15.0, 15.0, 31).mesh()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            radial = InitialField2D.radial_gaussian(sigma).evaluate(X, Y)
+            rotated = InitialField2D.anisotropic_gaussian(sigma, 2.0).evaluate(X, Y)
+        assert np.all(np.isfinite(radial)) and np.all(np.isfinite(rotated))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(radial, np.exp(-(X**2 + Y**2) / sigma**2))
+            assert np.array_equal(rotated, np.exp(-((X + Y) ** 2) / sigma**2
+                                                  - (X - Y) ** 2 / 2.0**2))
 
     @pytest.mark.parametrize("g", [InitialField2D.radial_gaussian(2.0),
                                    InitialField2D.anisotropic_gaussian(3.0, 1.5)])

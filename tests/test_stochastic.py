@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memwave import (
+    EdgeWarning,
     Grid1D,
     InitialField1D,
     MemoryOrder,
@@ -35,6 +37,12 @@ class TestNoiseModel:
             NoiseModel(spatial_mode="rough")
         with pytest.raises(ValueError):
             NoiseModel(correlation_length=0.0)
+        # an infinite strength or length has no finite increments or kernel
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="noise strength"):
+                NoiseModel(strength=bad)
+            with pytest.raises(ValueError, match="correlation length"):
+                NoiseModel(correlation_length=bad)
         with pytest.raises(ValueError):
             NoiseModel(seed=-1)
         with pytest.raises(ValueError):
@@ -134,6 +142,29 @@ class TestSampleIncrements:
         rows = [h * np.convolve(row, kernel, mode="full")[w : w + self.grid.m] for row in raw]
         assert np.max(np.abs(smooth - np.array(rows))) <= 1e-14 * np.max(np.abs(smooth))
 
+    @pytest.mark.parametrize("ell", [1e-3, 1e-160, 1e-300])
+    def test_narrow_smooth_kernel_is_the_per_node_limit(self, ell):
+        # below h/40 the kernel is [0, 1, 0], with no division by a zero or subnormal 2 ell^2
+        part = TimePartition(1.0, 30)
+        raw = sample_increments(NoiseModel(strength=0.5, seed=5), self.grid, part)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            smooth = sample_increments(
+                NoiseModel(strength=0.5, spatial_mode="smooth", correlation_length=ell, seed=5),
+                self.grid, part,
+            )
+        assert np.max(np.abs(smooth - raw)) <= 1e-15
+
+    @pytest.mark.parametrize("ell", [1e6, 1e300])
+    def test_smoothing_wider_than_the_cap_is_refused_before_drawing(self, ell, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before the size check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        model = NoiseModel(strength=0.5, spatial_mode="smooth", correlation_length=ell)
+        with pytest.raises(ValueError, match="exceeds the cap of"):
+            sample_increments(model, self.grid, TimePartition(1.0, 30))
+
     def test_smooth_mode_reduces_variance(self):
         part = TimePartition(1.0, 2000)
         raw = sample_increments(NoiseModel(strength=0.5, seed=5), self.grid, part)
@@ -169,6 +200,13 @@ class TestStochasticConvolution:
         part = TimePartition(1.0, 10)
         with pytest.raises(ValueError):
             stochastic_convolution(2, part, np.zeros((10, 200)), grid)
+
+    def test_fractional_order_refused_with_zero_increments(self):
+        # the order is checked even when every increment row is zero and skipped
+        grid = Grid1D(-10.0, 10.0, 21)
+        part = TimePartition(1.0, 4)
+        with pytest.raises(ValueError, match="alpha in"):
+            stochastic_convolution(1.5, part, np.zeros((4, 21)), grid)
 
     def test_left_endpoint_rule_first_order(self):
         # deterministic forcing phi(x) cos(2 s): the convolution sum is a
@@ -211,6 +249,12 @@ class TestSimulateTrajectory:
                 assert np.array_equal(traj.fields[k],
                                       resolvent_apply(alpha, k * part.tau, gvals, self.grid))
             assert np.array_equal(traj.final_field, traj.fields[-1])
+
+    def test_non_finite_initial_data_is_refused(self):
+        # g reaches the grid through the solver's sampling gate
+        g = InitialField1D(lambda x: np.where(x == 0.0, np.nan, 0.0), "nan at 0")
+        with pytest.raises(ValueError, match="not finite on the grid"):
+            simulate_trajectory(2, g, NoiseModel(), TimePartition(1.0, 4), Grid1D(-10.0, 10.0, 21))
 
     def test_bit_reproducible(self):
         part = TimePartition(2.0, 10)
@@ -430,3 +474,22 @@ class TestEdgeWarning:
 
     def test_wave_trajectory_does_not_warn(self):
         assert self.edge_warnings(2) == []
+
+    def test_other_warnings_reach_the_caller_once_with_their_category(self, monkeypatch):
+        class Marker(UserWarning):
+            pass
+
+        part, apply = TimePartition(6.0, 30), stochastic.resolvent_apply
+
+        def marked(alpha, t, f, grid):
+            if t == 2 * part.tau:
+                warnings.warn("marked step", Marker)
+            return apply(alpha, t, f, grid)
+
+        monkeypatch.setattr(stochastic, "resolvent_apply", marked)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulate_trajectory(1, self.g, NoiseModel(), part, self.grid)
+        assert [(w.category, str(w.message)) for w in caught if w.category is not EdgeWarning] \
+            == [(Marker, "marked step")]
+        assert sum(w.category is EdgeWarning for w in caught) == 1

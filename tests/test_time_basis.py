@@ -60,6 +60,11 @@ class TestBasis:
             build_basis(0.0, 3)
         with pytest.raises(ValueError):
             build_basis(-2.0, 3)
+        # a fractional count is refused, not truncated
+        with pytest.raises(ValueError, match="basis size n must be a positive integer"):
+            build_basis(1.0, 2.7)
+        with pytest.raises(ValueError, match="slab count must be a positive integer"):
+            build_basis(1.0, 3, 2.5)
 
     @pytest.mark.parametrize("T", [np.inf, np.nan])
     def test_rejects_non_finite_horizon(self, T):
