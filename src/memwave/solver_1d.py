@@ -206,9 +206,10 @@ def boundary_magnitude(values) -> float:
     return float(max(abs(x) for axis in range(v.ndim) for x in v.take((0, -1), axis).flat))
 
 
-def _check_edges(values, template: str, stacklevel: int) -> None:
-    """The one face check: warns EdgeWarning(template.format(edge)) above BOUNDARY_DECAY_TOL."""
-    edge = boundary_magnitude(values)
+def _check_edges(template: str, *fields, stacklevel: int) -> None:
+    """The one face check: one EdgeWarning(template.format(edge)), edge the fields' largest
+    face value, if that is above BOUNDARY_DECAY_TOL."""
+    edge = max(map(boundary_magnitude, fields))
     if edge > BOUNDARY_DECAY_TOL:
         warnings.warn(template.format(edge), EdgeWarning, stacklevel=stacklevel + 1)
 
@@ -296,8 +297,8 @@ def solve_slabs(
     if method == "direct":
         check_direct(n * math.prod(grid.shape))
     g_values, h = sample(g, grid), grid.h
-    _check_edges(g_values, "initial data is {:.2e} at the grid boundary; free-boundary "
-                 "closure assumes negligible values there", stacklevel=3)
+    _check_edges("initial data is {:.2e} at the grid boundary; free-boundary "
+                 "closure assumes negligible values there", g_values, stacklevel=3)
     K, drift, capped = choose_slabs(order, T, n, g_values, h)
     if capped:
         warnings.warn(

@@ -5,8 +5,9 @@ n x n outer block structure over the coupling matrix a.  kron_system keeps
 them as their two factors, the dense a and the sparse Laplacian L, and
 applies them through those; the compressed-row matrix is built only when
 its entries are read.  Small systems go through a sparse LU factorization
-of that matrix; large ones use the bi-conjugate gradient iteration, which
-needs only the products.
+of a compressed-column matrix built from the two factors with each grid
+point's n unknowns together; large ones use the bi-conjugate gradient
+iteration, which needs only the products.
 
 Its preconditioner is the exact inverse of the system.  The orthonormal
 type-I sine transform along every spatial axis diagonalizes the zero-ghost
@@ -85,11 +86,12 @@ class SparseMatrix:
     product costs n nnz(L) + n^2 M multiply-adds, not the n^2 nnz(L) of the
     matrix.  SparseMatrix(matrix) wraps an explicit matrix instead.
 
-    csr, the compressed-row matrix, is built from the factors on first read
-    and cached; nnz, lu_solve and write_matrix_market read it.  It keeps the
-    storage contract: square shape, indices in range, no explicitly stored
-    zero values.  The matrix is not modified after construction, so lu_solve
-    keeps the LU factors of its first call here and reuses them.
+    csr, the compressed-row matrix with the basis index outermost, is built
+    from the factors on first read and cached; nnz and write_matrix_market
+    read it, and lu_solve reads it only for an explicit matrix.  It keeps
+    the storage contract: square shape, indices in range, no explicitly
+    stored zero values.  The matrix is not modified after construction, so
+    lu_solve keeps the LU factors of its first call here and reuses them.
     """
 
     def __init__(self, matrix):
@@ -258,9 +260,33 @@ def _kron_csr(a: np.ndarray, L: sp.csr_matrix) -> sp.csr_matrix:
     return _checked_csr(sp.csr_matrix((data.ravel(), cols, indptr), shape=(n * M,) * 2))
 
 
+def _point_major_lu(a: np.ndarray, L: sp.csr_matrix):
+    """SuperLU factors of I + kron(a, L) with unknown (j, p) numbered p n + j: I + kron(L, a).
+
+    Its CSC is the CSR of its transpose, I + kron(L^T, a^T): a block-sparse
+    matrix whose block (p, q) is L^T[p, q] a^T, plus eye(n) where L^T stores
+    its diagonal.  Every grid point's n x n coupling block is then
+    contiguous, which suits SuperLU's supernodes.
+    """
+    n, M = a.shape[0], L.shape[0]
+    LT = L.T.tocsr()
+    offset = LT.indices - np.repeat(np.arange(M), np.diff(LT.indptr))
+    blocks = LT.data[:, None, None] * a.T
+    blocks[offset == 0] += np.eye(n)
+    csr = sp.bsr_matrix((blocks, LT.indices, LT.indptr), shape=(n * M,) * 2).tocsr()
+    csc = sp.csc_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
+    # a tridiagonal L (one axis) makes the system block tridiagonal: no fill in natural order
+    return splu(csc, permc_spec="NATURAL" if np.all(np.abs(offset) <= 1) else "MMD_AT_PLUS_A")
+
+
 def lu_solve(A: SparseMatrix, b: np.ndarray) -> np.ndarray:
     """Direct solve by sparse LU factorization, for N up to DIRECT_LIMIT.
 
+    A kron_system matrix is factored in point-major order, from its two
+    factors (_point_major_lu): b is renumbered on the way in and x on the
+    way out, and its CSR form is never built.  The column order is the
+    natural one when L is tridiagonal and a minimum-degree order of
+    A^T + A otherwise.  An explicit matrix is factored from its CSR form.
     The factors are kept on A, so later solves with the same matrix (one
     per time slab) only substitute.
     """
@@ -272,8 +298,12 @@ def lu_solve(A: SparseMatrix, b: np.ndarray) -> np.ndarray:
         if A._lu is None:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", sp.linalg.MatrixRankWarning)
-                A._lu = splu(A.csr.tocsc())
-        x = A._lu.solve(b)
+                A._lu = splu(A.csr.tocsc()) if A._factors is None else _point_major_lu(*A._factors)
+        if A._factors is None:
+            x = A._lu.solve(b)
+        else:
+            n = A._factors[0].shape[0]
+            x = A._lu.solve(b.reshape(n, -1).T.ravel()).reshape(-1, n).T.ravel()
     except (RuntimeError, sp.linalg.MatrixRankWarning) as exc:
         raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.fft import dstn
 from scipy.io import mmread
+from scipy.sparse.linalg import splu
 
 from memwave import (
     DIRECT_LIMIT,
@@ -37,6 +38,15 @@ def small_1d_system(n=2, m=5, alpha=1.5, T=1.0):
     grid = Grid1D(-6.0, 6.0, m)
     system = assemble_1d(coupling, weights, InitialField1D.gaussian(1.0), grid)
     return system, coupling, grid
+
+
+@pytest.fixture
+def refuse_csr(monkeypatch):
+    """Any build of a kron_system matrix's CSR form fails the test."""
+    def refuse(a, L):
+        raise AssertionError("the CSR form of I + kron(a, L) was built")
+
+    monkeypatch.setattr(sparse_linalg, "_kron_csr", refuse)
 
 
 class TestSparseMatrix:
@@ -220,17 +230,58 @@ class TestKronSystem:
         for got, want in ((A.matvec(x), A.csr @ x), (A.rmatvec(x), A.csr.T @ x)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_2d_bicg_solve_never_builds_the_csr_form(self, monkeypatch):
-        def refuse(a, L):
-            raise AssertionError("the CSR form of I + kron(a, L) was built")
-
-        monkeypatch.setattr(sparse_linalg, "_kron_csr", refuse)
+    def test_2d_bicg_solve_never_builds_the_csr_form(self, refuse_csr):
         field = solve_2d(MemoryOrder(1.5), 1.0, 3, Grid2D(-8.0, 8.0, 15),
                          InitialField2D.radial_gaussian(1.0), method="bicg")
         assert field.report.converged and field.report.method == "bicg+precond"
         system = kron_system(2)[2]
         with pytest.raises(AssertionError, match="CSR form"):
             system.matrix.nnz
+
+
+class TestPointMajorLu:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(1.0, 2.0),
+        n=st.integers(1, 10),
+        T=st.floats(0.5, 12.0),
+        d=st.sampled_from([1, 2]),
+        m=st.integers(3, 12),
+    )
+    def test_agrees_with_lu_of_the_basis_outer_csr(self, alpha, n, T, d, m):
+        _, _, system = kron_system(d, n=n, m=m, alpha=alpha, T=T)
+        x = lu_solve(system.matrix, system.rhs)
+        want = splu(system.matrix.csr.tocsc()).solve(system.rhs)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_never_builds_the_csr_form(self, refuse_csr):
+        for d in (1, 2):
+            system = kron_system(d)[2]
+            x = lu_solve(system.matrix, system.rhs)
+            residual = system.matrix.matvec(x) - system.rhs
+            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(system.rhs)
+        field = solve_2d(MemoryOrder(1.5), 1.0, 3, Grid2D(-8.0, 8.0, 15),
+                         InitialField2D.radial_gaussian(1.0), method="direct")
+        assert field.report.method == "direct"
+
+    def test_singular_kron_system_raises(self):
+        # I - L/2 on three points: rows 1 and 3 are both (0, 1/2, 0)
+        A = sparse_linalg.kron_system(np.array([[-0.5]]), laplacian((3,), 1.0))
+        with pytest.raises(SingularMatrixError):
+            lu_solve(A, np.ones(3))
+
+    @pytest.mark.parametrize("grid, n, basis_outer_fill", [
+        (Grid1D(-20.0, 20.0, 201), 32, 656_672),
+        (Grid2D(-8.0, 8.0, 31), 8, 2_982_056),
+    ])
+    def test_fill_stays_below_the_basis_outer_order(self, grid, n, basis_outer_fill):
+        # nnz(L + U) is exact and repeats from run to run: the basis-outer CSR
+        # factored as before gives basis_outer_fill, the point-major order
+        # 621,856 and 1,335,624
+        a = coupling_matrix(build_basis(3.0, n), MemoryOrder(1.5)).entries
+        A = sparse_linalg.kron_system(a, laplacian(grid.shape, grid.h))
+        lu_solve(A, np.ones(A.N))
+        assert A._lu.L.nnz + A._lu.U.nnz < basis_outer_fill
 
 
 def stencil_3point(m, h):
