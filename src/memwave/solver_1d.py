@@ -234,9 +234,8 @@ def assemble_1d(
     if weights.n != coupling.n:
         raise ValueError(f"coupling size {coupling.n} does not match weights size {weights.n}")
     values = sample(g, grid)
-    L = laplacian(grid.shape, grid.h)
     rhs = np.kron(weights.weights, values.ravel())
-    return BlockSystem(kron_system(coupling.entries, L), rhs, L)
+    return BlockSystem(kron_system(coupling.entries, laplacian(grid.shape, grid.h)), rhs)
 
 
 def choose_slabs(order: MemoryOrder, T: float, n: int, g_values: np.ndarray, h: float):
@@ -281,7 +280,7 @@ def solve_slabs(
     direct solve, check_direct.  Warns once when g on grid.mesh() exceeds
     BOUNDARY_DECAY_TOL on the grid faces, where the zero-ghost closure
     assumes it negligible.  assemble(coupling, weights, g, grid) builds the
-    one-slab BlockSystem, whose Laplacian also carries earlier slabs into
+    one-slab BlockSystem, whose matrix's L also carries earlier slabs into
     the right-hand side.  method "auto" takes LU for a 1D slab system of at
     most DIRECT_LIMIT unknowns and the preconditioned BiCG otherwise, in 2D
     at every size.  The matrix is factored once (LU) or preconditioned once
@@ -341,7 +340,7 @@ def solve_slabs(
             squares += (rep.residual * norm_rhs) ** 2
         return x.reshape(b.shape)
 
-    X, _ = march(blocks, b, solve, lambda x: (system.laplacian @ x.T).T)
+    X, _ = march(blocks, b, solve, lambda x: (system.matrix.L @ x.T).T)
     residual = float(np.sqrt(squares) / (np.sqrt(K) * norm_b)) if norm_b > 0 else 0.0
     report = SolveReport(iterations, residual, True, name, breakdown,
                          slabs=K, time_drift=drift, slabs_capped=capped)

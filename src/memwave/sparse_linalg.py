@@ -1,13 +1,14 @@
 """The block system operator, direct and iterative solvers, and the sine-mode preconditioner.
 
 The Galerkin systems I + kron(a, L) are real and non-symmetric, with an
-n x n outer block structure over the coupling matrix a.  kron_system keeps
-them as their two factors, the dense a and the sparse Laplacian L, and
-applies them through those; the compressed-row matrix is built only when
-its entries are read.  Small systems go through a sparse LU factorization
-of a compressed-column matrix built from the two factors with each grid
-point's n unknowns together; large ones use the bi-conjugate gradient
-iteration, which needs only the products.
+n x n outer block structure over the coupling matrix a.  SparseMatrix is
+such a system and nothing else: it keeps the two factors, the dense a and
+the sparse Laplacian L, and applies the system through them; the
+compressed-row matrix is built only when its entries are read.  Small
+systems go through the one sparse LU factorization, of a compressed-column
+matrix built from the two factors with each grid point's n unknowns
+together; large ones use the bi-conjugate gradient iteration, which needs
+only the products.
 
 Its preconditioner is the exact inverse of the system.  The orthonormal
 type-I sine transform along every spatial axis diagonalizes the zero-ghost
@@ -78,39 +79,46 @@ class SingularMatrixError(RuntimeError):
 
 
 class SparseMatrix:
-    """Square real matrix, applied by matvec and rmatvec, with its CSR form on demand.
+    """I + kron(a, L), applied by matvec and rmatvec through its two factors.
 
-    kron_system(a, L) makes I + kron(a, L) from a copy of the dense n x n a
-    and the sparse M x M L, and applies it through them: x, reshaped to X of
+    a is a float copy of the dense n x n coupling matrix and L the sparse
+    M x M Laplacian, which stores every diagonal entry.  x, reshaped to X of
     shape (n, M), maps to X + a (L X), with L acting on every row of X.  A
     product costs n nnz(L) + n^2 M multiply-adds, not the n^2 nnz(L) of the
-    matrix.  SparseMatrix(matrix) wraps an explicit matrix instead.
+    matrix.
 
     csr, the compressed-row matrix with the basis index outermost, is built
-    from the factors on first read and cached; nnz and write_matrix_market
-    read it, and lu_solve reads it only for an explicit matrix.  It keeps
-    the storage contract: square shape, indices in range, no explicitly
-    stored zero values.  The matrix is not modified after construction, so
-    lu_solve keeps the LU factors of its first call here and reuses them.
+    by _kron_csr on first read and cached; nnz and write_matrix_market read
+    it.  _lu, the SuperLU factors of the point-major CSC (_point_major_lu),
+    is built on lu_solve's first call and cached, so later solves with the
+    same matrix (one per time slab) only substitute.  Neither factor is
+    modified after construction.
     """
 
-    def __init__(self, matrix):
-        self.csr = _checked_csr(matrix)  # an instance value takes the cached property's place
-        self.N = self.csr.shape[0]
-        self._factors = None
-        self._lu = None
-
-    @classmethod
-    def _kron(cls, a: np.ndarray, L: sp.csr_matrix) -> "SparseMatrix":
-        A = cls.__new__(cls)
-        A.N = a.shape[0] * L.shape[0]
-        A._factors = (np.array(a, dtype=float), L)
-        A._lu = None
-        return A
+    def __init__(self, a, L: sp.csr_matrix):
+        self.a = np.array(a, dtype=float)
+        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
+            raise ValueError(f"coupling matrix a must be square, got shape {self.a.shape}")
+        if L.shape[0] != L.shape[1]:
+            raise ValueError(f"Laplacian L must be square, got shape {L.shape}")
+        rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
+        stored = np.zeros(L.shape[0], dtype=bool)
+        stored[rows[L.indices == rows]] = True
+        if not stored.all():
+            # _kron_csr and _point_major_lu add the identity only where L stores its diagonal
+            raise ValueError("Laplacian L must store every diagonal entry")
+        self.L = L
+        self.N = self.a.shape[0] * L.shape[0]
 
     @functools.cached_property
     def csr(self) -> sp.csr_matrix:
-        return _kron_csr(*self._factors)
+        return _kron_csr(self.a, self.L)
+
+    @functools.cached_property
+    def _lu(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sp.linalg.MatrixRankWarning)
+            return _point_major_lu(self.a, self.L)
 
     @property
     def nnz(self) -> int:
@@ -122,22 +130,21 @@ class SparseMatrix:
             raise ValueError(f"vector length {x.shape} does not match N={self.N}")
         return x
 
+    def _rhs(self, b) -> np.ndarray:
+        """b as a float vector of length N, refused unless every entry is finite."""
+        b = self._vector(b)
+        if not np.all(np.isfinite(b)):
+            raise ValueError("right-hand side is not finite")
+        return b
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = self._vector(x)
-        if self._factors is None:
-            return self.csr @ x
-        a, L = self._factors
-        X = x.reshape(len(a), -1)
-        return (X + a @ (L @ X.T).T).ravel()
+        X = self._vector(x).reshape(len(self.a), -1)
+        return (X + self.a @ (self.L @ X.T).T).ravel()
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """Product with the transpose, A^T x."""
-        x = self._vector(x)
-        if self._factors is None:
-            return self.csr.T @ x
-        a, L = self._factors
-        X = x.reshape(len(a), -1)
-        return (X + a.T @ (L.T @ X.T).T).ravel()
+        X = self._vector(x).reshape(len(self.a), -1)
+        return (X + self.a.T @ (self.L.T @ X.T).T).ravel()
 
 
 @dataclass
@@ -190,11 +197,10 @@ class SinePreconditioner:
 
 @dataclass
 class BlockSystem:
-    """Assembled block system: matrix, right-hand side and the Laplacian the matrix holds."""
+    """Assembled block system: the matrix I + kron(a, L) and its right-hand side."""
 
     matrix: SparseMatrix
     rhs: np.ndarray
-    laplacian: sp.csr_matrix = field(repr=False)
 
     @property
     def N(self) -> int:
@@ -216,23 +222,14 @@ def check_direct(N: int) -> None:
 def kron_system(a: np.ndarray, L: sp.csr_matrix) -> SparseMatrix:
     """I + kron(a, L) for a dense n x n a and an M x M L that stores its diagonal.
 
-    The nonzero count n^2 nnz(L) of its CSR form goes through check_nnz
-    first, which also keeps every int32 index of that form in range.  The
-    returned matrix holds a copy of a and L itself and applies the system
-    through them; its csr is built on first read, by _kron_csr.
+    SparseMatrix refuses a non-square factor and an L that misses a
+    diagonal entry; the nonzero count n^2 nnz(L) of its CSR form then goes
+    through check_nnz, which also keeps every int32 index of that form in
+    range.
     """
-    check_nnz(a.shape[0] ** 2 * L.nnz)
-    return SparseMatrix._kron(a, L)
-
-
-def _checked_csr(matrix) -> sp.csr_matrix:
-    csr = sp.csr_matrix(matrix)
-    if csr.shape[0] != csr.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {csr.shape}")
-    csr.sum_duplicates()
-    csr.eliminate_zeros()
-    csr.check_format()
-    return csr
+    A = SparseMatrix(a, L)
+    check_nnz(len(A.a) ** 2 * L.nnz)
+    return A
 
 
 def _kron_csr(a: np.ndarray, L: sp.csr_matrix) -> sp.csr_matrix:
@@ -257,7 +254,10 @@ def _kron_csr(a: np.ndarray, L: sp.csr_matrix) -> sp.csr_matrix:
     data[k, slot[:, diagonal]] += 1.0
     cols = np.tile(L.indices[entry] + block * M, n)
     indptr = np.append((n * k * nnz + n * ptr[:-1]).ravel(), n * n * nnz).astype(np.int32)
-    return _checked_csr(sp.csr_matrix((data.ravel(), cols, indptr), shape=(n * M,) * 2))
+    csr = sp.csr_matrix((data.ravel(), cols, indptr), shape=(n * M,) * 2)
+    csr.eliminate_zeros()
+    csr.check_format()
+    return csr
 
 
 def _point_major_lu(a: np.ndarray, L: sp.csr_matrix):
@@ -282,28 +282,19 @@ def _point_major_lu(a: np.ndarray, L: sp.csr_matrix):
 def lu_solve(A: SparseMatrix, b: np.ndarray) -> np.ndarray:
     """Direct solve by sparse LU factorization, for N up to DIRECT_LIMIT.
 
-    A kron_system matrix is factored in point-major order, from its two
-    factors (_point_major_lu): b is renumbered on the way in and x on the
-    way out, and its CSR form is never built.  The column order is the
-    natural one when L is tridiagonal and a minimum-degree order of
-    A^T + A otherwise.  An explicit matrix is factored from its CSR form.
-    The factors are kept on A, so later solves with the same matrix (one
-    per time slab) only substitute.
+    A is factored in point-major order, from its two factors
+    (_point_major_lu): b is renumbered on the way in and x on the way out,
+    and its CSR form is never built.  The column order is the natural one
+    when L is tridiagonal and a minimum-degree order of A^T + A otherwise.
+    The factors are cached on A (A._lu), so later solves with the same
+    matrix (one per time slab) only substitute.  A b that is not finite is
+    refused before any work.
     """
     check_direct(A.N)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.N,):
-        raise ValueError(f"right-hand side length {b.shape} does not match N={A.N}")
+    b = A._rhs(b)
+    n = len(A.a)
     try:
-        if A._lu is None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", sp.linalg.MatrixRankWarning)
-                A._lu = splu(A.csr.tocsc()) if A._factors is None else _point_major_lu(*A._factors)
-        if A._factors is None:
-            x = A._lu.solve(b)
-        else:
-            n = A._factors[0].shape[0]
-            x = A._lu.solve(b.reshape(n, -1).T.ravel()).reshape(-1, n).T.ravel()
+        x = A._lu.solve(b.reshape(n, -1).T.ravel()).reshape(-1, n).T.ravel()
     except (RuntimeError, sp.linalg.MatrixRankWarning) as exc:
         raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -402,13 +393,14 @@ def bicg_solve(
     declared on the true relative residual ||b - Ax|| / ||b||.  A breakdown
     (vanishing inner product) triggers one restart from the current iterate
     with a fresh shadow vector; a second breakdown is reported distinctly
-    from plain non-convergence via the report's breakdown flag.
+    from plain non-convergence via the report's breakdown flag.  A b that
+    is not finite is refused before any work.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    b = np.asarray(b, dtype=float)
+    b = A._rhs(b)
     method = "bicg+precond" if precond is not None else "bicg"
 
     def m_apply(v):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +18,6 @@ from memwave import (
     InitialField2D,
     MemoryOrder,
     SingularMatrixError,
-    SparseMatrix,
     assemble_1d,
     assemble_2d,
     bicg_solve,
@@ -23,6 +25,7 @@ from memwave import (
     build_preconditioner,
     coupling_matrix,
     lu_solve,
+    solve_1d,
     solve_2d,
     source_weights,
     write_matrix_market,
@@ -40,6 +43,12 @@ def small_1d_system(n=2, m=5, alpha=1.5, T=1.0):
     return system, coupling, grid
 
 
+def square(B):
+    """The square matrix B as kron_system(B - I, 1 x 1 identity): exact for small-integer B."""
+    B = np.asarray(B, dtype=float)
+    return sparse_linalg.kron_system(B - np.eye(len(B)), sp.identity(1, format="csr"))
+
+
 @pytest.fixture
 def refuse_csr(monkeypatch):
     """Any build of a kron_system matrix's CSR form fails the test."""
@@ -52,28 +61,28 @@ def refuse_csr(monkeypatch):
 class TestSparseMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            SparseMatrix(sp.csr_matrix((3, 4)))
+            sparse_linalg.kron_system(np.zeros((3, 4)), sp.identity(1, format="csr"))
 
     def test_drops_explicit_zeros(self):
-        raw = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        raw.data[0] = 0.0
-        A = SparseMatrix(raw)
+        # a's exact zeros, and 1 + (-1) on the diagonal, store nothing: I + a = diag(0, 2)
+        A = sparse_linalg.kron_system(np.array([[-1.0, 0.0], [0.0, 1.0]]),
+                                      sp.identity(1, format="csr"))
         assert A.nnz == 1
 
     def test_dimension_and_nnz(self):
-        A = SparseMatrix(sp.identity(7, format="csr"))
+        A = square(np.eye(7))
         assert A.N == 7
         assert A.nnz == 7
 
     def test_matvec_identity_and_zero(self):
         x = np.arange(4.0)
-        eye = SparseMatrix(sp.identity(4, format="csr"))
+        eye = square(np.eye(4))
         assert np.array_equal(eye.matvec(x), x)
-        zero = SparseMatrix(sp.csr_matrix((4, 4)))
+        zero = square(np.zeros((4, 4)))
         assert np.array_equal(zero.matvec(x), np.zeros(4))
 
     def test_matvec_dimension_mismatch(self):
-        eye = SparseMatrix(sp.identity(4, format="csr"))
+        eye = square(np.eye(4))
         with pytest.raises(ValueError):
             eye.matvec(np.zeros(5))
 
@@ -83,26 +92,26 @@ class TestSparseMatrix:
         rng = np.random.default_rng(seed)
         dense = rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.5)
         x = rng.standard_normal(6)
-        A = SparseMatrix(sp.csr_matrix(dense))
+        A = square(dense)
         assert np.max(np.abs(A.matvec(x) - dense @ x)) < 1e-14
         assert np.max(np.abs(A.rmatvec(x) - dense.T @ x)) < 1e-14
 
 
 class TestLuSolve:
     def test_identity(self):
-        A = SparseMatrix(sp.identity(3, format="csr"))
+        A = square(np.eye(3))
         b = np.array([1.0, 2.0, 3.0])
         assert np.allclose(lu_solve(A, b), b)
 
     def test_diagonal(self):
-        A = SparseMatrix(sp.diags([np.array([2.0, 4.0])], [0], format="csr"))
+        A = square(np.diag([2.0, 4.0]))
         assert np.allclose(lu_solve(A, np.array([2.0, 8.0])), [1.0, 2.0])
 
     def test_matches_dense_elimination(self):
         rng = np.random.default_rng(7)
         dense = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
         b = rng.standard_normal(5)
-        x = lu_solve(SparseMatrix(sp.csr_matrix(dense)), b)
+        x = lu_solve(square(dense), b)
         assert np.max(np.abs(x - np.linalg.solve(dense, b))) < 1e-10
 
     def test_residual_contract(self):
@@ -112,19 +121,30 @@ class TestLuSolve:
         assert res <= 1e-10
 
     def test_singular_matrix(self):
-        A = SparseMatrix(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
+        A = square([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularMatrixError):
             lu_solve(A, np.array([1.0, 2.0]))
 
     def test_threshold(self):
-        A = SparseMatrix(sp.identity(DIRECT_LIMIT + 1, format="csr"))
+        # the identity through L, not a: a dense (N, N) a would take 3.2 GB
+        A = sparse_linalg.kron_system(np.zeros((1, 1)),
+                                      sp.identity(DIRECT_LIMIT + 1, format="csr"))
         with pytest.raises(ValueError):
             lu_solve(A, np.zeros(DIRECT_LIMIT + 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_rhs_before_factoring(self, bad):
+        system, _, _ = small_1d_system()
+        b = system.rhs.copy()
+        b[3] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            lu_solve(system.matrix, b)
+        assert "_lu" not in vars(system.matrix)
 
 
 class TestBicgSolve:
     def test_identity_single_iteration(self):
-        A = SparseMatrix(sp.identity(5, format="csr"))
+        A = square(np.eye(5))
         b = np.arange(1.0, 6.0)
         x, report = bicg_solve(A, b)
         assert report.converged
@@ -160,14 +180,14 @@ class TestBicgSolve:
     def test_breakdown_restart_recovers(self):
         # skew system: the first shadow choice hits a vanishing inner product,
         # the single restart with a fresh shadow then solves it
-        A = SparseMatrix(sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]])))
+        A = square([[0.0, 1.0], [-1.0, 0.0]])
         x, report = bicg_solve(A, np.array([1.0, 0.0]))
         assert report.converged
         assert not report.breakdown
         assert np.allclose(x, [0.0, 1.0], atol=1e-12)
 
     def test_repeated_breakdown_reported_distinctly(self):
-        A = SparseMatrix(sp.csr_matrix((3, 3)))
+        A = square(np.zeros((3, 3)))
         x, report = bicg_solve(A, np.ones(3))
         assert not report.converged
         assert report.breakdown
@@ -180,17 +200,32 @@ class TestBicgSolve:
         assert report.iterations == 1
 
     def test_zero_rhs(self):
-        A = SparseMatrix(sp.identity(3, format="csr"))
+        A = square(np.eye(3))
         x, report = bicg_solve(A, np.zeros(3))
         assert report.converged
         assert np.array_equal(x, np.zeros(3))
 
     def test_parameter_validation(self):
-        A = SparseMatrix(sp.identity(2, format="csr"))
+        A = square(np.eye(2))
         with pytest.raises(ValueError):
             bicg_solve(A, np.ones(2), tol=0.0)
         with pytest.raises(ValueError):
             bicg_solve(A, np.ones(2), max_iter=0)
+        with pytest.raises(ValueError):
+            bicg_solve(A, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_rhs_before_iterating(self, monkeypatch, bad):
+        system, _, _ = small_1d_system()
+        b = system.rhs.copy()
+        b[3] = bad
+
+        def no_product(x):
+            raise AssertionError("a product was taken")
+
+        monkeypatch.setattr(system.matrix, "matvec", no_product)
+        with pytest.raises(ValueError, match="not finite"):
+            bicg_solve(system.matrix, b)
 
 
 class TestKronSystem:
@@ -208,7 +243,9 @@ class TestKronSystem:
         a = np.array(data.draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
         L = laplacian((m,) * d, h)
         built = sparse_linalg.kron_system(a, L).csr
-        expected = SparseMatrix(sp.identity(n * m**d) + sp.kron(sp.csr_matrix(a), L)).csr
+        expected = (sp.identity(n * m**d) + sp.kron(sp.csr_matrix(a), L)).tocsr()
+        expected.sum_duplicates()
+        expected.eliminate_zeros()
         assert built.shape == expected.shape
         for name in ("data", "indices", "indptr"):
             got, want = getattr(built, name), getattr(expected, name)
@@ -229,6 +266,31 @@ class TestKronSystem:
         x = np.random.default_rng(seed).standard_normal(A.N)
         for got, want in ((A.matvec(x), A.csr @ x), (A.rmatvec(x), A.csr.T @ x)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("a, L, match", [
+        (np.zeros((3, 4)), sp.identity(2, format="csr"), "a must be square"),
+        (np.zeros(3), sp.identity(2, format="csr"), "a must be square"),
+        (np.zeros((2, 2)), sp.csr_matrix((2, 3)), "L must be square"),
+        # the middle point stores no diagonal: I + L/2 would lose its 1 there in
+        # the CSR form and the LU factors, though not in the products
+        ([[0.5]], sp.csr_matrix([[2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]),
+         "every diagonal entry"),
+        ([[0.5]], sp.csr_matrix((3, 3)), "every diagonal entry"),
+    ], ids=["non-square-a", "one-dimensional-a", "non-square-L", "missing-middle-diagonal",
+            "empty-L"])
+    def test_refuses_factors_it_cannot_hold(self, a, L, match):
+        with pytest.raises(ValueError, match=match):
+            sparse_linalg.kron_system(a, L)
+
+    def test_keeps_a_stored_zero_on_the_diagonal(self):
+        # a stored zero is stored: the identity reaches every diagonal entry on both routes
+        L = sp.csr_matrix(([2.0, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0], [0, 1, 0, 1, 2, 1, 2],
+                           [0, 2, 5, 7]), shape=(3, 3))
+        A = sparse_linalg.kron_system([[0.5]], L)
+        b = np.array([1.0, 2.0, 3.0])
+        x = lu_solve(A, b)
+        assert np.max(np.abs(A.matvec(x) - b)) <= 1e-14
+        assert np.max(np.abs(A.csr @ x - b)) <= 1e-14
 
     def test_2d_bicg_solve_never_builds_the_csr_form(self, refuse_csr):
         field = solve_2d(MemoryOrder(1.5), 1.0, 3, Grid2D(-8.0, 8.0, 15),
@@ -282,6 +344,30 @@ class TestPointMajorLu:
         A = sparse_linalg.kron_system(a, laplacian(grid.shape, grid.h))
         lu_solve(A, np.ones(A.N))
         assert A._lu.L.nnz + A._lu.U.nnz < basis_outer_fill
+
+    def test_factors_once_and_substitutes_per_slab(self, monkeypatch):
+        calls = []
+        factor = sparse_linalg._point_major_lu
+
+        def counted(a, L):
+            calls.append(a.shape)
+            return factor(a, L)
+
+        monkeypatch.setattr(sparse_linalg, "_point_major_lu", counted)
+        field = solve_1d(MemoryOrder(1.5), 6.0, 8, Grid1D(-15.0, 15.0, 151),
+                         InitialField1D.gaussian(1.0), method="direct")
+        assert field.report.slabs > 1
+        assert calls == [(8, 8)]
+
+    def test_memwave_has_one_lu_route(self):
+        package = Path(sparse_linalg.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call) and "splu" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None)):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert len(found) == 1, f"splu calls in memwave: {found}"
 
 
 def stencil_3point(m, h):
