@@ -8,7 +8,7 @@ All outputs are CSV with '#'-prefixed metadata lines carrying the full
 configuration echo and the solver report, so a run is reproducible from
 its own output file.  Floats are printed with repr, which round-trips
 exactly.  Exit codes: 0 success, 1 invalid configuration, 2 solver
-non-convergence, 3 I/O failure.
+failure (non-convergence or a singular system), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .analytic_reference import heat_solution, wave_solution
 from .memory_kernel import MemoryOrder
 from .solver_1d import Grid1D, InitialField1D, SolverConvergenceError, assemble_1d, solve_1d
 from .solver_2d import Grid2D, InitialField2D, solve_2d
-from .sparse_linalg import DEFAULT_MAX_ITER, DEFAULT_TOL, write_matrix_market
+from .sparse_linalg import DEFAULT_MAX_ITER, DEFAULT_TOL, SingularMatrixError, write_matrix_market
 from .stochastic import NoiseModel, TimePartition, default_partition, simulate_trajectory
 from .time_basis import build_basis, coupling_matrix, source_weights
 
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError included
         print(f"memwave: invalid configuration: {exc}", file=sys.stderr)
         return 1
-    except SolverConvergenceError as exc:
+    except (SolverConvergenceError, SingularMatrixError) as exc:
         print(f"memwave: solver failed: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

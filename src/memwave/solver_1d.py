@@ -61,8 +61,8 @@ from .time_basis import (
     kernel_convolution,
     march,
     reconstruct,
+    slab_blocks,
     source_weights,
-    unit_blocks,
 )
 
 __all__ = [
@@ -307,7 +307,7 @@ def solve_slabs(
         )
     basis = build_basis(T, n, K)
     slab = coupling_matrix(build_basis(basis.slab_length, n), order)  # tau^alpha B_0
-    blocks = np.array(unit_blocks(n, order, K)) * basis.slab_length**order.alpha
+    _, blocks = slab_blocks(basis, order)
     system = assemble(slab, source_weights(build_basis(basis.slab_length, n)), g, grid)
     b = system.rhs.reshape(n, -1)
     norm_b = float(np.linalg.norm(b))

@@ -3,8 +3,8 @@
 The Galerkin systems I + kron(a, L) are real and non-symmetric, with an
 n x n outer block structure over the coupling matrix a.  SparseMatrix is
 such a system and nothing else: it keeps the two factors, the dense a and
-the sparse Laplacian L, and applies the system through them; the
-compressed-row matrix is built only when its entries are read.  Small
+the sparse Laplacian L, applies the system and counts its nonzeros through
+them, and builds its compressed-row form, scipy's kron, only when read.  Small
 systems go through the one sparse LU factorization, of a compressed-column
 matrix built from the two factors with each grid point's n unknowns
 together; large ones use the bi-conjugate gradient iteration, which needs
@@ -67,7 +67,7 @@ __all__ = [
 # solver is mandatory.
 DIRECT_LIMIT = 20_000
 
-# Largest nonzero count of a kron_system matrix's CSR form; it guards desk machines' memory.
+# Largest nonzero count of a kron_system matrix; it guards desk machines' memory.
 MAX_NNZ = 200_000_000
 
 DEFAULT_TOL = 1e-10
@@ -85,10 +85,12 @@ class SparseMatrix:
     M x M Laplacian, which stores every diagonal entry.  x, reshaped to X of
     shape (n, M), maps to X + a (L X), with L acting on every row of X.  A
     product costs n nnz(L) + n^2 M multiply-adds, not the n^2 nnz(L) of the
-    matrix.
+    matrix.  nnz counts the stored entries from the factors, block row by
+    block row, without building the matrix: a[j, k] L.data, plus 1 on L's
+    stored diagonal (_diagonal) when j == k, stores nothing where it is 0.
 
-    csr, the compressed-row matrix with the basis index outermost, is built
-    by _kron_csr on first read and cached; nnz and write_matrix_market read
+    csr, scipy's kron of the factors plus the identity with the basis index
+    outermost, is built on first read and cached; write_matrix_market reads
     it.  _lu, the SuperLU factors of the point-major CSC (_point_major_lu),
     is built on lu_solve's first call and cached, so later solves with the
     same matrix (one per time slab) only substitute.  Neither factor is
@@ -102,27 +104,35 @@ class SparseMatrix:
         if L.shape[0] != L.shape[1]:
             raise ValueError(f"Laplacian L must be square, got shape {L.shape}")
         rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
+        self._diagonal = L.indices == rows  # which of L's stored entries lie on its diagonal
         stored = np.zeros(L.shape[0], dtype=bool)
-        stored[rows[L.indices == rows]] = True
+        stored[rows[self._diagonal]] = True
         if not stored.all():
-            # _kron_csr and _point_major_lu add the identity only where L stores its diagonal
+            # nnz, csr and _point_major_lu add the identity only where L stores its diagonal
             raise ValueError("Laplacian L must store every diagonal entry")
         self.L = L
         self.N = self.a.shape[0] * L.shape[0]
 
     @functools.cached_property
     def csr(self) -> sp.csr_matrix:
-        return _kron_csr(self.a, self.L)
+        csr = sp.kron(self.a, self.L, format="csr") + sp.identity(self.N, format="csr")
+        csr.eliminate_zeros()
+        return csr
 
     @functools.cached_property
     def _lu(self):
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="raise"):
             warnings.simplefilter("error", sp.linalg.MatrixRankWarning)
             return _point_major_lu(self.a, self.L)
 
-    @property
+    @functools.cached_property
     def nnz(self) -> int:
-        return self.csr.nnz
+        count = 0
+        for j, row in enumerate(self.a):
+            block_row = np.multiply.outer(row, self.L.data)
+            block_row[j, self._diagonal] += 1.0
+            count += np.count_nonzero(block_row)
+        return count
 
     def _vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -208,7 +218,10 @@ class BlockSystem:
 
 
 def check_nnz(predicted: int) -> None:
-    """Refuse an assembly predicted to hold more than MAX_NNZ nonzeros."""
+    """Refuse an assembly predicted to hold more than MAX_NNZ nonzeros, before anything is built.
+
+    The cap bounds the point-major matrix that lu_solve factors and the exported CSR form.
+    """
     if predicted > MAX_NNZ:
         raise ValueError(f"predicted nnz {predicted} exceeds the cap {MAX_NNZ}")
 
@@ -223,41 +236,12 @@ def kron_system(a: np.ndarray, L: sp.csr_matrix) -> SparseMatrix:
     """I + kron(a, L) for a dense n x n a and an M x M L that stores its diagonal.
 
     SparseMatrix refuses a non-square factor and an L that misses a
-    diagonal entry; the nonzero count n^2 nnz(L) of its CSR form then goes
-    through check_nnz, which also keeps every int32 index of that form in
-    range.
+    diagonal entry; the matrix's largest nonzero count, n^2 nnz(L), then
+    goes through check_nnz.
     """
     A = SparseMatrix(a, L)
     check_nnz(len(A.a) ** 2 * L.nnz)
     return A
-
-
-def _kron_csr(a: np.ndarray, L: sp.csr_matrix) -> sp.csr_matrix:
-    """I + kron(a, L) in int32-indexed CSR, built straight from L's rows.
-
-    Every block row has one pattern: spatial row r holds row r of L once
-    per block column k, shifted by k M.  Block row j fills it with
-    a[j, k] L.data and adds 1 where L stores its diagonal in block j.
-    """
-    n, M, nnz = a.shape[0], L.shape[0], L.nnz
-    ptr = L.indptr.astype(np.int32)
-    count = np.diff(ptr)
-    row = np.repeat(np.arange(M, dtype=np.int32), count)
-    k = np.arange(n, dtype=np.int32)[:, None]
-    # slot[k, e]: where entry e of L sits, in block column k, within a block row
-    slot = n * ptr[row] + k * count[row] + (np.arange(nnz, dtype=np.int32) - ptr[row])
-    block, entry = np.empty((2, n * nnz), np.int32)
-    block[slot], entry[slot] = k, np.arange(nnz)
-    diagonal = L.indices == row
-    data = a.take(block, axis=1)  # C order, unlike a[:, block], so ravel() below copies nothing
-    data *= L.data[entry]  # in place: an out-of-place product holds a second copy of data
-    data[k, slot[:, diagonal]] += 1.0
-    cols = np.tile(L.indices[entry] + block * M, n)
-    indptr = np.append((n * k * nnz + n * ptr[:-1]).ravel(), n * n * nnz).astype(np.int32)
-    csr = sp.csr_matrix((data.ravel(), cols, indptr), shape=(n * M,) * 2)
-    csr.eliminate_zeros()
-    csr.check_format()
-    return csr
 
 
 def _point_major_lu(a: np.ndarray, L: sp.csr_matrix):
@@ -288,14 +272,15 @@ def lu_solve(A: SparseMatrix, b: np.ndarray) -> np.ndarray:
     when L is tridiagonal and a minimum-degree order of A^T + A otherwise.
     The factors are cached on A (A._lu), so later solves with the same
     matrix (one per time slab) only substitute.  A b that is not finite is
-    refused before any work.
+    refused before any work; a factorization that fails, entries that
+    overflow while it is built included, raises SingularMatrixError.
     """
     check_direct(A.N)
     b = A._rhs(b)
     n = len(A.a)
     try:
         x = A._lu.solve(b.reshape(n, -1).T.ravel()).reshape(-1, n).T.ravel()
-    except (RuntimeError, sp.linalg.MatrixRankWarning) as exc:
+    except (RuntimeError, FloatingPointError, sp.linalg.MatrixRankWarning) as exc:
         raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("LU solve produced non-finite values (singular matrix)")

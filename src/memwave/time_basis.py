@@ -285,6 +285,17 @@ def _unit_schur(n: int, order: MemoryOrder):
     return _UNIT_SCHUR[key]
 
 
+def slab_blocks(basis: TimeBasis, order: MemoryOrder) -> tuple[float, np.ndarray]:
+    """tau^alpha and the (K, n, n) blocks tau^alpha B_d; ValueError if either overflows a float."""
+    try:
+        with np.errstate(over="raise"):
+            scale = float(basis.slab_length) ** order.alpha
+            return scale, scale * np.array(unit_blocks(basis.size_n, order, basis.slabs))
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"slab length {basis.slab_length:g} to the power alpha = "
+                         f"{order.alpha:g} overflows a float") from None
+
+
 def coupling_matrix(basis: TimeBasis, order: MemoryOrder) -> CouplingMatrix:
     """Compute the coupling matrix a_jk from the checked unit blocks.
 
@@ -294,12 +305,11 @@ def coupling_matrix(basis: TimeBasis, order: MemoryOrder) -> CouplingMatrix:
     accurate to tau^alpha * ENTRY_TOL.
     """
     n, K = basis.size_n, basis.slabs
-    scale = basis.slab_length**order.alpha
-    blocks = unit_blocks(n, order, K)
+    _, blocks = slab_blocks(basis, order)
     a = np.zeros((basis.dimension, basis.dimension))
     for j in range(K):
         for k in range(j + 1):
-            a[j * n:(j + 1) * n, k * n:(k + 1) * n] = scale * blocks[j - k]
+            a[j * n:(j + 1) * n, k * n:(k + 1) * n] = blocks[j - k]
     return CouplingMatrix(entries=a)
 
 
@@ -350,13 +360,13 @@ def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
     """
     lam = np.asarray(lam, dtype=float)
     vals, inverse = np.unique(lam.ravel(), return_inverse=True)
-    n, K, tau = basis.size_n, basis.slabs, basis.slab_length
-    blocks = np.array(unit_blocks(n, order, K)) * tau**order.alpha
+    n, tau = basis.size_n, basis.slab_length
+    scale, blocks = slab_blocks(basis, order)
     slab = build_basis(tau, n)
     w, end = source_weights(slab).weights, slab.evaluate(tau)
     U, Z = _unit_schur(n, order)
     X, _ = march(blocks, np.broadcast_to(w[:, None], (n, vals.size)),
-                 lambda rhs, j: mode_solve(U * tau**order.alpha, Z, vals, rhs), lambda x: vals * x)
+                 lambda rhs, j: mode_solve(U * scale, Z, vals, rhs), lambda x: vals * x)
     return (end @ X[-1])[inverse].reshape(lam.shape)
 
 

@@ -129,13 +129,12 @@ class TestExitCodes:
         assert "I/O failure" in capsys.readouterr().err
 
 
-# a small valid run per subcommand; solve2d at n <= 2 would run K to its cap
+# a small valid run per subcommand, less its --alpha; solve2d at n <= 2 would run K to its cap
 SWEEP_BASES = {
     "solve1d": ["--T", "1", "--n", "3", "--m", "21", "--xmin", "-10", "--xmax", "10"],
-    "validate": ["--T", "1", "--n", "3", "--m", "21", "--xmin", "-10", "--xmax", "10",
-                 "--alpha", "1"],
+    "validate": ["--T", "1", "--n", "3", "--m", "21", "--xmin", "-10", "--xmax", "10"],
     "solve2d": ["--n", "4", "--m", "11"],
-    "stochastic": ["--alpha", "2", "--steps", "3", "--m", "21", "--noise-mode", "smooth"],
+    "stochastic": ["--steps", "3", "--m", "21", "--noise-mode", "smooth"],
 }
 SWEEP_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e-160", "1e160", "1e300")
 
@@ -149,14 +148,21 @@ def numeric_flags(subcommand):
 
 
 class TestExtremeInputs:
-    @pytest.mark.parametrize("subcommand", sorted(SWEEP_BASES))
-    def test_every_numeric_flag_at_every_extreme(self, subcommand, tmp_path, capsys):
+    # every subcommand at alpha 1, 1.5 and 2; alpha 1 keeps the bare subcommand as its id
+    @pytest.mark.parametrize("subcommand, alpha", [
+        pytest.param(sub, alpha, id=sub if alpha == "1" else f"{sub}-alpha{alpha}")
+        for sub in sorted(SWEEP_BASES) for alpha in ("1", "1.5", "2")])
+    def test_every_numeric_flag_at_every_extreme(self, subcommand, alpha, tmp_path, capsys):
         # tier-1 turns a RuntimeWarning into an exception, so one escaping main is a failure here
+        if subcommand == "validate" and alpha == "1.5":
+            pytest.skip("validate refuses alpha 1.5: its analytic reference covers 1 and 2")
         out = tmp_path / "out.csv"
         failures = []
         for flag in numeric_flags(subcommand):
             for value in SWEEP_VALUES:
-                argv = [subcommand, *SWEEP_BASES[subcommand], f"{flag}={value}", "-o", str(out)]
+                # the swept flag comes last, so it overrides --alpha when it is --alpha
+                argv = [subcommand, *SWEEP_BASES[subcommand], f"--alpha={alpha}",
+                        f"{flag}={value}", "-o", str(out)]
                 try:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", UserWarning)
@@ -173,6 +179,12 @@ class TestExtremeInputs:
                         failures.append(f"{flag}={value}: exit 0 with non-finite CSV values")
                 capsys.readouterr()
         assert not failures, "\n".join(failures)
+
+    def test_singular_wave_system_is_a_solver_failure(self, tmp_path, capsys):
+        # tau^2 = 1e308 still fits a float, but on the default grid the system's entries overflow
+        argv = ["solve1d", "--alpha", "2", "--T", "1e154", "-o", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        assert "solver failed" in capsys.readouterr().err
 
     def test_negative_step_count_is_refused(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from memwave import (
     solve_1d,
     solve_2d,
     source_weights,
+    sparsity_bound,
     write_matrix_market,
 )
 from memwave import sparse_linalg
@@ -51,11 +53,11 @@ def square(B):
 
 @pytest.fixture
 def refuse_csr(monkeypatch):
-    """Any build of a kron_system matrix's CSR form fails the test."""
-    def refuse(a, L):
+    """Any read of a kron_system matrix's CSR form fails the test."""
+    def refuse(A):
         raise AssertionError("the CSR form of I + kron(a, L) was built")
 
-    monkeypatch.setattr(sparse_linalg, "_kron_csr", refuse)
+    monkeypatch.setattr(sparse_linalg.SparseMatrix, "csr", property(refuse))
 
 
 class TestSparseMatrix:
@@ -250,6 +252,8 @@ class TestKronSystem:
         for name in ("data", "indices", "indptr"):
             got, want = getattr(built, name), getattr(expected, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+        # counted from the factors, on a fresh matrix that never built its CSR form
+        assert sparse_linalg.kron_system(a, L).nnz == built.nnz
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -296,9 +300,21 @@ class TestKronSystem:
         field = solve_2d(MemoryOrder(1.5), 1.0, 3, Grid2D(-8.0, 8.0, 15),
                          InitialField2D.radial_gaussian(1.0), method="bicg")
         assert field.report.converged and field.report.method == "bicg+precond"
-        system = kron_system(2)[2]
-        with pytest.raises(AssertionError, match="CSR form"):
-            system.matrix.nnz
+        system = kron_system(2, m=15)[2]
+        assert system.matrix.nnz == sparsity_bound(3, 15)
+
+    def test_counts_criterion_4s_largest_system_in_little_memory(self):
+        # the CSR form at n = 16, m = 200 would take about 600 MB
+        a = coupling_matrix(build_basis(6.0, 16), MemoryOrder(1.5)).entries
+        A = sparse_linalg.kron_system(a, laplacian((200, 200), 0.15))
+        tracemalloc.start()
+        try:
+            nnz = A.nnz
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nnz == sparsity_bound(16, 200) == 50_995_200
+        assert peak < 100e6, f"nnz peaked at {peak / 1e6:.0f} MB"
 
 
 class TestPointMajorLu:
