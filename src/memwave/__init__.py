@@ -8,7 +8,7 @@ discretizes space with finite differences, producing one block-sparse
 linear system per run.
 """
 
-from .memory_kernel import MemoryOrder, gamma_fn, kernel_eval
+from .memory_kernel import MemoryOrder
 from .time_basis import (
     CouplingMatrix,
     QuadratureError,
@@ -17,7 +17,6 @@ from .time_basis import (
     build_basis,
     coupling_matrix,
     endpoint_transfer,
-    kernel_convolution,
     reconstruct,
     source_weights,
 )
@@ -69,10 +68,9 @@ from .stochastic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MemoryOrder", "gamma_fn", "kernel_eval",
+    "MemoryOrder",
     "TimeBasis", "CouplingMatrix", "SourceProjection", "QuadratureError",
-    "build_basis", "coupling_matrix", "endpoint_transfer", "kernel_convolution",
-    "source_weights", "reconstruct",
+    "build_basis", "coupling_matrix", "endpoint_transfer", "source_weights", "reconstruct",
     "SparseMatrix", "SolveReport", "SinePreconditioner", "BlockSystem",
     "SingularMatrixError", "DIRECT_LIMIT",
     "lu_solve", "bicg_solve", "build_preconditioner", "write_matrix_market",

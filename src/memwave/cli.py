@@ -37,8 +37,6 @@ __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
 OUTPUT_DIR_ENV = "MEMWAVE_OUTDIR"
 
-_SUBCOMMANDS = ("solve1d", "solve2d", "stochastic", "validate")
-
 
 class ConfigError(ValueError):
     """Invalid configuration (maps to exit code 1)."""
@@ -126,7 +124,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="memwave", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _RUNNERS:
         # no prefix matching: stochastic would read "--n" as "--noise-mode"
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="key=value config file; flags override it")
@@ -213,15 +211,19 @@ def _write_csv(path: str, meta: list[str], header: str, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _run_solve1d(config: RunConfig) -> int:
+def _solve_gaussian_1d(config: RunConfig):
+    """The configured 1D grid, Gaussian datum and solve, shared by solve1d and validate."""
     grid = Grid1D(config.x_min, config.x_max, config.m)
-    g = InitialField1D.gaussian(config.sigma)
-    field = solve_1d(
-        MemoryOrder(config.alpha), config.T, config.n, grid, g,
+    return solve_1d(
+        MemoryOrder(config.alpha), config.T, config.n, grid, InitialField1D.gaussian(config.sigma),
         method=config.method, tol=config.tol, max_iter=config.max_iter,
     )
+
+
+def _run_solve1d(config: RunConfig) -> int:
+    field = _solve_gaussian_1d(config)
     times = config.times or (0.0, config.T)
-    x = [_fmt(xi) for xi in grid.points]
+    x = [_fmt(xi) for xi in field.grid.points]
     rows = []
     for t in times:
         ft, vals = _fmt(t), field.reconstruct(float(t)).tolist()
@@ -302,18 +304,13 @@ def _run_validate(config: RunConfig) -> int:
     alpha = config.alpha
     if alpha not in (1.0, 2.0):
         raise ConfigError("validate requires alpha 1 or 2 (analytic reference)")
-    grid = Grid1D(config.x_min, config.x_max, config.m)
-    g = InitialField1D.gaussian(config.sigma)
-    field = solve_1d(
-        MemoryOrder(alpha), config.T, config.n, grid, g,
-        method=config.method, tol=config.tol, max_iter=config.max_iter,
-    )
-    x = grid.points
+    field = _solve_gaussian_1d(config)
+    x = field.grid.points
     numeric = field.reconstruct(config.T)
     if alpha == 1.0:
         analytic = heat_solution(x, config.T, config.sigma)
     else:
-        analytic = wave_solution(x, config.T, g.evaluate)
+        analytic = wave_solution(x, config.T, field.initial.evaluate)
     err = np.abs(numeric - analytic)
     max_err = float(err.max())
     rows = [

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["MemoryOrder", "gamma_fn", "kernel_eval"]
+__all__ = ["MemoryOrder"]
 
 
 @dataclass(frozen=True)
@@ -23,28 +23,3 @@ class MemoryOrder:
         if not math.isfinite(a) or not 1.0 <= a <= 2.0:
             raise ValueError(f"alpha must lie in [1, 2], got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for real x > 0.
-
-    Relative accuracy is better than 1e-14 on [1, 2], the interval the
-    kernel exercises.
-    """
-    if not x > 0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x!r}")
-    return math.gamma(x)
-
-
-def kernel_eval(order: MemoryOrder, t: float) -> float:
-    """Evaluate a(t) = t^(alpha-1) / Gamma(alpha) for t >= 0.
-
-    At alpha = 1 the kernel is the constant 1 for every t, including
-    t = 0 (t^0 convention).
-    """
-    if t < 0:
-        raise ValueError(f"kernel_eval requires t >= 0, got {t!r}")
-    a = order.alpha
-    if a == 1.0:
-        return 1.0
-    return t ** (a - 1.0) / gamma_fn(a)

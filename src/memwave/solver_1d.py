@@ -32,18 +32,18 @@ import numpy as np
 from scipy.fft import dstn
 from scipy.special import roots_jacobi
 
-from .memory_kernel import MemoryOrder, gamma_fn
+from .memory_kernel import MemoryOrder
 from .sparse_linalg import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     DIRECT_LIMIT,
     BlockSystem,
     SolveReport,
+    SparseMatrix,
     bicg_solve,
     build_preconditioner,
     check_direct,
     check_nnz,
-    kron_system,
     laplacian,
     laplacian_nnz,
     lu_solve,
@@ -235,7 +235,7 @@ def assemble_1d(
         raise ValueError(f"coupling size {coupling.n} does not match weights size {weights.n}")
     values = sample(g, grid)
     rhs = np.kron(weights.weights, values.ravel())
-    return BlockSystem(kron_system(coupling.entries, laplacian(grid.shape, grid.h)), rhs)
+    return BlockSystem(SparseMatrix(coupling.entries, laplacian(grid.shape, grid.h)), rhs)
 
 
 def choose_slabs(order: MemoryOrder, T: float, n: int, g_values: np.ndarray, h: float):
@@ -402,7 +402,7 @@ def residual_orthogonality(field: SolutionField1D) -> float:
     n, K, tau, alpha = basis.size_n, basis.slabs, basis.slab_length, order.alpha
     q = 4 * n + 16
     slab = build_basis(tau, n)
-    ga = gamma_fn(alpha)
+    ga = math.gamma(alpha)
 
     C = field.coefficients.reshape(K, n, -1)
     values = sample(field.initial, grid)

@@ -53,7 +53,6 @@ __all__ = [
     "MAX_NNZ",
     "check_direct",
     "check_nnz",
-    "kron_system",
     "lu_solve",
     "bicg_solve",
     "build_preconditioner",
@@ -67,7 +66,8 @@ __all__ = [
 # solver is mandatory.
 DIRECT_LIMIT = 20_000
 
-# Largest nonzero count of a kron_system matrix; it guards desk machines' memory.
+# Largest nonzero count of a SparseMatrix, refused on construction; it guards
+# desk machines' memory.
 MAX_NNZ = 200_000_000
 
 DEFAULT_TOL = 1e-10
@@ -82,19 +82,23 @@ class SparseMatrix:
     """I + kron(a, L), applied by matvec and rmatvec through its two factors.
 
     a is a float copy of the dense n x n coupling matrix and L the sparse
-    M x M Laplacian, which stores every diagonal entry.  x, reshaped to X of
-    shape (n, M), maps to X + a (L X), with L acting on every row of X.  A
-    product costs n nnz(L) + n^2 M multiply-adds, not the n^2 nnz(L) of the
-    matrix.  nnz counts the stored entries from the factors, block row by
-    block row, without building the matrix: a[j, k] L.data, plus 1 on L's
-    stored diagonal (_diagonal) when j == k, stores nothing where it is 0.
+    M x M Laplacian, which stores every diagonal entry.  Construction
+    refuses a non-square factor, a largest nonzero count n^2 nnz(L) above
+    MAX_NNZ (check_nnz) and an L that misses a diagonal entry.  x, reshaped
+    to X of shape (n, M), maps to X + a (L X), with L acting on every row of
+    X.  A product costs n nnz(L) + n^2 M multiply-adds, not the n^2 nnz(L)
+    of the matrix.  nnz counts the stored entries from the factors, block
+    row by block row, without building the matrix: a[j, k] L.data, plus 1
+    on L's stored diagonal (_diagonal) when j == k, stores nothing where it
+    is 0.
 
     csr, scipy's kron of the factors plus the identity with the basis index
     outermost, is built on first read and cached; write_matrix_market reads
     it.  _lu, the SuperLU factors of the point-major CSC (_point_major_lu),
     is built on lu_solve's first call and cached, so later solves with the
     same matrix (one per time slab) only substitute.  Neither factor is
-    modified after construction.
+    modified after construction.  A pickled copy leaves _lu behind and
+    refactors on its first solve.
     """
 
     def __init__(self, a, L: sp.csr_matrix):
@@ -103,6 +107,7 @@ class SparseMatrix:
             raise ValueError(f"coupling matrix a must be square, got shape {self.a.shape}")
         if L.shape[0] != L.shape[1]:
             raise ValueError(f"Laplacian L must be square, got shape {L.shape}")
+        check_nnz(len(self.a) ** 2 * L.nnz)
         rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
         self._diagonal = L.indices == rows  # which of L's stored entries lie on its diagonal
         stored = np.zeros(L.shape[0], dtype=bool)
@@ -112,6 +117,10 @@ class SparseMatrix:
             raise ValueError("Laplacian L must store every diagonal entry")
         self.L = L
         self.N = self.a.shape[0] * L.shape[0]
+
+    def __getstate__(self):
+        # SuperLU factors do not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "_lu"}
 
     @functools.cached_property
     def csr(self) -> sp.csr_matrix:
@@ -230,18 +239,6 @@ def check_direct(N: int) -> None:
     """Refuse a direct solve of more than DIRECT_LIMIT unknowns."""
     if N > DIRECT_LIMIT:
         raise ValueError(f"N={N} exceeds the direct-solver threshold {DIRECT_LIMIT}")
-
-
-def kron_system(a: np.ndarray, L: sp.csr_matrix) -> SparseMatrix:
-    """I + kron(a, L) for a dense n x n a and an M x M L that stores its diagonal.
-
-    SparseMatrix refuses a non-square factor and an L that misses a
-    diagonal entry; the matrix's largest nonzero count, n^2 nnz(L), then
-    goes through check_nnz.
-    """
-    A = SparseMatrix(a, L)
-    check_nnz(len(A.a) ** 2 * L.nnz)
-    return A
 
 
 def _point_major_lu(a: np.ndarray, L: sp.csr_matrix):

@@ -296,7 +296,7 @@ def simulate_trajectory(
         times=partition.nodes,
         fields=fields,
         increments=increments,
-        alpha=alpha,
+        alpha=order,
         model=model,
         grid=grid,
     )

@@ -29,13 +29,14 @@ Gauss-Legendre.  No slab's polynomial is ever evaluated outside its slab.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import schur
 from scipy.special import roots_jacobi, roots_legendre
 
-from .memory_kernel import MemoryOrder, gamma_fn
+from .memory_kernel import MemoryOrder
 
 __all__ = [
     "TimeBasis",
@@ -171,7 +172,7 @@ def kernel_convolution(basis: TimeBasis, order: MemoryOrder, t, num_nodes: int) 
     alpha = order.alpha
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     xi, wi = roots_jacobi(num_nodes, 0.0, alpha - 1.0)
-    ga = gamma_fn(alpha)
+    ga = math.gamma(alpha)
     out = np.empty((basis.size_n, t_arr.size))
     for i, tv in enumerate(t_arr):
         if tv == 0.0:
@@ -233,7 +234,7 @@ def _unit_block(n: int, order: MemoryOrder, d: int, num_nodes: int) -> np.ndarra
     phi = build_basis(1.0, n).evaluate
     if d == 1:
         # t = 1 + u and s = 1 - v, so t - s = u + v vanishes at the shared corner
-        return adjacent_integral(phi, num_nodes, alpha) / gamma_fn(alpha)
+        return adjacent_integral(phi, num_nodes, alpha) / math.gamma(alpha)
     x, w = roots_legendre(num_nodes)
     x, w = (x + 1.0) / 2.0, w / 2.0
     # t = d + u and s = v, so t - s >= d - 1 >= 1: a smooth kernel.  Its
@@ -245,27 +246,24 @@ def _unit_block(n: int, order: MemoryOrder, d: int, num_nodes: int) -> np.ndarra
     p = phi(x)
     b = p @ (rest * np.outer(w, w)) @ p.T
     b[0, 0] += d ** (alpha - 1.0)
-    return b / gamma_fn(alpha)
+    return b / math.gamma(alpha)
 
 
-# unit blocks B_0, B_1, ... per (n, alpha, quadrature order), and the Schur
-# form of B_0 per (n, alpha); they depend on nothing else, so every horizon
-# and slab count reuses them
+# unit blocks B_0, B_1, ... and the Schur form of B_0, per (n, alpha); they
+# depend on nothing else, so every horizon and slab count reuses them
 _UNIT_BLOCKS: dict[tuple, list] = {}
 _UNIT_SCHUR: dict[tuple, tuple] = {}
 
 
-def unit_blocks(n: int, order: MemoryOrder, count: int, quad: int | None = None) -> list:
+def unit_blocks(n: int, order: MemoryOrder, count: int) -> list:
     """The unit coupling blocks B_0 .. B_{count-1}, each checked by quadrature doubling.
 
-    quad is the node count per quadrature direction (default 2n+8).  Every
-    block is recomputed at doubled order and raises QuadratureError when an
-    entry moves by more than ENTRY_TOL.  Results are cached; do not modify them.
+    Each block takes 2n+8 nodes per quadrature direction, is recomputed at
+    doubled order and raises QuadratureError when an entry moves by more
+    than ENTRY_TOL.  Results are cached; do not modify them.
     """
-    q = int(quad) if quad is not None else 2 * n + 8
-    if q < 1:
-        raise ValueError(f"quadrature order must be positive, got {quad!r}")
-    blocks = _UNIT_BLOCKS.setdefault((n, order.alpha, q), [])
+    q = 2 * n + 8
+    blocks = _UNIT_BLOCKS.setdefault((n, order.alpha), [])
     for d in range(len(blocks), count):
         b = _unit_block(n, order, d, q)
         drift = float(np.max(np.abs(b - _unit_block(n, order, d, 2 * q))))

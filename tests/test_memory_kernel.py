@@ -1,14 +1,6 @@
-import math
-
 import pytest
-from hypothesis import given, strategies as st
 
-from memwave import MemoryOrder, gamma_fn, kernel_eval
-
-# frozen from a 30-digit arbitrary-precision gamma oracle
-GAMMA_1P5 = 0.88622692545275801365
-INV_GAMMA_1P5 = 1.1283791670955125739
-KERNEL_1P25_T2 = 1.3120077946675058656
+from memwave import MemoryOrder
 
 
 class TestMemoryOrder:
@@ -21,55 +13,3 @@ class TestMemoryOrder:
     def test_rejects_outside(self, bad):
         with pytest.raises(ValueError):
             MemoryOrder(bad)
-
-
-class TestGamma:
-    def test_integer_points(self):
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(2.0) == 1.0
-
-    def test_half_integer(self):
-        assert abs(gamma_fn(1.5) - GAMMA_1P5) < 1e-15
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            gamma_fn(bad)
-
-    @given(st.floats(min_value=0.01, max_value=2.0))
-    def test_recurrence(self, x):
-        # Gamma(x+1) = x Gamma(x)
-        assert abs(gamma_fn(x + 1.0) - x * gamma_fn(x)) <= 1e-13 * abs(gamma_fn(x + 1.0))
-
-
-class TestKernelEval:
-    def test_constant_kernel_at_order_one(self):
-        assert kernel_eval(MemoryOrder(1.0), 7.3) == 1.0
-        assert kernel_eval(MemoryOrder(1.0), 0.0) == 1.0
-
-    def test_linear_kernel_at_order_two(self):
-        assert kernel_eval(MemoryOrder(2.0), 3.0) == 3.0
-        assert kernel_eval(MemoryOrder(2.0), 0.0) == 0.0
-
-    def test_fractional_values(self):
-        assert abs(kernel_eval(MemoryOrder(1.5), 1.0) - INV_GAMMA_1P5) < 1e-15
-        assert abs(kernel_eval(MemoryOrder(1.25), 2.0) - KERNEL_1P25_T2) < 1e-14
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_eval(MemoryOrder(1.5), -0.1)
-
-    @given(
-        st.floats(min_value=1.0, max_value=2.0),
-        st.floats(min_value=1e-12, max_value=1e6),
-    )
-    def test_positive_for_positive_time(self, alpha, t):
-        assert kernel_eval(MemoryOrder(alpha), t) > 0.0
-
-    @given(st.floats(min_value=1.0, max_value=2.0))
-    def test_value_at_unit_time(self, alpha):
-        # a(1) = 1/Gamma(alpha); both endpoints give exactly 1
-        got = kernel_eval(MemoryOrder(alpha), 1.0)
-        assert abs(got - 1.0 / gamma_fn(alpha)) < 1e-15
-        assert kernel_eval(MemoryOrder(1.0), 1.0) == 1.0
-        assert kernel_eval(MemoryOrder(2.0), 1.0) == 1.0

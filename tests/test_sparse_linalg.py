@@ -1,4 +1,5 @@
 import ast
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -46,14 +47,14 @@ def small_1d_system(n=2, m=5, alpha=1.5, T=1.0):
 
 
 def square(B):
-    """The square matrix B as kron_system(B - I, 1 x 1 identity): exact for small-integer B."""
+    """The square matrix B as SparseMatrix(B - I, 1 x 1 identity): exact for small-integer B."""
     B = np.asarray(B, dtype=float)
-    return sparse_linalg.kron_system(B - np.eye(len(B)), sp.identity(1, format="csr"))
+    return sparse_linalg.SparseMatrix(B - np.eye(len(B)), sp.identity(1, format="csr"))
 
 
 @pytest.fixture
 def refuse_csr(monkeypatch):
-    """Any read of a kron_system matrix's CSR form fails the test."""
+    """Any read of a SparseMatrix's CSR form fails the test."""
     def refuse(A):
         raise AssertionError("the CSR form of I + kron(a, L) was built")
 
@@ -63,11 +64,11 @@ def refuse_csr(monkeypatch):
 class TestSparseMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            sparse_linalg.kron_system(np.zeros((3, 4)), sp.identity(1, format="csr"))
+            sparse_linalg.SparseMatrix(np.zeros((3, 4)), sp.identity(1, format="csr"))
 
     def test_drops_explicit_zeros(self):
         # a's exact zeros, and 1 + (-1) on the diagonal, store nothing: I + a = diag(0, 2)
-        A = sparse_linalg.kron_system(np.array([[-1.0, 0.0], [0.0, 1.0]]),
+        A = sparse_linalg.SparseMatrix(np.array([[-1.0, 0.0], [0.0, 1.0]]),
                                       sp.identity(1, format="csr"))
         assert A.nnz == 1
 
@@ -129,7 +130,7 @@ class TestLuSolve:
 
     def test_threshold(self):
         # the identity through L, not a: a dense (N, N) a would take 3.2 GB
-        A = sparse_linalg.kron_system(np.zeros((1, 1)),
+        A = sparse_linalg.SparseMatrix(np.zeros((1, 1)),
                                       sp.identity(DIRECT_LIMIT + 1, format="csr"))
         with pytest.raises(ValueError):
             lu_solve(A, np.zeros(DIRECT_LIMIT + 1))
@@ -244,7 +245,7 @@ class TestKronSystem:
         entry = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
         a = np.array(data.draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
         L = laplacian((m,) * d, h)
-        built = sparse_linalg.kron_system(a, L).csr
+        built = sparse_linalg.SparseMatrix(a, L).csr
         expected = (sp.identity(n * m**d) + sp.kron(sp.csr_matrix(a), L)).tocsr()
         expected.sum_duplicates()
         expected.eliminate_zeros()
@@ -253,7 +254,7 @@ class TestKronSystem:
             got, want = getattr(built, name), getattr(expected, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         # counted from the factors, on a fresh matrix that never built its CSR form
-        assert sparse_linalg.kron_system(a, L).nnz == built.nnz
+        assert sparse_linalg.SparseMatrix(a, L).nnz == built.nnz
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -284,13 +285,13 @@ class TestKronSystem:
             "empty-L"])
     def test_refuses_factors_it_cannot_hold(self, a, L, match):
         with pytest.raises(ValueError, match=match):
-            sparse_linalg.kron_system(a, L)
+            sparse_linalg.SparseMatrix(a, L)
 
     def test_keeps_a_stored_zero_on_the_diagonal(self):
         # a stored zero is stored: the identity reaches every diagonal entry on both routes
         L = sp.csr_matrix(([2.0, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0], [0, 1, 0, 1, 2, 1, 2],
                            [0, 2, 5, 7]), shape=(3, 3))
-        A = sparse_linalg.kron_system([[0.5]], L)
+        A = sparse_linalg.SparseMatrix([[0.5]], L)
         b = np.array([1.0, 2.0, 3.0])
         x = lu_solve(A, b)
         assert np.max(np.abs(A.matvec(x) - b)) <= 1e-14
@@ -306,7 +307,7 @@ class TestKronSystem:
     def test_counts_criterion_4s_largest_system_in_little_memory(self):
         # the CSR form at n = 16, m = 200 would take about 600 MB
         a = coupling_matrix(build_basis(6.0, 16), MemoryOrder(1.5)).entries
-        A = sparse_linalg.kron_system(a, laplacian((200, 200), 0.15))
+        A = sparse_linalg.SparseMatrix(a, laplacian((200, 200), 0.15))
         tracemalloc.start()
         try:
             nnz = A.nnz
@@ -344,7 +345,7 @@ class TestPointMajorLu:
 
     def test_singular_kron_system_raises(self):
         # I - L/2 on three points: rows 1 and 3 are both (0, 1/2, 0)
-        A = sparse_linalg.kron_system(np.array([[-0.5]]), laplacian((3,), 1.0))
+        A = sparse_linalg.SparseMatrix(np.array([[-0.5]]), laplacian((3,), 1.0))
         with pytest.raises(SingularMatrixError):
             lu_solve(A, np.ones(3))
 
@@ -357,7 +358,7 @@ class TestPointMajorLu:
         # factored as before gives basis_outer_fill, the point-major order
         # 621,856 and 1,335,624
         a = coupling_matrix(build_basis(3.0, n), MemoryOrder(1.5)).entries
-        A = sparse_linalg.kron_system(a, laplacian(grid.shape, grid.h))
+        A = sparse_linalg.SparseMatrix(a, laplacian(grid.shape, grid.h))
         lu_solve(A, np.ones(A.N))
         assert A._lu.L.nnz + A._lu.U.nnz < basis_outer_fill
 
@@ -374,6 +375,14 @@ class TestPointMajorLu:
                          InitialField1D.gaussian(1.0), method="direct")
         assert field.report.slabs > 1
         assert calls == [(8, 8)]
+
+    def test_factored_matrix_pickles_and_refactors(self):
+        # the SuperLU factors stay behind; the copy factors again on its first solve
+        system, _, _ = small_1d_system(n=3, m=9)
+        x = lu_solve(system.matrix, system.rhs)
+        copy = pickle.loads(pickle.dumps(system.matrix))
+        assert "_lu" not in vars(copy) and "_lu" in vars(system.matrix)
+        assert np.array_equal(lu_solve(copy, system.rhs), x)
 
     def test_memwave_has_one_lu_route(self):
         package = Path(sparse_linalg.__file__).parent

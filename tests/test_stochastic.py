@@ -271,6 +271,12 @@ class TestSimulateTrajectory:
         b = simulate_trajectory(2.0, self.g, model, part, self.grid)
         assert np.array_equal(a.fields, b.fields)
 
+    @pytest.mark.parametrize("alpha", [2, 2.0, MemoryOrder(2.0)], ids=["int", "float", "order"])
+    def test_alpha_is_the_endpoint_order(self, alpha):
+        traj = simulate_trajectory(alpha, self.g, NoiseModel(strength=0.0), TimePartition(1.0, 4),
+                                   self.grid)
+        assert traj.alpha == 2 and type(traj.alpha) is int
+
     def test_noise_enters_linearly(self):
         # doubling C doubles the deviation from the deterministic path
         part = TimePartition(2.0, 10)

@@ -9,12 +9,18 @@ from memwave import (
     MemoryOrder,
     build_basis,
     coupling_matrix,
-    kernel_convolution,
     reconstruct,
     source_weights,
 )
 from memwave import time_basis
-from memwave.time_basis import QuadratureError, march, mode_solve, unit_blocks
+from memwave.time_basis import (
+    QuadratureError,
+    _unit_block,
+    kernel_convolution,
+    march,
+    mode_solve,
+    unit_blocks,
+)
 
 # coupling entries at alpha=1.5, T=1, frozen from an adaptive nested-quadrature
 # oracle (mpmath, 30 digits)
@@ -111,8 +117,8 @@ class TestCouplingMatrix:
     def test_quadrature_doubling(self, alpha):
         # the one-slab coupling on [0, 6] is 6^alpha B_0
         T, q = 6.0, 2 * 8 + 8
-        a1 = T**alpha * unit_blocks(8, MemoryOrder(alpha), 1, q)[0]
-        a2 = T**alpha * unit_blocks(8, MemoryOrder(alpha), 1, 2 * q)[0]
+        a1 = T**alpha * _unit_block(8, MemoryOrder(alpha), 0, q)
+        a2 = T**alpha * _unit_block(8, MemoryOrder(alpha), 0, 2 * q)
         assert np.max(np.abs(a1 - a2)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
@@ -130,10 +136,6 @@ class TestCouplingMatrix:
         monkeypatch.setattr(time_basis, "ENTRY_TOL", 0.0)
         with pytest.raises(QuadratureError, match="B_0 did not converge"):
             coupling_matrix(build_basis(1.0, 4), MemoryOrder(1.5))
-
-    def test_rejects_bad_quadrature(self):
-        with pytest.raises(ValueError):
-            unit_blocks(2, MemoryOrder(1.5), 1, 0)
 
 
 class TestKernelConvolution:
