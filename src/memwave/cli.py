@@ -198,7 +198,8 @@ def _report_line(report) -> str:
     return (
         f"report: method={report.method} iterations={report.iterations} "
         f"residual={_fmt(report.residual)} converged={report.converged} "
-        f"slabs={report.slabs} time_drift={_fmt(report.time_drift)}"
+        f"slabs={report.slabs} time_drift={_fmt(report.time_drift)} "
+        f"slabs_capped={report.slabs_capped} breakdown={report.breakdown}"
     )
 
 

@@ -14,8 +14,12 @@ Its preconditioner is the exact inverse of the system.  The orthonormal
 type-I sine transform along every spatial axis diagonalizes the zero-ghost
 Laplacian L = laplacian(shape, h), with eigenvalues sine_eigenvalues(shape,
 h) (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so in sine space the
-system splits into one n x n block I + lambda a per grid mode.  The
-preconditioner solves those blocks by time_basis.mode_solve between a
+system splits into one n x n block I + lambda a per grid mode.  In the
+real Schur form a = Z T Z^T (Bartels & Stewart, Comm. ACM 15, 1972), with
+T quasi-upper-triangular, every block is block upper triangular with 1 x 1
+and 2 x 2 diagonal blocks.  The preconditioner inverts those diagonal
+blocks once per mode when it is built (time_basis.mode_factors) and solves
+all modes by time_basis.mode_solve, a real back substitution, between a
 forward and a backward transform; BiCG then converges in one or two
 iterations, and the iteration itself, with its true-residual check,
 confirms the solution on the system's own products.
@@ -41,7 +45,7 @@ from scipy.fft import dstn
 from scipy.linalg import schur
 from scipy.sparse.linalg import splu
 
-from .time_basis import CouplingMatrix, mode_solve
+from .time_basis import CouplingMatrix, ModeFactors, mode_factors, mode_solve
 
 __all__ = [
     "SparseMatrix",
@@ -189,29 +193,29 @@ class SolveReport:
 class SinePreconditioner:
     """Exact inverse of I + kron(a, L) for the zero-ghost Laplacian L on a grid.
 
-    schur and schur_transpose are the complex Schur forms (U, Z) of a and
-    a^T, and lam holds L's eigenvalue for every sine mode in the grid's C order.
-    With the basis index outermost in the unknown vector, applying it is a
-    sine transform of the n spatial fields, mode_solve per mode, and the
+    factors and factors_transpose are the mode_factors of a and a^T: their
+    real Schur forms, with the diagonal blocks of I + lambda T inverted for
+    L's eigenvalue lambda of every sine mode in the grid's C order.  With
+    the basis index outermost in the unknown vector, applying it is a sine
+    transform of the n spatial fields, mode_solve per mode, and the
     transform back (the orthonormal DST-I is its own inverse).
     """
 
-    schur: tuple = field(repr=False)
-    schur_transpose: tuple = field(repr=False)
-    lam: np.ndarray = field(repr=False)
+    factors: ModeFactors = field(repr=False)
+    factors_transpose: ModeFactors = field(repr=False)
     shape: tuple
 
-    def _apply(self, v: np.ndarray, U: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        axes = tuple(range(1, len(self.shape) + 1))
-        v_hat = dstn(v.reshape((len(U),) + self.shape), type=1, norm="ortho", axes=axes)
-        y_hat = mode_solve(U, Z, self.lam, v_hat.reshape(len(U), -1))
+    def _apply(self, v: np.ndarray, factors: ModeFactors) -> np.ndarray:
+        n, axes = len(factors.T), tuple(range(1, len(self.shape) + 1))
+        v_hat = dstn(v.reshape((n,) + self.shape), type=1, norm="ortho", axes=axes)
+        y_hat = mode_solve(factors, v_hat.reshape(n, -1))
         return dstn(y_hat.reshape(v_hat.shape), type=1, norm="ortho", axes=axes).ravel()
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, *self.schur)
+        return self._apply(v, self.factors)
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, *self.schur_transpose)
+        return self._apply(v, self.factors_transpose)
 
 
 @dataclass
@@ -329,10 +333,14 @@ def build_preconditioner(
 ) -> SinePreconditioner:
     """Sine-mode inverse of I + kron(a, L) on the d-dimensional grid of m_block = m**d points.
 
-    Keeps the complex Schur forms of a and a^T, so that every apply solves
-    I + lambda a per sine mode by one back substitution.  A block whose
-    pivot 1 + lambda U_ii is zero to rounding, |1 + lambda U_ii| <=
-    n eps (1 + lambda |U_ii|), is singular and raises SingularMatrixError.
+    Takes the real Schur forms of a and a^T and inverts their 1 x 1 and
+    2 x 2 diagonal blocks of I + lambda T once per sine mode (mode_factors),
+    so that every apply solves I + lambda a per mode by one real back
+    substitution.  A mode whose block pivot is zero to rounding, |1 + lambda
+    u| <= n eps (1 + lambda |u|) for an eigenvalue u of a, is singular and
+    raises SingularMatrixError; the pivot is 1 + lambda t for a 1 x 1 block
+    [t], and its modulus hypot(1 + lambda t, lambda sqrt|b| sqrt|c|) for a
+    2 x 2 block [[t, b], [c, t]].
     """
     if not h > 0:
         raise ValueError(f"grid spacing must be positive, got {h!r}")
@@ -343,15 +351,13 @@ def build_preconditioner(
         raise ValueError(f"m_block={m_block!r} is not m**{d} for a whole number m of points")
     a = coupling.entries
     lam = sine_eigenvalues((m,) * d, h).ravel()
-    pairs = [schur(x, output="complex") for x in (a, a.T)]
-    u = np.concatenate([np.diag(U) for U, _ in pairs])[:, None]
-    rounding = coupling.n * np.finfo(float).eps * (1.0 + np.abs(u) * lam)
-    singular = np.any(np.abs(1.0 + u * lam) <= rounding, axis=0)
+    factors = [mode_factors(schur(x, output="real"), lam) for x in (a, a.T)]
+    singular = factors[0].singular | factors[1].singular
     if np.any(singular):
         raise SingularMatrixError(
             f"preconditioner block I + lambda a is singular at lambda = {float(lam[singular][0])!r}"
         )
-    return SinePreconditioner(*pairs, lam, (m,) * d)
+    return SinePreconditioner(*factors, (m,) * d)
 
 
 def _fresh_shadow(N: int, attempt: int) -> np.ndarray:

@@ -47,6 +47,8 @@ __all__ = [
     "coupling_matrix",
     "endpoint_transfer",
     "march",
+    "ModeFactors",
+    "mode_factors",
     "mode_solve",
     "kernel_convolution",
     "source_weights",
@@ -276,10 +278,10 @@ def unit_blocks(n: int, order: MemoryOrder, count: int) -> list:
 
 
 def _unit_schur(n: int, order: MemoryOrder):
-    """Complex Schur form (U, Z) of B_0, cached per (n, alpha)."""
+    """Real Schur form (T, Z) of B_0, cached per (n, alpha)."""
     key = (n, order.alpha)
     if key not in _UNIT_SCHUR:
-        _UNIT_SCHUR[key] = schur(unit_blocks(n, order, 1)[0], output="complex")
+        _UNIT_SCHUR[key] = schur(unit_blocks(n, order, 1)[0], output="real")
     return _UNIT_SCHUR[key]
 
 
@@ -334,17 +336,96 @@ def march(blocks, b, solve, op):
     return X, opX
 
 
-def mode_solve(U, Z, lam, rhs) -> np.ndarray:
-    """Solve (I + lam[p] a) x_p = rhs[:, p] for every column p, where a = Z U Z^H is real.
+@dataclass(frozen=True)
+class ModeFactors:
+    """I + lam[p] a for every mode p, with its diagonal blocks inverted, in a = Z T Z^T.
 
-    (U, Z) is a complex Schur form, so every system is triangular in Z's frame,
-    and one back substitution over the n rows serves all columns of the real rhs.
+    (T, Z) is a real Schur form of a: Z is orthogonal and T quasi-upper-
+    triangular.  blocks lists T's diagonal blocks as (start, stop) row
+    ranges; inverses holds, per block, the inverse of I + lam[p] T_kk for
+    every mode, shaped (size, size, M).  singular marks the modes with a
+    block pivot that is zero to rounding.  Built by mode_factors; do not
+    modify the arrays.
     """
-    r = Z.conj().T @ rhs
-    z = np.empty_like(r)
-    for i in range(len(U) - 1, -1, -1):
-        z[i] = (r[i] - lam * (U[i, i + 1:] @ z[i + 1:])) / (1.0 + U[i, i] * lam)
-    return Z.real @ z.real - Z.imag @ z.imag  # Re(Z z), as a and rhs are real
+
+    T: np.ndarray = field(repr=False)
+    Z: np.ndarray = field(repr=False)
+    lam: np.ndarray = field(repr=False)
+    blocks: tuple
+    inverses: tuple = field(repr=False)
+    singular: np.ndarray = field(repr=False)
+
+
+def mode_factors(schur_form, lam) -> ModeFactors:
+    """Invert each diagonal block of I + lam[p] T once for every mode p, in real arithmetic.
+
+    schur_form is (T, Z) from schur(a, output="real"): T's diagonal blocks
+    are 1 x 1, or 2 x 2 in LAPACK's standard form [[t, b], [c, t]], b c < 0,
+    with eigenvalues u = t +- i sqrt|b| sqrt|c|.  Mode p is scaled by
+    w = max(1, |lam[p]|), mu = 1/w and nu = lam/w, so a block is
+    w (mu I + nu T_kk) and no product pairs lam with itself or two Schur
+    entries.  A 1 x 1 block has pivot s = mu + nu t and inverse mu / s; a
+    2 x 2 block has pivot rho = hypot(s, nu sqrt|b| sqrt|c|) and inverse
+    (mu / rho^2) [[s, -nu b], [-nu c, s]], exact also where c underflowed
+    to 0.  Pivots are measured against bound = mu + |nu| |u|, which keeps
+    every square in range: a mode is singular where a pivot is at most
+    n eps bound, that is |1 + lam u| <= n eps (1 + |lam| |u|), and there
+    its inverse is not finite.
+    """
+    T, Z = (np.asarray(x, dtype=float) for x in schur_form)
+    lam = np.asarray(lam, dtype=float)
+    n = len(T)
+    w = np.maximum(1.0, np.abs(lam))
+    mu, nu = 1.0 / w, lam / w
+    reach = np.abs(nu)
+    tiny = n * np.finfo(float).eps
+    blocks, inverses = [], []
+    singular = np.zeros(lam.shape, dtype=bool)
+    i = 0
+    while i < n:
+        t = T[i, i]
+        s = mu + nu * t
+        if i + 1 < n and T[i + 1, i] != 0.0:
+            b, c = T[i, i + 1], T[i + 1, i]
+            root = math.sqrt(abs(b)) * math.sqrt(abs(c))
+            bound = mu + reach * math.hypot(t, root)
+            s_rel, nu_rel = s / bound, nu / bound
+            q_rel = nu_rel * root
+            rho2 = s_rel * s_rel + q_rel * q_rel  # (rho / bound)^2
+            singular |= rho2 <= tiny * tiny
+            inverse = np.empty((2, 2) + lam.shape)
+            with np.errstate(divide="ignore", invalid="ignore"):  # inf or nan where singular
+                share = mu / bound / rho2  # mu bound / rho^2
+                np.multiply(s_rel, share, out=inverse[0, 0])
+                # b nu / bound before share: b may be 1e300 where nu share underflows
+                np.multiply(-b * nu_rel, share, out=inverse[0, 1])
+                np.multiply(-c * nu_rel, share, out=inverse[1, 0])
+            inverse[1, 1] = inverse[0, 0]
+        else:
+            singular |= np.abs(s) <= tiny * (mu + reach * abs(t))
+            with np.errstate(divide="ignore"):  # inf where singular
+                inverse = (mu / s)[None, None]
+        blocks.append((i, i + len(inverse)))
+        inverses.append(inverse)
+        i += len(inverse)
+    return ModeFactors(T, Z, lam, tuple(blocks), tuple(inverses), singular)
+
+
+def mode_solve(factors: ModeFactors, rhs) -> np.ndarray:
+    """Solve (I + lam[p] a) x_p = rhs[:, p] for every column p, on the real arrays of mode_factors.
+
+    In Z's frame every system is block upper triangular, so one block back
+    substitution over T's rows, in place on Z^T rhs, serves all columns of
+    rhs: it multiplies by the stored block inverses and never divides.
+    """
+    T, Z, lam = factors.T, factors.Z, factors.lam
+    z = Z.T @ rhs
+    for (i, j), inverse in zip(reversed(factors.blocks), reversed(factors.inverses)):
+        v = z[i:j] - lam * (T[i:j, j:] @ z[j:])
+        z[i:j] = inverse[:, 0] * v[0]
+        if j - i == 2:
+            z[i:j] += inverse[:, 1] * v[1]
+    return Z @ z
 
 
 def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
@@ -354,7 +435,8 @@ def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
     phi(T) . (I + lam a)^{-1} w, so a field whose sine coefficients are g_i
     has coefficients g_i * endpoint_transfer(lam_i) at T.  march eliminates
     the slabs, one column per distinct lam, and mode_solve each slab on the
-    Schur form of B_0.  Returns an array shaped like lam.
+    real Schur form of tau^alpha B_0, whose block inverses mode_factors forms
+    once for all K slabs.  Returns an array shaped like lam.
     """
     lam = np.asarray(lam, dtype=float)
     vals, inverse = np.unique(lam.ravel(), return_inverse=True)
@@ -362,9 +444,10 @@ def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
     scale, blocks = slab_blocks(basis, order)
     slab = build_basis(tau, n)
     w, end = source_weights(slab).weights, slab.evaluate(tau)
-    U, Z = _unit_schur(n, order)
+    T, Z = _unit_schur(n, order)
+    factors = mode_factors((T * scale, Z), vals)
     X, _ = march(blocks, np.broadcast_to(w[:, None], (n, vals.size)),
-                 lambda rhs, j: mode_solve(U * scale, Z, vals, rhs), lambda x: vals * x)
+                 lambda rhs, j: mode_solve(factors, rhs), lambda x: vals * x)
     return (end @ X[-1])[inverse].reshape(lam.shape)
 
 

@@ -265,6 +265,18 @@ class TestOutputs:
         assert fields["method"] == "direct" and fields["converged"] == "True"
         assert int(fields["slabs"]) >= 1
         assert 0.0 <= float(fields["time_drift"]) <= 1e-6
+        assert fields["slabs_capped"] == "False" and fields["breakdown"] == "False"
+
+    def test_report_line_records_a_capped_slab_count(self, tmp_path, capsys):
+        # two functions per slab cannot settle the solution at T, so K stops at its cap
+        out = tmp_path / "out.csv"
+        with pytest.warns(UserWarning, match="capped"):
+            assert main(["solve2d", "--n", "2", "--m", "11", "-o", str(out)]) == 0
+        meta, _, _ = read_csv(out)
+        report = next(line for line in meta if line.startswith("# report:"))
+        fields = dict(token.split("=", 1) for token in report.split()[2:])
+        assert fields["slabs"] == "64" and fields["slabs_capped"] == "True"
+        assert fields["converged"] == "True" and fields["breakdown"] == "False"
 
     def test_outdir_env_applies_to_relative_paths(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MEMWAVE_OUTDIR", str(tmp_path))

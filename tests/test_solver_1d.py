@@ -27,6 +27,7 @@ from memwave import (
 )
 from memwave import sample, solver_1d
 from memwave.solver_1d import MAX_SLABS, boundary_magnitude
+from memwave.time_basis import TIME_TOL
 from memwave.sparse_linalg import laplacian, sine_eigenvalues
 
 BENCH = dict(T=6.0, grid=Grid1D(-15.0, 15.0, 151))
@@ -409,6 +410,38 @@ class TestSlabs:
         assert sum("capped" in str(w.message) for w in caught) == 1
         assert field.report.slabs == MAX_SLABS and field.report.slabs_capped
         assert field.report.time_drift > 1e-6
+
+
+def semidiscrete_at(alpha, T, values, h):
+    """Exact time evolution of the grid system f = g - a * L f at T, per sine mode.
+
+    At alpha = 1 mode lambda decays as exp(-lambda T), at alpha = 2 it
+    oscillates as cos(sqrt(lambda) T); one DST maps the modes back.
+    """
+    from scipy.fft import dstn
+
+    lam = sine_eigenvalues(values.shape, h)
+    factor = np.exp(-lam * T) if alpha == 1 else np.cos(np.sqrt(lam) * T)
+    return dstn(factor * dstn(values, type=1, norm="ortho"), type=1, norm="ortho")
+
+
+class TestSemidiscreteOracle:
+    # the Galerkin solution at T against the semidiscrete one, which no Schur
+    # form or slab march reaches; the slab choice bounds their gap by TIME_TOL
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("grid, g, solve, method", [
+        (BENCH["grid"], InitialField1D.gaussian(1.0), solve_1d, "direct"),
+        (BENCH["grid"], InitialField1D.gaussian(1.0), solve_1d, "bicg"),
+        (Grid2D(-15.0, 15.0, 61), InitialField2D.radial_gaussian(2.0), solve_2d, "bicg"),
+    ], ids=["1d-direct", "1d-bicg", "2d-bicg"])
+    def test_galerkin_matches_semidiscrete_at_T(self, grid, g, solve, method, n, alpha):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "slab count capped", UserWarning)
+            field = solve(MemoryOrder(alpha), 6.0, n, grid, g, method=method)
+        values = sample(g, grid)
+        gap = np.max(np.abs(field.reconstruct(6.0) - semidiscrete_at(alpha, 6.0, values, grid.h)))
+        assert gap <= TIME_TOL * np.max(np.abs(values))
 
 
 class TestSupError:

@@ -18,6 +18,7 @@ from memwave.time_basis import (
     _unit_block,
     kernel_convolution,
     march,
+    mode_factors,
     mode_solve,
     unit_blocks,
 )
@@ -354,12 +355,56 @@ class TestModeSolve:
         a = a.T if transpose else a
         lam = np.array(lam)
         rhs = np.random.default_rng(seed).standard_normal((n, lam.size))
-        U, Z = schur(a, output="complex")
-        x = mode_solve(U, Z, lam, rhs)
+        x = mode_solve(mode_factors(schur(a, output="real"), lam), rhs)
         assert x.dtype == float and x.shape == rhs.shape
         for p in range(lam.size):
             expected = np.linalg.solve(np.eye(n) + lam[p] * a, rhs[:, p])
             assert np.linalg.norm(x[:, p] - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("scale", [1e-240, 1e240, 1e300])
+    @pytest.mark.parametrize("alpha, n", [(1.0, 3), (1.5, 8), (2.0, 6)])
+    def test_extreme_scales_stay_finite(self, alpha, n, scale):
+        # lam a spans 1e-540 to 1e600: the result is finite, and it matches the
+        # dense solve wherever I + lam a is representable
+        a = scale * unit_blocks(n, MemoryOrder(alpha), 1)[0]
+        lam = np.array([0.0, 1e-300, 1.0, 1e300])
+        rhs = np.random.default_rng(5).standard_normal((n, lam.size))
+        factors = mode_factors(schur(a, output="real"), lam)
+        assert any(j - i == 2 for i, j in factors.blocks)
+        x = mode_solve(factors, rhs)
+        assert np.all(np.isfinite(x))
+        compared = 0
+        for p in range(lam.size):
+            with np.errstate(over="ignore", invalid="ignore"):
+                system = np.eye(n) + lam[p] * a
+            if np.all(np.isfinite(system)):
+                expected = np.linalg.solve(system, rhs[:, p])
+                # max norms: a 2-norm squares entries of 1e-300 to 0
+                assert np.max(np.abs(x[:, p] - expected)) <= 1e-10 * np.max(np.abs(expected))
+                compared += 1
+        assert compared == (4 if scale < 1.0 else 3)
+
+    @pytest.mark.parametrize("c", [-1e-90, -1e-80])
+    def test_underflowed_subdiagonal(self, c):
+        # scaled by 1e-240, the 2 x 2 block's c underflows to 0 (-1e-90) or to a
+        # subnormal (-1e-80); either way the block solves exactly
+        T = 1e-240 * np.array([[0.5, 2.0, 1.0], [c, 0.5, -1.0], [0.0, 0.0, 0.25]])
+        lam = np.array([0.0, 1.0, 1e230, 1e240, 1e250, 1e300])
+        rhs = np.random.default_rng(9).standard_normal((3, lam.size))
+        x = mode_solve(mode_factors((T, np.eye(3)), lam), rhs)
+        for p in range(lam.size):
+            expected = np.linalg.solve(np.eye(3) + lam[p] * T, rhs[:, p])
+            assert np.max(np.abs(x[:, p] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_factors_and_result_are_float64(self):
+        a = 6.0**1.5 * unit_blocks(8, MemoryOrder(1.5), 1)[0]
+        lam = np.linspace(0.0, 400.0, 11)
+        factors = mode_factors(schur(a, output="real"), lam)
+        stored = [factors.T, factors.Z, factors.lam, *factors.inverses]
+        assert all(x.dtype == np.float64 for x in stored)
+        assert [x.shape for x in factors.inverses] == [(j - i, j - i, 11) for i, j in factors.blocks]
+        assert factors.singular.dtype == bool and not factors.singular.any()
+        assert mode_solve(factors, np.ones((8, 11))).dtype == np.float64
 
 
 class TestMarch:
