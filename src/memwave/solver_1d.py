@@ -44,9 +44,11 @@ from .sparse_linalg import (
     build_preconditioner,
     check_direct,
     check_nnz,
+    check_spacing,
     laplacian,
     laplacian_nnz,
     lu_solve,
+    rhs_norm,
     sine_eigenvalues,
 )
 from .time_basis import (
@@ -121,10 +123,7 @@ class Grid1D:
             raise ValueError(f"need a finite span x_max - x_min, got [{self.x_min}, {self.x_max}]")
         if not (isinstance(self.m, (int, np.integer)) and self.m >= 3):
             raise ValueError(f"m must be an integer >= 3, got {self.m!r}")
-        # the stencil and its sine eigenvalues are multiples of 1/h^2, computed through h^2
-        h2 = float(self.h) * float(self.h)
-        if not (0 < h2 < math.inf and 1 / h2 < math.inf):
-            raise ValueError(f"spacing h = {self.h!r} has no finite h^2 and 1/h^2")
+        check_spacing(self.h)
 
     @property
     def h(self) -> float:
@@ -286,7 +285,9 @@ def solve_slabs(
     at every size.  The matrix is factored once (LU) or preconditioned once
     (BiCG) and reused on every slab.  Each BiCG slab solve runs to a
     residual below tol * ||w g|| with at most max_iter iterations, so the
-    whole system's relative residual stays below tol.  Returns the K-slab
+    whole system's relative residual stays below tol.  A right-hand side
+    whose sum of squares overflows a float is refused (rhs_norm), since
+    every residual is measured against its norm.  Returns the K-slab
     basis, the coefficients shaped (K*n,) + grid shape and the whole
     system's SolveReport.
     """
@@ -310,7 +311,7 @@ def solve_slabs(
     _, blocks = slab_blocks(basis, order)
     system = assemble(slab, source_weights(build_basis(basis.slab_length, n)), g, grid)
     b = system.rhs.reshape(n, -1)
-    norm_b = float(np.linalg.norm(b))
+    norm_b = rhs_norm(b)
     use_direct = method == "direct" or (method == "auto" and grid.ndim == 1
                                         and system.N <= DIRECT_LIMIT)
     name = "direct" if use_direct else "bicg+precond"
@@ -324,7 +325,7 @@ def solve_slabs(
             # slab j's rows of the whole K-slab system's true residual
             squares += float(np.linalg.norm(rhs.ravel() - system.matrix.matvec(x))) ** 2
         else:
-            norm_rhs = float(np.linalg.norm(rhs))
+            norm_rhs = rhs_norm(rhs)
             slab_tol = tol * norm_b / norm_rhs if norm_rhs > 0 else tol
             x, rep = bicg_solve(system.matrix, rhs.ravel(), pc, tol=slab_tol, max_iter=max_iter)
             iterations += rep.iterations

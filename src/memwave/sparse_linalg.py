@@ -14,13 +14,10 @@ Its preconditioner is the exact inverse of the system.  The orthonormal
 type-I sine transform along every spatial axis diagonalizes the zero-ghost
 Laplacian L = laplacian(shape, h), with eigenvalues sine_eigenvalues(shape,
 h) (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so in sine space the
-system splits into one n x n block I + lambda a per grid mode.  In the
-real Schur form a = Z T Z^T (Bartels & Stewart, Comm. ACM 15, 1972), with
-T quasi-upper-triangular, every block is block upper triangular with 1 x 1
-and 2 x 2 diagonal blocks.  The preconditioner inverts those diagonal
-blocks once per mode when it is built (time_basis.mode_factors) and solves
-all modes by time_basis.mode_solve, a real back substitution, between a
-forward and a backward transform; BiCG then converges in one or two
+system splits into one n x n block I + lambda a per grid mode.  One real
+Schur form of a (Bartels & Stewart, Comm. ACM 15, 1972), with its diagonal
+blocks inverted per mode at build (time_basis.mode_factors), solves every
+block, and read backwards its transpose.  BiCG then converges in one or two
 iterations, and the iteration itself, with its true-residual check,
 confirms the solution on the system's own products.
 
@@ -57,6 +54,8 @@ __all__ = [
     "MAX_NNZ",
     "check_direct",
     "check_nnz",
+    "check_spacing",
+    "rhs_norm",
     "lu_solve",
     "bicg_solve",
     "build_preconditioner",
@@ -193,16 +192,14 @@ class SolveReport:
 class SinePreconditioner:
     """Exact inverse of I + kron(a, L) for the zero-ghost Laplacian L on a grid.
 
-    factors and factors_transpose are the mode_factors of a and a^T: their
-    real Schur forms, with the diagonal blocks of I + lambda T inverted for
-    L's eigenvalue lambda of every sine mode in the grid's C order.  With
-    the basis index outermost in the unknown vector, applying it is a sine
-    transform of the n spatial fields, mode_solve per mode, and the
-    transform back (the orthonormal DST-I is its own inverse).
+    factors are the mode_factors of a for L's eigenvalue lambda of every
+    sine mode in the grid's C order.  With the basis index outermost in the
+    unknown vector, an apply is a sine transform of the n spatial fields,
+    mode_solve per mode on factors (factors.transpose() for apply_transpose)
+    and the transform back (the orthonormal DST-I is its own inverse).
     """
 
     factors: ModeFactors = field(repr=False)
-    factors_transpose: ModeFactors = field(repr=False)
     shape: tuple
 
     def _apply(self, v: np.ndarray, factors: ModeFactors) -> np.ndarray:
@@ -215,7 +212,7 @@ class SinePreconditioner:
         return self._apply(v, self.factors)
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, self.factors_transpose)
+        return self._apply(v, self.factors.transpose())
 
 
 @dataclass
@@ -243,6 +240,33 @@ def check_direct(N: int) -> None:
     """Refuse a direct solve of more than DIRECT_LIMIT unknowns."""
     if N > DIRECT_LIMIT:
         raise ValueError(f"N={N} exceeds the direct-solver threshold {DIRECT_LIMIT}")
+
+
+def check_spacing(h: float) -> None:
+    """Refuse a grid spacing h unless it is positive with finite, nonzero h^2 and 1/h^2.
+
+    The stencil and its sine eigenvalues are multiples of 1/h^2, computed through h^2.
+    """
+    if not h > 0:
+        raise ValueError(f"grid spacing must be positive, got {h!r}")
+    h2 = float(h) * float(h)
+    if not (0 < h2 < math.inf and 1 / h2 < math.inf):
+        raise ValueError(f"spacing h = {h!r} has no finite h^2 and 1/h^2")
+
+
+def rhs_norm(b: np.ndarray) -> float:
+    """The 2-norm of a finite right-hand side b, refused where the sum of its squares overflows.
+
+    The iterative solves measure every residual relative to it, and an
+    infinite norm would declare any x converged.  Entries beyond about
+    1e154 in size can overflow the sum.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(b))
+    if norm == math.inf:
+        raise ValueError(f"right-hand side of scale max|b| = {float(np.max(np.abs(b))):.3e} "
+                         "is refused: the sum of its squares overflows a float")
+    return norm
 
 
 def _point_major_lu(a: np.ndarray, L: sp.csr_matrix):
@@ -333,31 +357,26 @@ def build_preconditioner(
 ) -> SinePreconditioner:
     """Sine-mode inverse of I + kron(a, L) on the d-dimensional grid of m_block = m**d points.
 
-    Takes the real Schur forms of a and a^T and inverts their 1 x 1 and
-    2 x 2 diagonal blocks of I + lambda T once per sine mode (mode_factors),
-    so that every apply solves I + lambda a per mode by one real back
-    substitution.  A mode whose block pivot is zero to rounding, |1 + lambda
-    u| <= n eps (1 + lambda |u|) for an eigenvalue u of a, is singular and
-    raises SingularMatrixError; the pivot is 1 + lambda t for a 1 x 1 block
-    [t], and its modulus hypot(1 + lambda t, lambda sqrt|b| sqrt|c|) for a
-    2 x 2 block [[t, b], [c, t]].
+    Takes the real Schur form of a and inverts its 1 x 1 and 2 x 2 diagonal
+    blocks of I + lambda T once per sine mode (mode_factors), which serve
+    the solves of I + lambda a and of I + lambda a^T alike.  A mode with a
+    block pivot zero to rounding (mode_factors), for a and so for a^T, is
+    singular and raises SingularMatrixError.  h is refused by check_spacing.
     """
-    if not h > 0:
-        raise ValueError(f"grid spacing must be positive, got {h!r}")
+    check_spacing(h)
     if d not in (1, 2):
         raise ValueError(f"spatial dimension must be 1 or 2, got {d!r}")
     m = round(max(m_block, 0) ** (1.0 / d))
     if m < 1 or m**d != m_block:
         raise ValueError(f"m_block={m_block!r} is not m**{d} for a whole number m of points")
-    a = coupling.entries
     lam = sine_eigenvalues((m,) * d, h).ravel()
-    factors = [mode_factors(schur(x, output="real"), lam) for x in (a, a.T)]
-    singular = factors[0].singular | factors[1].singular
+    factors = mode_factors(schur(coupling.entries, output="real"), lam)
+    singular = factors.singular
     if np.any(singular):
         raise SingularMatrixError(
             f"preconditioner block I + lambda a is singular at lambda = {float(lam[singular][0])!r}"
         )
-    return SinePreconditioner(*factors, (m,) * d)
+    return SinePreconditioner(factors, (m,) * d)
 
 
 def _fresh_shadow(N: int, attempt: int) -> np.ndarray:
@@ -367,6 +386,8 @@ def _fresh_shadow(N: int, attempt: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+# an overflow inside the iteration ends it with a non-finite test below, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def bicg_solve(
     A: SparseMatrix,
     b: np.ndarray,
@@ -381,8 +402,10 @@ def bicg_solve(
     declared on the true relative residual ||b - Ax|| / ||b||.  A breakdown
     (vanishing inner product) triggers one restart from the current iterate
     with a fresh shadow vector; a second breakdown is reported distinctly
-    from plain non-convergence via the report's breakdown flag.  A b that
-    is not finite is refused before any work.
+    from plain non-convergence via the report's breakdown flag.  The
+    iteration stops at the first residual norm, rho or sigma that is not
+    finite, and reports its true residual unconverged.  A b that is not
+    finite, or whose norm overflows (rhs_norm), is refused before any work.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -397,7 +420,7 @@ def bicg_solve(
     def mt_apply(v):
         return precond.apply_transpose(v) if precond is not None else v
 
-    norm_b = np.linalg.norm(b)
+    norm_b = rhs_norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, True, method)
 
@@ -420,6 +443,8 @@ def bicg_solve(
             q = A.matvec(p)
             qs = A.rmatvec(ps)
             sigma = float(ps @ q)
+            if not math.isfinite(sigma):
+                break
             if abs(sigma) <= 1e-14 * np.linalg.norm(ps) * np.linalg.norm(q):
                 broke = True
                 break
@@ -428,7 +453,10 @@ def bicg_solve(
             r -= step * q
             shadow -= step * qs
             iterations += 1
-            if np.linalg.norm(r) <= tol * norm_b:
+            residual = float(np.linalg.norm(r))
+            if not math.isfinite(residual):
+                break
+            if residual <= tol * norm_b:
                 # confirm on the true residual before declaring convergence
                 true_res = float(np.linalg.norm(b - A.matvec(x)) / norm_b)
                 if true_res <= tol:
@@ -436,6 +464,8 @@ def bicg_solve(
             z = m_apply(r)
             zs = mt_apply(shadow)
             rho_new = float(shadow @ z)
+            if not math.isfinite(rho_new):
+                break
             if abs(rho_new) <= 1e-14 * np.linalg.norm(shadow) * np.linalg.norm(z):
                 broke = True
                 break
@@ -445,7 +475,7 @@ def bicg_solve(
             rho = rho_new
 
         if not broke:
-            break  # max_iter exhausted
+            break  # max_iter exhausted, or a value that is not finite
         restarts += 1
         r = b - A.matvec(x)
         if np.linalg.norm(r) <= tol * norm_b:

@@ -29,8 +29,9 @@ Gauss-Legendre.  No slab's polynomial is ever evaluated outside its slab.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import schur
@@ -251,10 +252,8 @@ def _unit_block(n: int, order: MemoryOrder, d: int, num_nodes: int) -> np.ndarra
     return b / math.gamma(alpha)
 
 
-# unit blocks B_0, B_1, ... and the Schur form of B_0, per (n, alpha); they
-# depend on nothing else, so every horizon and slab count reuses them
+# unit blocks B_0, B_1, ... per (n, alpha), which every horizon and slab count reuses
 _UNIT_BLOCKS: dict[tuple, list] = {}
-_UNIT_SCHUR: dict[tuple, tuple] = {}
 
 
 def unit_blocks(n: int, order: MemoryOrder, count: int) -> list:
@@ -277,12 +276,10 @@ def unit_blocks(n: int, order: MemoryOrder, count: int) -> list:
     return blocks[:count]
 
 
+@functools.cache
 def _unit_schur(n: int, order: MemoryOrder):
-    """Real Schur form (T, Z) of B_0, cached per (n, alpha)."""
-    key = (n, order.alpha)
-    if key not in _UNIT_SCHUR:
-        _UNIT_SCHUR[key] = schur(unit_blocks(n, order, 1)[0], output="real")
-    return _UNIT_SCHUR[key]
+    """Real Schur form (T, Z) of B_0, cached per (n, order)."""
+    return schur(unit_blocks(n, order, 1)[0], output="real")
 
 
 def slab_blocks(basis: TimeBasis, order: MemoryOrder) -> tuple[float, np.ndarray]:
@@ -341,11 +338,12 @@ class ModeFactors:
     """I + lam[p] a for every mode p, with its diagonal blocks inverted, in a = Z T Z^T.
 
     (T, Z) is a real Schur form of a: Z is orthogonal and T quasi-upper-
-    triangular.  blocks lists T's diagonal blocks as (start, stop) row
-    ranges; inverses holds, per block, the inverse of I + lam[p] T_kk for
-    every mode, shaped (size, size, M).  singular marks the modes with a
-    block pivot that is zero to rounding.  Built by mode_factors; do not
-    modify the arrays.
+    triangular, with every 2 x 2 diagonal block in LAPACK's standard form,
+    whose two diagonal entries are equal.  blocks lists T's diagonal blocks
+    as (start, stop) row ranges; inverses holds, per block, the inverse of
+    I + lam[p] T_kk for every mode, shaped (size, size, M).  singular marks
+    the modes with a block pivot that is zero to rounding.  Built by
+    mode_factors; do not modify the arrays.
     """
 
     T: np.ndarray = field(repr=False)
@@ -354,6 +352,17 @@ class ModeFactors:
     blocks: tuple
     inverses: tuple = field(repr=False)
     singular: np.ndarray = field(repr=False)
+
+    def transpose(self) -> ModeFactors:
+        """The factors of I + lam[p] a^T: views of these arrays, read backwards.
+
+        With J the reversal, a^T = (Z J) (J T^T J) (Z J)^T has T's diagonal
+        blocks, and so their inverses, in reverse order: J X^T J only swaps
+        the two equal diagonal entries of a standard 2 x 2 block.
+        """
+        n = len(self.T)
+        return replace(self, T=self.T.T[::-1, ::-1], Z=self.Z[:, ::-1], inverses=self.inverses[::-1],
+                       blocks=tuple((n - j, n - i) for i, j in reversed(self.blocks)))
 
 
 def mode_factors(schur_form, lam) -> ModeFactors:

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from memwave import (
     CouplingMatrix,
+    EdgeWarning,
     Grid1D,
     Grid2D,
     InitialField1D,
@@ -258,6 +259,19 @@ class TestSolve1D:
         with pytest.raises(ValueError):
             solve_1d(MemoryOrder(1.0), 1.0, 2, Grid1D(-15.0, 15.0, 31), InitialField1D.gaussian(1.0),
                      method="cg")
+
+    # tier-1 turns RuntimeWarnings into errors; the refusal must not depend on that
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize("method", ["direct", "bicg"])
+    def test_refuses_data_whose_norm_overflows(self, action, method):
+        # finite data whose right-hand side norm overflows once reported converged=True
+        # at residual nan (direct) and failed on a nan tolerance (bicg)
+        g = InitialField1D(rule=lambda x: 1e200 * np.exp(-x**2))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            warnings.simplefilter("ignore", EdgeWarning)
+            with pytest.raises(ValueError, match="scale max\\|b\\| = 3.536e\\+199"):
+                solve_1d(MemoryOrder(1.0), 1.0, 4, Grid1D(-8.0, 8.0, 41), g, method=method)
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_residual_orthogonality(self, alpha):

@@ -1,6 +1,7 @@
 import ast
 import pickle
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,29 @@ class TestBicgSolve:
         monkeypatch.setattr(system.matrix, "matvec", no_product)
         with pytest.raises(ValueError, match="not finite"):
             bicg_solve(system.matrix, b)
+
+    # tier-1 turns RuntimeWarnings into errors, which would hide an iteration on NaN
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize("precond", [False, True])
+    def test_refuses_a_rhs_whose_norm_overflows(self, action, precond):
+        # ||b|| overflows although b and its solution are finite floats
+        A = sparse_linalg.SparseMatrix([[0.5]], laplacian((3,), 1.0))
+        pc = build_preconditioner(CouplingMatrix(np.array([[0.5]])), 1.0, 1, 3) if precond else None
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(ValueError, match="1.000e\\+200"):
+                bicg_solve(A, np.full(3, 1e200), pc)
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_stops_at_the_first_non_finite_value(self, action):
+        # 1e300 L overflows the products within a few hundred steps; the iteration
+        # used to run on NaN to the 10,000-iteration cap
+        A = sparse_linalg.SparseMatrix([[1e300]], laplacian((6,), 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            x, report = bicg_solve(A, np.full(6, 1e-150))
+        assert not report.converged and not report.breakdown
+        assert report.iterations < 1000
 
 
 class TestKronSystem:
@@ -516,6 +540,28 @@ class TestSinePreconditioner:
         for d, m_block in ((2, 10), (2, 0), (1, 0), (2, -4)):
             with pytest.raises(ValueError):
                 build_preconditioner(coupling, 1.0, d, m_block)
+        # Grid1D's rule: h^2 and 1/h^2 must be finite, nonzero floats
+        for h in (1e-200, 1e-160, 1e200, np.inf):
+            with pytest.raises(ValueError, match="no finite h\\^2 and 1/h\\^2"):
+                build_preconditioner(coupling, h, 1, 3)
+
+    def test_one_factorization_serves_both_products(self, monkeypatch):
+        calls = {"schur": 0, "mode_factors": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sparse_linalg, name, counted(name, getattr(sparse_linalg, name)))
+        coupling, h, system = kron_system(2)
+        pc = build_preconditioner(coupling, h, 2, 36)
+        v = np.random.default_rng(4).standard_normal(system.N)
+        pc.apply(v)
+        pc.apply_transpose(v)
+        assert calls == {"schur": 1, "mode_factors": 1}
 
     def test_whole_multi_slab_system(self):
         # BiCG on the assembled 4-slab system once broke down after 186

@@ -355,11 +355,17 @@ class TestModeSolve:
         a = a.T if transpose else a
         lam = np.array(lam)
         rhs = np.random.default_rng(seed).standard_normal((n, lam.size))
-        x = mode_solve(mode_factors(schur(a, output="real"), lam), rhs)
-        assert x.dtype == float and x.shape == rhs.shape
-        for p in range(lam.size):
-            expected = np.linalg.solve(np.eye(n) + lam[p] * a, rhs[:, p])
-            assert np.linalg.norm(x[:, p] - expected) <= 1e-10 * np.linalg.norm(expected)
+        factors = mode_factors(schur(a, output="real"), lam)
+        # the transposed factors solve I + lam a^T on the same arrays, each 2 x 2 inverse
+        # reused as is: that holds for LAPACK's standard blocks, with equal diagonal entries
+        for solver, system in ((factors, a), (factors.transpose(), a.T)):
+            assert all(j - i == 1 or solver.T[i, i] == solver.T[i + 1, i + 1]
+                       for i, j in solver.blocks)
+            x = mode_solve(solver, rhs)
+            assert x.dtype == float and x.shape == rhs.shape
+            for p in range(lam.size):
+                expected = np.linalg.solve(np.eye(n) + lam[p] * system, rhs[:, p])
+                assert np.linalg.norm(x[:, p] - expected) <= 1e-10 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("scale", [1e-240, 1e240, 1e300])
     @pytest.mark.parametrize("alpha, n", [(1.0, 3), (1.5, 8), (2.0, 6)])
@@ -371,18 +377,19 @@ class TestModeSolve:
         rhs = np.random.default_rng(5).standard_normal((n, lam.size))
         factors = mode_factors(schur(a, output="real"), lam)
         assert any(j - i == 2 for i, j in factors.blocks)
-        x = mode_solve(factors, rhs)
-        assert np.all(np.isfinite(x))
-        compared = 0
-        for p in range(lam.size):
-            with np.errstate(over="ignore", invalid="ignore"):
-                system = np.eye(n) + lam[p] * a
-            if np.all(np.isfinite(system)):
-                expected = np.linalg.solve(system, rhs[:, p])
-                # max norms: a 2-norm squares entries of 1e-300 to 0
-                assert np.max(np.abs(x[:, p] - expected)) <= 1e-10 * np.max(np.abs(expected))
-                compared += 1
-        assert compared == (4 if scale < 1.0 else 3)
+        for solver, operator in ((factors, a), (factors.transpose(), a.T)):
+            x = mode_solve(solver, rhs)
+            assert np.all(np.isfinite(x))
+            compared = 0
+            for p in range(lam.size):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    system = np.eye(n) + lam[p] * operator
+                if np.all(np.isfinite(system)):
+                    expected = np.linalg.solve(system, rhs[:, p])
+                    # max norms: a 2-norm squares entries of 1e-300 to 0
+                    assert np.max(np.abs(x[:, p] - expected)) <= 1e-10 * np.max(np.abs(expected))
+                    compared += 1
+            assert compared == (4 if scale < 1.0 else 3)
 
     @pytest.mark.parametrize("c", [-1e-90, -1e-80])
     def test_underflowed_subdiagonal(self, c):
@@ -405,6 +412,16 @@ class TestModeSolve:
         assert [x.shape for x in factors.inverses] == [(j - i, j - i, 11) for i, j in factors.blocks]
         assert factors.singular.dtype == bool and not factors.singular.any()
         assert mode_solve(factors, np.ones((8, 11))).dtype == np.float64
+
+    def test_transpose_allocates_nothing(self):
+        a = 6.0**1.5 * unit_blocks(8, MemoryOrder(1.5), 1)[0]
+        factors = mode_factors(schur(a, output="real"), np.linspace(0.0, 400.0, 11))
+        flipped = factors.transpose()
+        pairs = [(flipped.T, factors.T), (flipped.Z, factors.Z), (flipped.lam, factors.lam),
+                 (flipped.singular, factors.singular),
+                 *zip(flipped.inverses, reversed(factors.inverses))]
+        assert len(pairs) == 4 + len(factors.blocks)
+        assert all(np.shares_memory(x, y) for x, y in pairs)
 
 
 class TestMarch:
