@@ -46,7 +46,9 @@ def heat_solution(x, t: float, sigma: float):
 
 
 def wave_solution(x, t: float, g):
-    """Wave evolution of initial datum g: (g(x - t) + g(x + t)) / 2."""
+    """Wave evolution of initial datum g: (g(x - t) + g(x + t)) / 2; t must be finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     x = np.asarray(x, dtype=float)
     out = 0.5 * (np.asarray(g(x - t), dtype=float) + np.asarray(g(x + t), dtype=float))
     return float(out) if out.ndim == 0 else out

@@ -14,13 +14,14 @@ failure (non-convergence or a singular system), 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .analytic_reference import heat_solution, wave_solution
+from .analytic_reference import endpoint_order, heat_solution, wave_solution
 from .memory_kernel import MemoryOrder
 from .solver_1d import Grid1D, InitialField1D, SolverConvergenceError, assemble_1d, solve_1d
 from .solver_2d import Grid2D, InitialField2D, solve_2d
@@ -121,6 +122,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # argparse keeps no state between parses, so one parser serves every call
 def build_parser() -> _Parser:
     parser = _Parser(prog="memwave", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -212,17 +214,31 @@ def _write_csv(path: str, meta: list[str], header: str, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _solve_gaussian_1d(config: RunConfig):
-    """The configured 1D grid, Gaussian datum and solve, shared by solve1d and validate."""
-    grid = Grid1D(config.x_min, config.x_max, config.m)
-    return solve_1d(
-        MemoryOrder(config.alpha), config.T, config.n, grid, InitialField1D.gaussian(config.sigma),
+def _solve(config: RunConfig):
+    """The configured grid, Gaussian datum and solve: 2D for solve2d, 1D for solve1d and validate."""
+    two_d = config.subcommand == "solve2d"
+    grid = (Grid2D if two_d else Grid1D)(config.x_min, config.x_max, config.m)
+    if not two_d:
+        g = InitialField1D.gaussian(config.sigma)
+    elif config.sigma1 or config.sigma2:  # 0, the default, leaves a width unset
+        if not (config.sigma1 > 0 and config.sigma2 > 0):
+            raise ConfigError("--sigma1 and --sigma2 must both be set and positive, "
+                              f"got {config.sigma1!r} and {config.sigma2!r}")
+        if config.sigma != RunConfig.sigma:
+            raise ConfigError(f"--sigma {config.sigma!r} does not apply with --sigma1 and "
+                              "--sigma2, which set the anisotropic widths")
+        g = InitialField2D.anisotropic_gaussian(config.sigma1, config.sigma2)
+    else:
+        g = InitialField2D.radial_gaussian(config.sigma)
+    # looked up here, not bound at import: the tracer wraps cli.solve_1d and cli.solve_2d
+    return (solve_2d if two_d else solve_1d)(
+        MemoryOrder(config.alpha), config.T, config.n, grid, g,
         method=config.method, tol=config.tol, max_iter=config.max_iter,
     )
 
 
 def _run_solve1d(config: RunConfig) -> int:
-    field = _solve_gaussian_1d(config)
+    field = _solve(config)
     times = config.times or (0.0, config.T)
     x = [_fmt(xi) for xi in field.grid.points]
     rows = []
@@ -246,28 +262,14 @@ def _dump_system(config: RunConfig, field) -> None:
 
 
 def _run_solve2d(config: RunConfig) -> int:
-    grid = Grid2D(config.x_min, config.x_max, config.m)
-    if config.sigma1 or config.sigma2:  # 0, the default, leaves a width unset
-        if not (config.sigma1 > 0 and config.sigma2 > 0):
-            raise ConfigError("--sigma1 and --sigma2 must both be set and positive, "
-                              f"got {config.sigma1!r} and {config.sigma2!r}")
-        if config.sigma != RunConfig.sigma:
-            raise ConfigError(f"--sigma {config.sigma!r} does not apply with --sigma1 and "
-                              "--sigma2, which set the anisotropic widths")
-        g = InitialField2D.anisotropic_gaussian(config.sigma1, config.sigma2)
-    else:
-        g = InitialField2D.radial_gaussian(config.sigma)
-    field = solve_2d(
-        MemoryOrder(config.alpha), config.T, config.n, grid, g,
-        method=config.method, tol=config.tol, max_iter=config.max_iter,
-    )
+    field = _solve(config)
     values = field.reconstruct(config.T).tolist()
-    x = [_fmt(xi) for xi in grid.points]
+    x = [_fmt(xi) for xi in field.grid.points]
     rows = [(xi, yj, repr(v)) for xi, row in zip(x, values) for yj, v in zip(x, row)]
     path = _out_path(config.output or "solve2d.csv")
     meta = _metadata(config, [_report_line(field.report)])
     _write_csv(path, meta, "x,y,f", rows)
-    iy = grid.nearest_index(0.0)
+    iy = field.grid.nearest_index(0.0)
     section = [row[iy] for row in values]
     sec_path = os.path.splitext(path)[0] + "_section.csv"
     _write_csv(sec_path, meta, "x,f", [(xi, repr(v)) for xi, v in zip(x, section)])
@@ -302,13 +304,11 @@ def _run_stochastic(config: RunConfig) -> int:
 
 
 def _run_validate(config: RunConfig) -> int:
-    alpha = config.alpha
-    if alpha not in (1.0, 2.0):
-        raise ConfigError("validate requires alpha 1 or 2 (analytic reference)")
-    field = _solve_gaussian_1d(config)
+    order = endpoint_order(config.alpha)  # the analytic reference exists at 1 and 2 only
+    field = _solve(config)
     x = field.grid.points
     numeric = field.reconstruct(config.T)
-    if alpha == 1.0:
+    if order == 1:
         analytic = heat_solution(x, config.T, config.sigma)
     else:
         analytic = wave_solution(x, config.T, field.initial.evaluate)
@@ -321,7 +321,7 @@ def _run_validate(config: RunConfig) -> int:
     meta = _metadata(config, [_report_line(field.report), f"max_error={_fmt(max_err)}"])
     path = _out_path(config.output or "validate.csv")
     _write_csv(path, meta, "x,numeric,analytic,abs_error", rows)
-    print(f"validate: max error {max_err:.6e} (alpha={alpha}, n={config.n}, m={config.m}); wrote {path}")
+    print(f"validate: max error {max_err:.6e} (alpha={config.alpha}, n={config.n}, m={config.m}); wrote {path}")
     return 0
 
 

@@ -12,6 +12,7 @@ solve_2d only checks that its grid is a Grid2D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,9 @@ class Grid2D(Grid1D):
     ndim = 2
 
     def nearest_index(self, y: float) -> int:
-        """Index of the grid coordinate nearest to y (the first one on a tie)."""
+        """Index of the grid coordinate nearest to y (the first one on a tie); y must be finite."""
+        if not math.isfinite(y):
+            raise ValueError(f"y must be finite, got {y!r}")
         return int(np.argmin(np.abs(self.points - y)))
 
 

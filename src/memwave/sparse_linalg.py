@@ -386,6 +386,15 @@ def _fresh_shadow(N: int, attempt: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _breaks_down(inner: float, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the inner product u @ v vanishes to rounding: |inner| <= 1e-14 ||u|| ||v||."""
+    return bool(abs(inner) <= 1e-14 * np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def _identity(v: np.ndarray) -> np.ndarray:
+    return v
+
+
 # an overflow inside the iteration ends it with a non-finite test below, not a warning
 @np.errstate(over="ignore", invalid="ignore")
 def bicg_solve(
@@ -397,15 +406,15 @@ def bicg_solve(
 ) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned bi-conjugate gradient iteration.
 
-    Left preconditioning: the iteration is driven by z = M^{-1} r and the
-    shadow recurrence by the transposed applications.  Convergence is
-    declared on the true relative residual ||b - Ax|| / ||b||.  A breakdown
-    (vanishing inner product) triggers one restart from the current iterate
-    with a fresh shadow vector; a second breakdown is reported distinctly
-    from plain non-convergence via the report's breakdown flag.  The
-    iteration stops at the first residual norm, rho or sigma that is not
-    finite, and reports its true residual unconverged.  A b that is not
-    finite, or whose norm overflows (rhs_norm), is refused before any work.
+    Left preconditioning: z = M^{-1} r drives the iteration and the
+    transposed applications the shadow recurrence.  Every verdict is the
+    true relative residual ||b - Ax|| / ||b|| <= tol.  A breakdown
+    (vanishing inner product) restarts once from the current iterate with a
+    fresh shadow vector, unless that iterate has converged; only a breakdown
+    of the restart too sets the report's breakdown flag, and one at max_iter
+    is plain non-convergence.  The iteration stops at the first residual
+    norm, rho or sigma that is not finite.  A b that is not finite, or whose
+    norm overflows (rhs_norm), is refused before any work.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -413,12 +422,8 @@ def bicg_solve(
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     b = A._rhs(b)
     method = "bicg+precond" if precond is not None else "bicg"
-
-    def m_apply(v):
-        return precond.apply(v) if precond is not None else v
-
-    def mt_apply(v):
-        return precond.apply_transpose(v) if precond is not None else v
+    m_apply = precond.apply if precond is not None else _identity
+    mt_apply = precond.apply_transpose if precond is not None else _identity
 
     norm_b = rhs_norm(b)
     if norm_b == 0.0:
@@ -427,26 +432,19 @@ def bicg_solve(
     x = np.zeros_like(b)
     r = b.copy()
     iterations = 0
-    restarts = 0
-
-    while iterations < max_iter:
-        # (re)initialize the coupled recurrences
-        shadow = r.copy() if restarts == 0 else _fresh_shadow(b.size, restarts)
-        z = m_apply(r)
-        zs = mt_apply(shadow)
-        p = z.copy()
-        ps = zs.copy()
-        rho = float(shadow @ z)
-        broke = abs(rho) <= 1e-14 * np.linalg.norm(shadow) * np.linalg.norm(z)
-
+    for restart in range(2):
+        broke = False
+        if iterations < max_iter:
+            # (re)start the recurrences, unless a breakdown took the last iteration
+            shadow = _fresh_shadow(b.size, 1) if restart else r.copy()
+            z, zs = m_apply(r), mt_apply(shadow)
+            p, ps = z.copy(), zs.copy()
+            rho = float(shadow @ z)
+            broke = _breaks_down(rho, shadow, z)
         while not broke and iterations < max_iter:
-            q = A.matvec(p)
-            qs = A.rmatvec(ps)
+            q, qs = A.matvec(p), A.rmatvec(ps)
             sigma = float(ps @ q)
-            if not math.isfinite(sigma):
-                break
-            if abs(sigma) <= 1e-14 * np.linalg.norm(ps) * np.linalg.norm(q):
-                broke = True
+            if not math.isfinite(sigma) or (broke := _breaks_down(sigma, ps, q)):
                 break
             step = rho / sigma
             x += step * p
@@ -461,32 +459,22 @@ def bicg_solve(
                 true_res = float(np.linalg.norm(b - A.matvec(x)) / norm_b)
                 if true_res <= tol:
                     return x, SolveReport(iterations, true_res, True, method)
-            z = m_apply(r)
-            zs = mt_apply(shadow)
+            z, zs = m_apply(r), mt_apply(shadow)
             rho_new = float(shadow @ z)
-            if not math.isfinite(rho_new):
-                break
-            if abs(rho_new) <= 1e-14 * np.linalg.norm(shadow) * np.linalg.norm(z):
-                broke = True
+            if not math.isfinite(rho_new) or (broke := _breaks_down(rho_new, shadow, z)):
                 break
             beta = rho_new / rho
             p = z + beta * p
             ps = zs + beta * ps
             rho = rho_new
 
-        if not broke:
-            break  # max_iter exhausted, or a value that is not finite
-        restarts += 1
+        # the true residual: the restart's start, or the verdict's
         r = b - A.matvec(x)
-        if np.linalg.norm(r) <= tol * norm_b:
-            true_res = float(np.linalg.norm(r) / norm_b)
-            return x, SolveReport(iterations, true_res, True, method)
-        if restarts > 1:
-            true_res = float(np.linalg.norm(r) / norm_b)
-            return x, SolveReport(iterations, true_res, False, method, breakdown=True)
-
-    true_res = float(np.linalg.norm(b - A.matvec(x)) / norm_b)
-    return x, SolveReport(iterations, true_res, true_res <= tol, method)
+        true_res = float(np.linalg.norm(r) / norm_b)
+        if not broke or true_res <= tol:
+            break
+    converged = bool(true_res <= tol)
+    return x, SolveReport(iterations, true_res, converged, method, breakdown=broke and not converged)
 
 
 def write_matrix_market(A: SparseMatrix, path) -> None:

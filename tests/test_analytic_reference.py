@@ -87,6 +87,13 @@ class TestWaveSolution:
         assert vals[i_right] == pytest.approx(0.5, abs=1e-9)
         assert abs(vals[100]) < 1e-9
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_time(self, t):
+        # nan once returned nan, where heat_solution refuses it
+        g = lambda x: np.exp(-(np.asarray(x) ** 2))
+        with pytest.raises(ValueError, match="t must be finite"):
+            wave_solution(np.linspace(-5, 5, 11), t, g)
+
 
 class TestResolventApply:
     def grid(self, m=301):

@@ -58,6 +58,16 @@ class TestGrid2D:
         with pytest.raises(ValueError, match="finite span"):
             Grid2D(x_min, x_max, 11)
 
+    @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+    def test_nearest_index_refuses_a_non_finite_y(self, y):
+        # nan and +inf once both picked row 0, the x_min row
+        grid = Grid2D(-6.0, 6.0, 9)
+        with pytest.raises(ValueError, match="y must be finite"):
+            grid.nearest_index(y)
+        field = solve_2d(MemoryOrder(1.0), 1.0, 4, grid, InitialField2D.radial_gaussian(1.0))
+        with pytest.raises(ValueError, match="y must be finite"):
+            field.section(1.0, y)
+
 
 class TestInitialField2D:
     def test_radial(self):

@@ -195,6 +195,64 @@ class TestBicgSolve:
         x, report = bicg_solve(A, np.ones(3))
         assert not report.converged
         assert report.breakdown
+        # a first breakdown after iteration 2 restarts only when an iteration is left
+        # for the restart; the restart breaks down too, before its first step
+        A = square([[1.0, 1.0], [2.0, 2.0]])
+        for max_iter, breakdown in ((2, False), (3, True)):
+            x, report = bicg_solve(A, np.ones(2), max_iter=max_iter)
+            assert report.iterations == 2 and not report.converged
+            assert report.breakdown is breakdown
+
+    def test_breakdown_at_the_cap_is_plain_non_convergence(self):
+        # the first step breaks down on its rho; with max_iter = 1 no restart is left
+        A = square([[-1.0, 0.0], [-1.0, 2.0]])
+        x, report = bicg_solve(A, np.array([1.0, 0.0]), max_iter=1)
+        assert report.iterations == 1
+        assert not report.converged and not report.breakdown
+        # one more iteration lets the restart, with its fresh shadow vector, converge
+        x, report = bicg_solve(A, np.array([1.0, 0.0]), max_iter=2)
+        assert report.iterations == 2
+        assert report.converged and not report.breakdown
+        assert np.allclose(x, [-1.0, -0.5], atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["identity", "precond", "skew", "zero", "cap",
+                                      "twice", "zero_rhs", "overflow"])
+    def test_report_fields_are_builtin_types(self, case):
+        system, coupling, grid = small_1d_system()
+        pc = build_preconditioner(coupling, grid.h, 1, grid.m)
+        A, b, kw = {
+            "identity": (square(np.eye(5)), np.arange(1.0, 6.0), {}),
+            "precond": (system.matrix, system.rhs, {"precond": pc}),
+            "skew": (square([[0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, 0.0]), {}),
+            "zero": (square(np.zeros((3, 3))), np.ones(3), {}),
+            "cap": (system.matrix, system.rhs, {"max_iter": 1}),
+            "twice": (square([[1.0, 1.0], [2.0, 2.0]]), np.ones(2), {"max_iter": 3}),
+            "zero_rhs": (square(np.eye(3)), np.zeros(3), {}),
+            "overflow": (sparse_linalg.SparseMatrix([[1e300]], laplacian((6,), 1.0)),
+                         np.full(6, 1e-150), {}),
+        }[case]
+        _, report = bicg_solve(A, b, **kw)
+        for name in ("converged", "breakdown", "slabs_capped"):
+            assert type(getattr(report, name)) is bool
+        assert type(report.iterations) is int and type(report.slabs) is int
+        assert type(report.residual) is float and type(report.time_drift) is float
+
+    def test_one_iteration_takes_two_products_and_one_of_each_application(self, monkeypatch):
+        # field2d confirms every slab in one preconditioned iteration; this pins its work
+        calls = dict.fromkeys(["matvec", "rmatvec", "apply", "apply_transpose"], 0)
+        for cls, name in ((sparse_linalg.SparseMatrix, "matvec"),
+                          (sparse_linalg.SparseMatrix, "rmatvec"),
+                          (sparse_linalg.SinePreconditioner, "apply"),
+                          (sparse_linalg.SinePreconditioner, "apply_transpose")):
+            def counted(self, v, name=name, f=getattr(cls, name)):
+                calls[name] += 1
+                return f(self, v)
+            monkeypatch.setattr(cls, name, counted)
+        coupling, h, system = kron_system(2, n=4, m=9, alpha=1.5, T=1.0)
+        pc = build_preconditioner(coupling, h, 2, 81)
+        x, report = bicg_solve(system.matrix, system.rhs, pc)
+        assert report.converged and report.iterations == 1
+        assert calls == {"matvec": 2, "rmatvec": 1, "apply": 1, "apply_transpose": 1}
 
     def test_non_convergence_reported(self):
         system, _, _ = small_1d_system(n=4, m=31)
