@@ -13,7 +13,9 @@ solve and every resolvent action; initial data reaches a grid only through sampl
 The solvers split [0, T] into K slabs (see time_basis).  The coupling
 matrix is then block lower-triangular, so time_basis.march solves it slab
 by slab: every slab has the same matrix I + kron(tau^alpha B_0, L), and
-earlier slabs enter its right-hand side through the blocks B_{j-k}.
+earlier slabs enter its right-hand side through the blocks B_{j-k}.  Only
+a 1D march over K >= n slabs repays an LU factorization of that matrix;
+every other solve preconditions it once for BiCG.
 K is the first of 1, 2, 4, ... at which doubling it moves the solution
 at T by at most TIME_TOL * max|g|.  A type-I sine transform diagonalizes
 the zero-ghost stencils, so that check runs the same march exactly, one
@@ -281,9 +283,11 @@ def solve_slabs(
     assumes it negligible.  assemble(coupling, weights, g, grid) builds the
     one-slab BlockSystem, whose matrix's L also carries earlier slabs into
     the right-hand side.  method "auto" takes LU for a 1D slab system of at
-    most DIRECT_LIMIT unknowns and the preconditioned BiCG otherwise, in 2D
-    at every size.  The matrix is factored once (LU) or preconditioned once
-    (BiCG) and reused on every slab.  Each BiCG slab solve runs to a
+    most DIRECT_LIMIT unknowns when K >= n, and the preconditioned BiCG
+    otherwise, in 2D at every size: one factorization costs about n^3 flops
+    per grid point and each slab then about n^2, as much as a BiCG slab
+    solve.  The matrix is factored once (LU) or preconditioned once (BiCG)
+    and reused on every slab.  Each BiCG slab solve runs to a
     residual below tol * ||w g|| with at most max_iter iterations, so the
     whole system's relative residual stays below tol.  A right-hand side
     whose sum of squares overflows a float is refused (rhs_norm), since
@@ -313,7 +317,7 @@ def solve_slabs(
     b = system.rhs.reshape(n, -1)
     norm_b = rhs_norm(b)
     use_direct = method == "direct" or (method == "auto" and grid.ndim == 1
-                                        and system.N <= DIRECT_LIMIT)
+                                        and system.N <= DIRECT_LIMIT and K >= n)
     name = "direct" if use_direct else "bicg+precond"
     pc = None if use_direct else build_preconditioner(slab, h, grid.ndim, b.shape[1])
     iterations, breakdown, squares = 0, False, 0.0
@@ -362,8 +366,9 @@ def solve_1d(
 
     n counts basis functions per time slab; the slab count K is chosen by
     choose_slabs.  method "auto" picks LU when the one-slab system has at
-    most the direct threshold of unknowns and the preconditioned iteration
-    beyond; "direct" or "bicg" force one path.
+    most DIRECT_LIMIT unknowns and K >= n, so that the K slabs repay one
+    factorization, and the preconditioned iteration otherwise; "direct" or
+    "bicg" force one path.
     """
     if len(grid.shape) != 1:
         raise ValueError(f"solve_1d needs a 1D grid, got {type(grid).__name__}; use solve_2d")

@@ -4,11 +4,12 @@ The Galerkin systems I + kron(a, L) are real and non-symmetric, with an
 n x n outer block structure over the coupling matrix a.  SparseMatrix is
 such a system and nothing else: it keeps the two factors, the dense a and
 the sparse Laplacian L, applies the system and counts its nonzeros through
-them, and builds its compressed-row form, scipy's kron, only when read.  Small
-systems go through the one sparse LU factorization, of a compressed-column
-matrix built from the two factors with each grid point's n unknowns
-together; large ones use the bi-conjugate gradient iteration, which needs
-only the products.
+them, and builds its compressed-row form, scipy's kron, only when read.  The
+one sparse LU factorization, of a compressed-column matrix built from the
+two factors with each grid point's n unknowns together, serves systems of
+at most DIRECT_LIMIT unknowns solved often enough to repay it (a 1D slab
+system marched over at least n slabs); every other system uses the
+bi-conjugate gradient iteration, which needs only the products.
 
 Its preconditioner is the exact inverse of the system.  The orthonormal
 type-I sine transform along every spatial axis diagonalizes the zero-ghost
@@ -65,8 +66,9 @@ __all__ = [
     "write_matrix_market",
 ]
 
-# Largest N handled by the direct LU path; beyond this the iterative
-# solver is mandatory.
+# Largest N that lu_solve factors; beyond it only the iterative solver runs.
+# Within it, an auto solve still takes LU only for a 1D system whose K slabs
+# number at least n (solver_1d.solve_slabs).
 DIRECT_LIMIT = 20_000
 
 # Largest nonzero count of a SparseMatrix, refused on construction; it guards

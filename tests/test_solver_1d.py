@@ -226,6 +226,36 @@ class TestSolve1D:
         f_iter = solve_1d(method="bicg", tol=1e-12, **kw)
         assert f_iter.report.method == "bicg+precond"
         assert np.max(np.abs(f_direct.coefficients - f_iter.coefficients)) < 1e-8
+        # auto, whichever slab solver it picks, on perfbench's sweep1d cases and grids
+        routes = set()
+        for T in (3.0, 6.0, 12.0):
+            grid = Grid1D(-15.0, 15.0, 151) if T <= 6 else Grid1D(-20.0, 20.0, 201)
+            for n in (8, 18, 32):
+                for alpha in (1.0, 1.25, 1.5, 1.75, 2.0):
+                    kw = dict(order=MemoryOrder(alpha), T=T, n=n, grid=grid, g=g)
+                    f_direct, f_auto = solve_1d(method="direct", **kw), solve_1d(**kw)
+                    routes.add(f_auto.report.method)
+                    assert f_auto.report.slabs == f_direct.report.slabs, (alpha, T, n)
+                    gap = np.max(np.abs(f_auto.coefficients - f_direct.coefficients))
+                    assert gap <= 1e-12 * np.max(np.abs(f_direct.coefficients)), (alpha, T, n)
+        assert routes == {"direct", "bicg+precond"}
+
+    @pytest.mark.parametrize("solve, alpha, T, n, grid, g, slabs, method", [
+        # one slab cannot repay an LU factorization
+        (solve_1d, 1.0, 3.0, 32, Grid1D(-15.0, 15.0, 151), InitialField1D.gaussian(1.0),
+         1, "bicg+precond"),
+        (solve_1d, 2.0, 12.0, 8, Grid1D(-20.0, 20.0, 201), InitialField1D.gaussian(1.0),
+         16, "direct"),
+        (solve_1d, 2.0, 6.0, 8, Grid1D(-15.0, 15.0, 151), InitialField1D.gaussian(1.0),
+         8, "direct"),
+        # 2D takes BiCG although K >= n and N = 1,764 is within DIRECT_LIMIT
+        (solve_2d, 2.0, 6.0, 4, Grid2D(-15.0, 15.0, 21), InitialField2D.radial_gaussian(2.0),
+         32, "bicg+precond"),
+    ])
+    def test_auto_takes_lu_only_where_its_slabs_repay_the_factorization(
+            self, solve, alpha, T, n, grid, g, slabs, method):
+        report = solve(MemoryOrder(alpha), T, n, grid, g).report
+        assert (report.slabs, report.method) == (slabs, method)
 
     def test_grid_dimension_is_checked(self, monkeypatch):
         # each solver returns a field of its own dimension, so it refuses the other
