@@ -17,7 +17,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -70,20 +70,13 @@ class RunConfig:
     dump_matrix: str = ""
 
     def to_text(self) -> str:
-        lines = []
-        for f in sorted(dataclass_fields(self), key=lambda f: f.name):
-            v = getattr(self, f.name)
-            if f.name == "times":
-                v = ",".join(repr(float(t)) for t in v)
-            elif isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name}={_text(getattr(self, f.name))}\n"
+                       for f in sorted(fields(self), key=lambda f: f.name))
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         """Parse key=value lines, or the "# key=value" echo (not the report) atop an output file."""
-        known = {f.name: f for f in dataclass_fields(cls)}
+        known = {f.name: f for f in fields(cls)}
         lines = text.splitlines()
         if lines and lines[0].startswith("# memwave "):
             lines = [line.removeprefix("# ") for line in lines[1:1 + len(known)]]
@@ -98,21 +91,32 @@ class RunConfig:
             key, val = key.strip(), val.strip()
             if key not in known:
                 raise ConfigError(f"unknown config key: {key!r}")
-            values[key] = _parse_value(key, val, known[key].type)
+            try:
+                values[key] = _PARSE[known[key].type](val)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {exc}") from exc
         return cls(**values)
 
 
-def _parse_value(key: str, val: str, ftype: str):
-    try:
-        if key == "times":
-            return tuple(float(p) for p in val.split(",") if p.strip() != "")
-        if ftype == "int":
-            return int(val)
-        if ftype == "float":
-            return float(val)
-        return val
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {exc}") from exc
+def float_list(text: str) -> tuple:
+    """Comma-separated floats, as --times and a times= line give them; empty items are skipped."""
+    return tuple(float(p) for p in text.split(",") if p.strip() != "")
+
+
+# RunConfig's field annotations (strings, under postponed evaluation) to their parsers
+_PARSE = {"int": int, "float": float, "str": str, "tuple": float_list}
+
+
+def _fmt(v: float) -> str:
+    return repr(float(v))
+
+
+def _text(v) -> str:
+    """A record's value as the output files print it: a float by repr, which round-trips
+    exactly, a tuple of floats comma-separated, anything else by str."""
+    if isinstance(v, tuple):
+        return ",".join(map(_fmt, v))
+    return _fmt(v) if isinstance(v, float) else str(v)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,7 +149,7 @@ def build_parser() -> _Parser:
         if name in ("solve1d", "solve2d"):
             p.add_argument("--dump-matrix", dest="dump_matrix")
         if name == "solve1d":
-            p.add_argument("--times", help="comma-separated output times")
+            p.add_argument("--times", type=float_list, help="comma-separated output times")
         if name == "solve2d":
             p.add_argument("--sigma1", type=float)
             p.add_argument("--sigma2", type=float)
@@ -159,24 +163,17 @@ def build_parser() -> _Parser:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "config", None):
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    path = flags.pop("config", None)
+    if path:
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 config = RunConfig.from_text(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     else:
         config = RunConfig()
-    config.subcommand = args.subcommand
-    for f in dataclass_fields(RunConfig):
-        if f.name in ("subcommand", "times"):
-            continue
-        v = getattr(args, f.name, None)
-        if v is not None:
-            setattr(config, f.name, v)
-    if getattr(args, "times", None) is not None:
-        config.times = _parse_value("times", args.times, "tuple")
-    return config
+    return replace(config, **flags)
 
 
 def _out_path(path: str) -> str:
@@ -184,34 +181,23 @@ def _out_path(path: str) -> str:
     return path if os.path.isabs(path) else os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), path)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _metadata(config: RunConfig, extra: list[str]) -> list[str]:
-    lines = [f"# memwave {config.subcommand}"]
-    lines += [f"# {line}" for line in config.to_text().splitlines()]
-    lines += [f"# {line}" for line in extra]
-    return lines
-
-
 def _report_line(report) -> str:
     # space-separated key=value tokens, so the line splits without quoting
-    return (
-        f"report: method={report.method} iterations={report.iterations} "
-        f"residual={_fmt(report.residual)} converged={report.converged} "
-        f"slabs={report.slabs} time_drift={_fmt(report.time_drift)} "
-        f"slabs_capped={report.slabs_capped} breakdown={report.breakdown}"
-    )
+    return "report: " + " ".join(f"{f.name}={_text(getattr(report, f.name))}"
+                                 for f in fields(report))
 
 
-def _write_csv(path: str, meta: list[str], header: str, rows) -> None:
+def _write(config: RunConfig, extra_lines: list[str], header: str, rows, path: str = "") -> str:
+    """Write one CSV and return its path: the run's config echo and extra_lines as '#'
+    metadata, the header, then rows of strings.  A given path is used as is; the default
+    is config.output, or <subcommand>.csv, taken under $MEMWAVE_OUTDIR when relative."""
+    path = path or _out_path(config.output or f"{config.subcommand}.csv")
+    meta = [f"memwave {config.subcommand}", *config.to_text().splitlines(), *extra_lines]
     with open(path, "w") as fh:
-        for line in meta:
-            fh.write(line + "\n")
+        fh.writelines(f"# {line}\n" for line in meta)
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+    return path
 
 
 def _solve(config: RunConfig):
@@ -245,16 +231,17 @@ def _run_solve1d(config: RunConfig) -> int:
     for t in times:
         ft, vals = _fmt(t), field.reconstruct(float(t)).tolist()
         rows += [(ft, xi, repr(v)) for xi, v in zip(x, vals)]
-    path = _out_path(config.output or "solve1d.csv")
-    _write_csv(path, _metadata(config, [_report_line(field.report)]), "t,x,f", rows)
-    if config.dump_matrix:
-        _dump_system(config, field)
+    path = _write(config, [_report_line(field.report)], "t,x,f", rows)
+    _dump_system(config, field)
     print(f"solve1d: wrote {path} ({field.report.method}, residual {field.report.residual:.3e})")
     return 0
 
 
 def _dump_system(config: RunConfig, field) -> None:
-    """Write I + kron(tau^alpha B_0, L), the one-slab system the solve used on every slab."""
+    """Write I + kron(tau^alpha B_0, L), the one-slab system the solve used on every slab,
+    if --dump-matrix asks for it (solve1d and solve2d; validate ignores a dump_matrix= line)."""
+    if not config.dump_matrix:
+        return
     slab = build_basis(field.basis.slab_length, field.basis.size_n)
     coupling, weights = coupling_matrix(slab, field.order), source_weights(slab)
     system = assemble_1d(coupling, weights, field.initial, field.grid)
@@ -266,15 +253,12 @@ def _run_solve2d(config: RunConfig) -> int:
     values = field.reconstruct(config.T).tolist()
     x = [_fmt(xi) for xi in field.grid.points]
     rows = [(xi, yj, repr(v)) for xi, row in zip(x, values) for yj, v in zip(x, row)]
-    path = _out_path(config.output or "solve2d.csv")
-    meta = _metadata(config, [_report_line(field.report)])
-    _write_csv(path, meta, "x,y,f", rows)
+    report = [_report_line(field.report)]
+    path = _write(config, report, "x,y,f", rows)
     iy = field.grid.nearest_index(0.0)
-    section = [row[iy] for row in values]
-    sec_path = os.path.splitext(path)[0] + "_section.csv"
-    _write_csv(sec_path, meta, "x,f", [(xi, repr(v)) for xi, v in zip(x, section)])
-    if config.dump_matrix:
-        _dump_system(config, field)
+    section = [(xi, repr(row[iy])) for xi, row in zip(x, values)]
+    sec_path = _write(config, report, "x,f", section, os.path.splitext(path)[0] + "_section.csv")
+    _dump_system(config, field)
     print(f"solve2d: wrote {path} and {sec_path} ({field.report.method})")
     return 0
 
@@ -296,9 +280,7 @@ def _run_stochastic(config: RunConfig) -> int:
         for t, fieldvals in zip(traj.times, traj.fields)
         for xi, v in zip(x, fieldvals)
     ]
-    path = _out_path(config.output or "stochastic.csv")
-    _write_csv(path, _metadata(config, [f"steps={partition.I}", f"tau={_fmt(partition.tau)}"]),
-               "t,x,f", rows)
+    path = _write(config, [f"steps={partition.I}", f"tau={_fmt(partition.tau)}"], "t,x,f", rows)
     print(f"stochastic: wrote {path} ({partition.I} steps, C={config.noise_C})")
     return 0
 
@@ -318,9 +300,8 @@ def _run_validate(config: RunConfig) -> int:
         (_fmt(xi), _fmt(nv), _fmt(av), _fmt(ev))
         for xi, nv, av, ev in zip(x, numeric, analytic, err)
     ]
-    meta = _metadata(config, [_report_line(field.report), f"max_error={_fmt(max_err)}"])
-    path = _out_path(config.output or "validate.csv")
-    _write_csv(path, meta, "x,numeric,analytic,abs_error", rows)
+    meta = [_report_line(field.report), f"max_error={_fmt(max_err)}"]
+    path = _write(config, meta, "x,numeric,analytic,abs_error", rows)
     print(f"validate: max error {max_err:.6e} (alpha={config.alpha}, n={config.n}, m={config.m}); wrote {path}")
     return 0
 

@@ -339,16 +339,15 @@ def solve_slabs(
                 raise SolverConvergenceError(
                     f"iterative solve failed ({kind}) on slab {j + 1} of {K} after "
                     f"{iterations} iterations, residual {rep.residual:.3e}",
-                    SolveReport(iterations, rep.residual, False, name, rep.breakdown,
-                                slabs=K, time_drift=drift, slabs_capped=capped))
+                    SolveReport(name, iterations, rep.residual, False, K, drift, capped,
+                                rep.breakdown))
             # bicg_solve confirmed this true residual, relative to ||rhs||, before returning
             squares += (rep.residual * norm_rhs) ** 2
         return x.reshape(b.shape)
 
     X, _ = march(blocks, b, solve, lambda x: (system.matrix.L @ x.T).T)
     residual = float(np.sqrt(squares) / (np.sqrt(K) * norm_b)) if norm_b > 0 else 0.0
-    report = SolveReport(iterations, residual, True, name, breakdown,
-                         slabs=K, time_drift=drift, slabs_capped=capped)
+    report = SolveReport(name, iterations, residual, True, K, drift, capped, breakdown)
     return basis, X.reshape((K * n,) + grid.shape), report
 
 

@@ -177,17 +177,18 @@ class SolveReport:
 
     The solvers also record the time-slab count they chose, the last
     doubling difference of the solution at T (time_drift), and whether the
-    slab count hit its cap.
+    slab count hit its cap.  The fields, in this order, are the key=value
+    tokens of the CLI's "# report:" line.
     """
 
+    method: str
     iterations: int
     residual: float
     converged: bool
-    method: str
-    breakdown: bool = False
     slabs: int = 1
     time_drift: float = 0.0
     slabs_capped: bool = False
+    breakdown: bool = False
 
 
 @dataclass
@@ -413,10 +414,11 @@ def bicg_solve(
     true relative residual ||b - Ax|| / ||b|| <= tol.  A breakdown
     (vanishing inner product) restarts once from the current iterate with a
     fresh shadow vector, unless that iterate has converged; only a breakdown
-    of the restart too sets the report's breakdown flag, and one at max_iter
-    is plain non-convergence.  The iteration stops at the first residual
-    norm, rho or sigma that is not finite.  A b that is not finite, or whose
-    norm overflows (rhs_norm), is refused before any work.
+    of the restart too sets the report's breakdown flag.  One that takes the
+    last iteration max_iter allows ends the solve unrestarted, as plain
+    non-convergence.  The iteration stops at the first residual norm, rho
+    or sigma that is not finite.  A b that is not finite, or whose norm
+    overflows (rhs_norm), is refused before any work.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -429,20 +431,17 @@ def bicg_solve(
 
     norm_b = rhs_norm(b)
     if norm_b == 0.0:
-        return np.zeros_like(b), SolveReport(0, 0.0, True, method)
+        return np.zeros_like(b), SolveReport(method, 0, 0.0, True)
 
     x = np.zeros_like(b)
     r = b.copy()
     iterations = 0
     for restart in range(2):
-        broke = False
-        if iterations < max_iter:
-            # (re)start the recurrences, unless a breakdown took the last iteration
-            shadow = _fresh_shadow(b.size, 1) if restart else r.copy()
-            z, zs = m_apply(r), mt_apply(shadow)
-            p, ps = z.copy(), zs.copy()
-            rho = float(shadow @ z)
-            broke = _breaks_down(rho, shadow, z)
+        shadow = _fresh_shadow(b.size, 1) if restart else r.copy()
+        z, zs = m_apply(r), mt_apply(shadow)
+        p, ps = z.copy(), zs.copy()
+        rho = float(shadow @ z)
+        broke = _breaks_down(rho, shadow, z)
         while not broke and iterations < max_iter:
             q, qs = A.matvec(p), A.rmatvec(ps)
             sigma = float(ps @ q)
@@ -460,7 +459,7 @@ def bicg_solve(
                 # confirm on the true residual before declaring convergence
                 true_res = float(np.linalg.norm(b - A.matvec(x)) / norm_b)
                 if true_res <= tol:
-                    return x, SolveReport(iterations, true_res, True, method)
+                    return x, SolveReport(method, iterations, true_res, True)
             z, zs = m_apply(r), mt_apply(shadow)
             rho_new = float(shadow @ z)
             if not math.isfinite(rho_new) or (broke := _breaks_down(rho_new, shadow, z)):
@@ -473,10 +472,11 @@ def bicg_solve(
         # the true residual: the restart's start, or the verdict's
         r = b - A.matvec(x)
         true_res = float(np.linalg.norm(r) / norm_b)
-        if not broke or true_res <= tol:
+        if not broke or true_res <= tol or iterations == max_iter:
             break
     converged = bool(true_res <= tol)
-    return x, SolveReport(iterations, true_res, converged, method, breakdown=broke and not converged)
+    return x, SolveReport(method, iterations, true_res, converged,
+                          breakdown=broke and bool(restart) and not converged)
 
 
 def write_matrix_market(A: SparseMatrix, path) -> None:

@@ -1,6 +1,7 @@
 import argparse
 import os
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from memwave import (
     InitialField1D,
     InitialField2D,
     MemoryOrder,
+    SolveReport,
     assemble_1d,
+    assemble_2d,
     build_basis,
     coupling_matrix,
     solve_1d,
@@ -111,6 +114,14 @@ class TestExitCodes:
         assert main(["solve1d", "--config", str(bad)]) == 1
         bad.write_text("precond=false\n")
         assert main(["solve1d", "--config", str(bad)]) == 1
+
+    def test_malformed_times(self, tmp_path, capsys):
+        # --times and a times= line share one parser, so both refuse the same list
+        bad, out = tmp_path / "bad.cfg", tmp_path / "out.csv"
+        bad.write_text("times=0,abc\n")
+        assert main(["solve1d", "--times", "0,abc", "-o", str(out)]) == 1
+        assert main(["solve1d", "--config", str(bad), "-o", str(out)]) == 1
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["solve1d", "--config", str(tmp_path / "absent.cfg")]) == 1
@@ -263,11 +274,18 @@ class TestOutputs:
         assert main(solve1d_args(tmp_path)) == 0
         meta, _, _ = read_csv(out)
         report = next(line for line in meta if line.startswith("# report:"))
-        fields = dict(token.split("=", 1) for token in report.split()[2:])
-        assert fields["method"] == "direct" and fields["converged"] == "True"
-        assert int(fields["slabs"]) >= 1
-        assert 0.0 <= float(fields["time_drift"]) <= 1e-6
-        assert fields["slabs_capped"] == "False" and fields["breakdown"] == "False"
+        tokens = dict(token.split("=", 1) for token in report.split()[2:])
+        assert tokens["method"] == "direct" and tokens["converged"] == "True"
+        assert int(tokens["slabs"]) >= 1
+        assert 0.0 <= float(tokens["time_drift"]) <= 1e-6
+        assert tokens["slabs_capped"] == "False" and tokens["breakdown"] == "False"
+        # the tokens are SolveReport's fields, in order, and each reads back to its value
+        assert list(tokens) == [f.name for f in fields(SolveReport)]
+        want = solve_1d(MemoryOrder(1.5), 2.0, 3, Grid1D(-10.0, 10.0, 21),
+                        InitialField1D.gaussian(1.0)).report
+        parse = {"str": str, "int": int, "float": float, "bool": lambda v: v == "True"}
+        assert SolveReport(**{f.name: parse[f.type](tokens[f.name])
+                              for f in fields(SolveReport)}) == want
 
     def test_report_line_records_a_capped_slab_count(self, tmp_path, capsys):
         # two functions per slab cannot settle the solution at T, so K stops at its cap
@@ -276,9 +294,9 @@ class TestOutputs:
             assert main(["solve2d", "--n", "2", "--m", "11", "-o", str(out)]) == 0
         meta, _, _ = read_csv(out)
         report = next(line for line in meta if line.startswith("# report:"))
-        fields = dict(token.split("=", 1) for token in report.split()[2:])
-        assert fields["slabs"] == "64" and fields["slabs_capped"] == "True"
-        assert fields["converged"] == "True" and fields["breakdown"] == "False"
+        tokens = dict(token.split("=", 1) for token in report.split()[2:])
+        assert tokens["slabs"] == "64" and tokens["slabs_capped"] == "True"
+        assert tokens["converged"] == "True" and tokens["breakdown"] == "False"
 
     def test_outdir_env_applies_to_relative_paths(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MEMWAVE_OUTDIR", str(tmp_path))
@@ -320,6 +338,29 @@ class TestOutputs:
         assert diff.nnz == 0
 
 
+    def test_solve2d_dump_is_the_one_slab_2d_system(self, tmp_path, capsys):
+        mtx = tmp_path / "system.mtx"
+        assert main(["solve2d", "--alpha", "1.5", "--T", "1.0", "--n", "4", "--xmin", "-10",
+                     "--xmax", "10", "--m", "15", "-o", str(tmp_path / "field.csv"),
+                     "--dump-matrix", str(mtx)]) == 0
+        loaded = sp.csr_matrix(scipy.io.mmread(mtx))
+        g, grid = InitialField2D.radial_gaussian(1.0), Grid2D(-10.0, 10.0, 15)
+        order = MemoryOrder(1.5)
+        slab = build_basis(1.0 / solve_2d(order, 1.0, 4, grid, g).report.slabs, 4)
+        system = assemble_2d(coupling_matrix(slab, order), source_weights(slab), g, grid)
+        diff = (loaded - system.matrix.csr).tocsr()
+        diff.eliminate_zeros()
+        assert loaded.shape == (4 * 15 * 15,) * 2 and diff.nnz == 0
+
+    def test_validate_ignores_a_dump_matrix_line(self, tmp_path, capsys, monkeypatch):
+        # --dump-matrix is a solve1d and solve2d flag; validate reads the key and writes no matrix
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("MEMWAVE_OUTDIR", raising=False)
+        (tmp_path / "run.cfg").write_text("alpha=1.0\nT=1.0\nn=4\nm=31\ndump_matrix=v.mtx\n")
+        assert main(["validate", "--config", "run.cfg", "-o", "v.csv"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "v.csv"]
+
+
 class TestConfigHandling:
     @pytest.mark.parametrize("argv", [
         ["solve1d", "--alpha", "1.5", "--T", "2.0", "--n", "3", "--xmin", "-10", "--xmax", "10",
@@ -353,6 +394,9 @@ class TestConfigHandling:
     def test_to_from_text_round_trip(self):
         config = RunConfig(subcommand="solve2d", alpha=1.75, m=41, n=6,
                            times=(0.0, 1.5), output="x.csv")
+        assert RunConfig.from_text(config.to_text()) == config
+        # a numpy float prints as a plain float, not as "np.float64(...)"
+        config = RunConfig(alpha=np.float64(1.75), T=np.float64(2.0))
         assert RunConfig.from_text(config.to_text()) == config
 
     def test_flags_override_config_file(self, tmp_path, capsys):

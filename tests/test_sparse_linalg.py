@@ -195,13 +195,24 @@ class TestBicgSolve:
         x, report = bicg_solve(A, np.ones(3))
         assert not report.converged
         assert report.breakdown
-        # a first breakdown after iteration 2 restarts only when an iteration is left
-        # for the restart; the restart breaks down too, before its first step
+        # the first breakdown, after iteration 1, restarts; the restart breaks down too,
+        # on the sigma of its second step, which only max_iter = 3 leaves room for
         A = square([[1.0, 1.0], [2.0, 2.0]])
         for max_iter, breakdown in ((2, False), (3, True)):
             x, report = bicg_solve(A, np.ones(2), max_iter=max_iter)
             assert report.iterations == 2 and not report.converged
             assert report.breakdown is breakdown
+
+    def test_a_breakdown_at_the_cap_forms_the_true_residual_once(self, monkeypatch):
+        # the first breakdown, after iteration 1, takes the last iteration max_iter = 1
+        # allows: one product for the step and one for the verdict, none for a restart
+        products = []
+        matvec = sparse_linalg.SparseMatrix.matvec
+        monkeypatch.setattr(sparse_linalg.SparseMatrix, "matvec",
+                            lambda self, v: products.append(v) or matvec(self, v))
+        x, report = bicg_solve(square([[1.0, 1.0], [2.0, 2.0]]), np.ones(2), max_iter=1)
+        assert len(products) == 2
+        assert report.iterations == 1 and not report.converged and not report.breakdown
 
     def test_breakdown_at_the_cap_is_plain_non_convergence(self):
         # the first step breaks down on its rho; with max_iter = 1 no restart is left
