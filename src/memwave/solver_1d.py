@@ -249,14 +249,16 @@ def choose_slabs(order: MemoryOrder, T: float, n: int, g_values: np.ndarray, h: 
     difference, and capped is True when K reached MAX_SLABS unconverged.
     """
     g_values = np.asarray(g_values, dtype=float)
-    lam = sine_eigenvalues(g_values.shape, h)
+    # every level marches each distinct eigenvalue once
+    lam, modes = np.unique(sine_eigenvalues(g_values.shape, h), return_inverse=True)
+    modes = modes.reshape(g_values.shape)
     g_hat = dstn(g_values, type=1, norm="ortho")
     target = TIME_TOL * float(np.max(np.abs(g_values)))
     K = 1
     prev = endpoint_transfer(build_basis(T, n), order, lam)
     while True:
         nxt = endpoint_transfer(build_basis(T, n, 2 * K), order, lam)
-        drift = float(np.max(np.abs(dstn((prev - nxt) * g_hat, type=1, norm="ortho"))))
+        drift = float(np.max(np.abs(dstn((prev - nxt)[modes] * g_hat, type=1, norm="ortho"))))
         if drift <= target:
             return K, drift, False
         K, prev = 2 * K, nxt
@@ -291,7 +293,8 @@ def solve_slabs(
     residual below tol * ||w g|| with at most max_iter iterations, so the
     whole system's relative residual stays below tol.  A right-hand side
     whose sum of squares overflows a float is refused (rhs_norm), since
-    every residual is measured against its norm.  Returns the K-slab
+    every residual is measured against its norm; data that overflows at
+    every slab count is refused before the slab choice.  Returns the K-slab
     basis, the coefficients shaped (K*n,) + grid shape and the whole
     system's SolveReport.
     """
@@ -303,6 +306,9 @@ def solve_slabs(
     g_values, h = sample(g, grid), grid.h
     _check_edges("initial data is {:.2e} at the grid boundary; free-boundary "
                  "closure assumes negligible values there", g_values, stacklevel=3)
+    # the right-hand side kron(w, g) at K = MAX_SLABS, whose w_1 = sqrt(tau) is the least of
+    # any K: where its sum of squares overflows, every K's does, so refuse before the slab choice
+    rhs_norm(np.kron(source_weights(build_basis(T, n, MAX_SLABS)).weights[:n], g_values.ravel()))
     K, drift, capped = choose_slabs(order, T, n, g_values, h)
     if capped:
         warnings.warn(

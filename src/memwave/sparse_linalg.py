@@ -20,7 +20,11 @@ Schur form of a (Bartels & Stewart, Comm. ACM 15, 1972), with its diagonal
 blocks inverted per mode at build (time_basis.mode_factors), solves every
 block, and read backwards its transpose.  BiCG then converges in one or two
 iterations, and the iteration itself, with its true-residual check,
-confirms the solution on the system's own products.
+confirms the solution on the system's own products.  Each BiCG step asks
+for both applications at once, so their transforms back run as one
+stacked call, and the first step, whose shadow is the residual itself,
+shares its forward transform: a one-iteration solve takes three sine
+transforms.
 
 The iterative method is classic preconditioned BiCG (two matrix products
 per step, one with A and one with its transpose).  The stabilized variant
@@ -193,29 +197,36 @@ class SolveReport:
 
 @dataclass
 class SinePreconditioner:
-    """Exact inverse of I + kron(a, L) for the zero-ghost Laplacian L on a grid.
+    """Exact inverse M^{-1} of M = I + kron(a, L) for the zero-ghost Laplacian L on a grid.
 
     factors are the mode_factors of a for L's eigenvalue lambda of every
     sine mode in the grid's C order.  With the basis index outermost in the
-    unknown vector, an apply is a sine transform of the n spatial fields,
-    mode_solve per mode on factors (factors.transpose() for apply_transpose)
+    unknown vector, an application is a sine transform of the n spatial
+    fields, mode_solve per mode on factors (factors.transpose() for M^{-T})
     and the transform back (the orthonormal DST-I is its own inverse).
+    apply_pair gives M^{-1} v and M^{-T} vs, the two that a BiCG step needs:
+    it transforms both back in one stacked call, and transforms forward
+    once when vs is v.
     """
 
     factors: ModeFactors = field(repr=False)
     shape: tuple
 
-    def _apply(self, v: np.ndarray, factors: ModeFactors) -> np.ndarray:
-        n, axes = len(factors.T), tuple(range(1, len(self.shape) + 1))
-        v_hat = dstn(v.reshape((n,) + self.shape), type=1, norm="ortho", axes=axes)
-        y_hat = mode_solve(factors, v_hat.reshape(n, -1))
-        return dstn(y_hat.reshape(v_hat.shape), type=1, norm="ortho", axes=axes).ravel()
+    def _sine(self, v: np.ndarray) -> np.ndarray:
+        """The sine transform of each grid field along v's last axis, whose size is the grid's."""
+        fields = v.reshape(v.shape[:-1] + self.shape)
+        axes = tuple(range(-len(self.shape), 0))
+        return dstn(fields, type=1, norm="ortho", axes=axes).reshape(v.shape)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, self.factors)
-
-    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, self.factors.transpose())
+    def apply_pair(self, v: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """M^{-1} v and M^{-T} vs: three transforms when vs is v, four otherwise."""
+        n = len(self.factors.T)
+        v_hat = self._sine(v.reshape(n, -1))
+        vs_hat = v_hat if vs is v else self._sine(vs.reshape(n, -1))
+        y_hat = np.stack([mode_solve(self.factors, v_hat),
+                          mode_solve(self.factors.transpose(), vs_hat)])
+        z, zs = self._sine(y_hat).reshape(2, -1)
+        return z, zs
 
 
 @dataclass
@@ -394,8 +405,8 @@ def _breaks_down(inner: float, u: np.ndarray, v: np.ndarray) -> bool:
     return bool(abs(inner) <= 1e-14 * np.linalg.norm(u) * np.linalg.norm(v))
 
 
-def _identity(v: np.ndarray) -> np.ndarray:
-    return v
+def _unpreconditioned(v: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return v, vs
 
 
 # an overflow inside the iteration ends it with a non-finite test below, not a warning
@@ -410,7 +421,9 @@ def bicg_solve(
     """Preconditioned bi-conjugate gradient iteration.
 
     Left preconditioning: z = M^{-1} r drives the iteration and the
-    transposed applications the shadow recurrence.  Every verdict is the
+    transposed applications the shadow recurrence; one apply_pair call
+    gives both, and at the start, where the shadow is r itself, it
+    transforms r forward once.  Every verdict is the
     true relative residual ||b - Ax|| / ||b|| <= tol.  A breakdown
     (vanishing inner product) restarts once from the current iterate with a
     fresh shadow vector, unless that iterate has converged; only a breakdown
@@ -426,8 +439,8 @@ def bicg_solve(
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     b = A._rhs(b)
     method = "bicg+precond" if precond is not None else "bicg"
-    m_apply = precond.apply if precond is not None else _identity
-    mt_apply = precond.apply_transpose if precond is not None else _identity
+    # z = M^{-1} r and zs = M^{-T} shadow come from one call
+    m_pair = precond.apply_pair if precond is not None else _unpreconditioned
 
     norm_b = rhs_norm(b)
     if norm_b == 0.0:
@@ -438,7 +451,8 @@ def bicg_solve(
     iterations = 0
     for restart in range(2):
         shadow = _fresh_shadow(b.size, 1) if restart else r.copy()
-        z, zs = m_apply(r), mt_apply(shadow)
+        # the first shadow equals r: passed r itself, the preconditioner transforms it once
+        z, zs = m_pair(r, shadow if restart else r)
         p, ps = z.copy(), zs.copy()
         rho = float(shadow @ z)
         broke = _breaks_down(rho, shadow, z)
@@ -460,7 +474,7 @@ def bicg_solve(
                 true_res = float(np.linalg.norm(b - A.matvec(x)) / norm_b)
                 if true_res <= tol:
                     return x, SolveReport(method, iterations, true_res, True)
-            z, zs = m_apply(r), mt_apply(shadow)
+            z, zs = m_pair(r, shadow)
             rho_new = float(shadow @ z)
             if not math.isfinite(rho_new) or (broke := _breaks_down(rho_new, shadow, z)):
                 break

@@ -97,6 +97,11 @@ class TimeBasis:
         """Total number of basis functions, K * n."""
         return self.slabs * self.size_n
 
+    @property
+    def end_values(self) -> np.ndarray:
+        """phi_1 .. phi_n at the end of their slab: sqrt((2j - 1) / tau), as P_{j-1}(1) = 1."""
+        return np.sqrt((2.0 * np.arange(1, self.size_n + 1) - 1.0) / self.slab_length)
+
     def slab_index(self, t) -> np.ndarray:
         """Slab holding each time; a break belongs to the later slab, T to the last."""
         k = np.floor(np.asarray(t, dtype=float) / self.slab_length).astype(int)
@@ -124,8 +129,7 @@ class TimeBasis:
             P[1] = u
         for j in range(1, n - 1):
             P[j + 1] = ((2 * j + 1) * u * P[j] - j * P[j - 1]) / (j + 1)
-        scale = np.sqrt((2.0 * np.arange(1, n + 1) - 1.0) / tau)
-        return P * scale[:, None]
+        return P * self.end_values[:, None]
 
 
 def build_basis(T: float, n: int, slabs: int = 1) -> TimeBasis:
@@ -322,12 +326,19 @@ def march(blocks, b, solve, op):
 
     blocks, shaped (K, n, n), holds in blocks[d] the coupling of slabs d
     apart.  Slab j gets x_j = solve(b - sum_{k<j} blocks[j-k] op(x_k), j);
-    b and each x_j are shaped (n, ...).  Returns x and op(x) of every slab,
-    shaped (K, n, ...).
+    b and each x_j are shaped (n, ...).  The history sum is the one np.dot
+    that np.tensordot would form, without its per-call reshaping: the
+    (n, j n) row of blocks against the (j n, ...) stack of op(x_k).  Returns
+    x and op(x) of every slab, shaped (K, n, ...).
     """
+    n = len(b)
     X, opX = np.empty((2, len(blocks)) + np.shape(b))
     for j in range(len(blocks)):
-        rhs = b - np.tensordot(blocks[j:0:-1], opX[:j], axes=([0, 2], [0, 1])) if j else b
+        rhs = b
+        if j:
+            history = np.dot(blocks[j:0:-1].transpose(1, 0, 2).reshape(n, j * n),
+                             opX[:j].reshape(j * n, -1))
+            rhs = b - history.reshape(np.shape(b))
         X[j] = solve(rhs, j)
         opX[j] = op(X[j])
     return X, opX
@@ -384,40 +395,50 @@ def mode_factors(schur_form, lam) -> ModeFactors:
     T, Z = (np.asarray(x, dtype=float) for x in schur_form)
     lam = np.asarray(lam, dtype=float)
     n = len(T)
+    blocks, i = [], 0
+    while i < n:
+        size = 2 if i + 1 < n and T[i + 1, i] != 0.0 else 1
+        blocks.append((i, i + size))
+        i += size
+    one = np.array([i for i, j in blocks if j - i == 1], dtype=int)
+    two = np.array([i for i, j in blocks if j - i == 2], dtype=int)
     w = np.maximum(1.0, np.abs(lam))
     mu, nu = 1.0 / w, lam / w
     reach = np.abs(nu)
     tiny = n * np.finfo(float).eps
-    blocks, inverses = [], []
-    singular = np.zeros(lam.shape, dtype=bool)
-    i = 0
-    while i < n:
-        t = T[i, i]
-        s = mu + nu * t
-        if i + 1 < n and T[i + 1, i] != 0.0:
-            b, c = T[i, i + 1], T[i + 1, i]
-            root = math.sqrt(abs(b)) * math.sqrt(abs(c))
-            bound = mu + reach * math.hypot(t, root)
-            s_rel, nu_rel = s / bound, nu / bound
-            q_rel = nu_rel * root
-            rho2 = s_rel * s_rel + q_rel * q_rel  # (rho / bound)^2
-            singular |= rho2 <= tiny * tiny
-            inverse = np.empty((2, 2) + lam.shape)
-            with np.errstate(divide="ignore", invalid="ignore"):  # inf or nan where singular
-                share = mu / bound / rho2  # mu bound / rho^2
-                np.multiply(s_rel, share, out=inverse[0, 0])
-                # b nu / bound before share: b may be 1e300 where nu share underflows
-                np.multiply(-b * nu_rel, share, out=inverse[0, 1])
-                np.multiply(-c * nu_rel, share, out=inverse[1, 0])
-            inverse[1, 1] = inverse[0, 0]
-        else:
-            singular |= np.abs(s) <= tiny * (mu + reach * abs(t))
-            with np.errstate(divide="ignore"):  # inf where singular
-                inverse = (mu / s)[None, None]
-        blocks.append((i, i + len(inverse)))
-        inverses.append(inverse)
-        i += len(inverse)
-    return ModeFactors(T, Z, lam, tuple(blocks), tuple(inverses), singular)
+    axis = (slice(None),) + (None,) * lam.ndim  # a per-block scalar against every mode
+
+    # every 1 x 1 block at once: pivot s = mu + nu t, inverse mu / s
+    t = T[one, one][axis]
+    s = mu + nu * t
+    singular = np.any(np.abs(s) <= tiny * (mu + reach * np.abs(t)), axis=0)
+    with np.errstate(divide="ignore"):  # inf where singular
+        inverse_one = mu / s
+
+    # every 2 x 2 block at once, each block's root and bound still by scalar math
+    t, b, c = T[two, two], T[two, two + 1], T[two + 1, two]
+    root = np.array([math.sqrt(abs(x)) * math.sqrt(abs(y)) for x, y in zip(b, c)])
+    hyp = np.array([math.hypot(x, y) for x, y in zip(t, root)])
+    t, b, c, root, hyp = (x[axis] for x in (t, b, c, root, hyp))
+    s = mu + nu * t
+    bound = mu + reach * hyp
+    s_rel, nu_rel = s / bound, nu / bound
+    q_rel = nu_rel * root
+    rho2 = s_rel * s_rel + q_rel * q_rel  # (rho / bound)^2
+    singular |= np.any(rho2 <= tiny * tiny, axis=0)
+    inverse_two = np.empty((len(two), 2, 2) + lam.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf or nan where singular
+        share = mu / bound / rho2  # mu bound / rho^2
+        np.multiply(s_rel, share, out=inverse_two[:, 0, 0])
+        # b nu / bound before share: b may be 1e300 where nu share underflows
+        np.multiply(-b * nu_rel, share, out=inverse_two[:, 0, 1])
+        np.multiply(-c * nu_rel, share, out=inverse_two[:, 1, 0])
+    inverse_two[:, 1, 1] = inverse_two[:, 0, 0]
+
+    # per-block views, in T's order
+    ones, twos = iter(inverse_one), iter(inverse_two)
+    inverses = tuple(next(twos) if j - i == 2 else next(ones)[None, None] for i, j in blocks)
+    return ModeFactors(T, Z, lam, tuple(blocks), inverses, singular)
 
 
 def mode_solve(factors: ModeFactors, rhs) -> np.ndarray:
@@ -443,21 +464,22 @@ def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
     For each eigenvalue lam of the (negated) spatial operator this is
     phi(T) . (I + lam a)^{-1} w, so a field whose sine coefficients are g_i
     has coefficients g_i * endpoint_transfer(lam_i) at T.  march eliminates
-    the slabs, one column per distinct lam, and mode_solve each slab on the
-    real Schur form of tau^alpha B_0, whose block inverses mode_factors forms
-    once for all K slabs.  Returns an array shaped like lam.
+    the slabs, one column per entry of lam (a caller with repeated values
+    passes each once), and mode_solve each slab on the real Schur form of
+    tau^alpha B_0, whose block inverses mode_factors forms once for all K
+    slabs.  phi(T) is the last slab's end_values.  Returns an array shaped
+    like lam.
     """
     lam = np.asarray(lam, dtype=float)
-    vals, inverse = np.unique(lam.ravel(), return_inverse=True)
-    n, tau = basis.size_n, basis.slab_length
+    vals = lam.ravel()
+    n = basis.size_n
     scale, blocks = slab_blocks(basis, order)
-    slab = build_basis(tau, n)
-    w, end = source_weights(slab).weights, slab.evaluate(tau)
+    w = source_weights(basis).weights[:n]
     T, Z = _unit_schur(n, order)
     factors = mode_factors((T * scale, Z), vals)
     X, _ = march(blocks, np.broadcast_to(w[:, None], (n, vals.size)),
                  lambda rhs, j: mode_solve(factors, rhs), lambda x: vals * x)
-    return (end @ X[-1])[inverse].reshape(lam.shape)
+    return (basis.end_values @ X[-1]).reshape(lam.shape)
 
 
 def reconstruct(coeffs, basis: TimeBasis, t: float):

@@ -34,6 +34,10 @@ from memwave.sparse_linalg import laplacian, sine_eigenvalues
 BENCH = dict(T=6.0, grid=Grid1D(-15.0, 15.0, 151))
 
 
+class SlabChoiceReached(Exception):
+    """Raised by a stand-in for choose_slabs, to stop a solve where its slab choice would start."""
+
+
 class TestGrid1D:
     def test_spacing_and_points(self):
         grid = Grid1D(-15.0, 15.0, 151)
@@ -300,8 +304,28 @@ class TestSolve1D:
         with warnings.catch_warnings():
             warnings.simplefilter(action, RuntimeWarning)
             warnings.simplefilter("ignore", EdgeWarning)
-            with pytest.raises(ValueError, match="scale max\\|b\\| = 3.536e\\+199"):
+            # refused before the slab choice, on the right-hand side at tau = T / MAX_SLABS
+            with pytest.raises(ValueError, match="scale max\\|b\\| = 1.250e\\+199"):
                 solve_1d(MemoryOrder(1.0), 1.0, 4, Grid1D(-8.0, 8.0, 41), g, method=method)
+
+    @pytest.mark.parametrize("amplitude, stop", [(1e200, ValueError), (2e154, SlabChoiceReached)])
+    def test_refuses_data_that_overflows_at_every_slab_count_before_the_slab_choice(
+            self, monkeypatch, amplitude, stop):
+        # on this grid sum (sqrt(tau) g)^2 overflows at tau = T = 1 from amplitude 7.6e153 and at
+        # tau = T / MAX_SLABS from 6.1e154: only 1e200 overflows at every slab count
+        calls = []
+
+        def reached(*args):
+            calls.append(args)
+            raise SlabChoiceReached
+
+        monkeypatch.setattr(solver_1d, "choose_slabs", reached)
+        g = InitialField1D(rule=lambda x: amplitude * np.exp(-x**2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EdgeWarning)
+            with pytest.raises(stop):
+                solve_1d(MemoryOrder(1.0), 1.0, 4, Grid1D(-8.0, 8.0, 41), g)
+        assert len(calls) == (stop is SlabChoiceReached)
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_residual_orthogonality(self, alpha):

@@ -249,21 +249,31 @@ class TestBicgSolve:
         assert type(report.residual) is float and type(report.time_drift) is float
 
     def test_one_iteration_takes_two_products_and_one_of_each_application(self, monkeypatch):
-        # field2d confirms every slab in one preconditioned iteration; this pins its work
-        calls = dict.fromkeys(["matvec", "rmatvec", "apply", "apply_transpose"], 0)
+        # field2d confirms every slab in one preconditioned iteration; this pins its work: the
+        # first shadow is r itself, so its forward transform serves both applications
+        calls = dict.fromkeys(["matvec", "rmatvec", "mode_solve", "transforms"], 0)
         for cls, name in ((sparse_linalg.SparseMatrix, "matvec"),
-                          (sparse_linalg.SparseMatrix, "rmatvec"),
-                          (sparse_linalg.SinePreconditioner, "apply"),
-                          (sparse_linalg.SinePreconditioner, "apply_transpose")):
+                          (sparse_linalg.SparseMatrix, "rmatvec")):
             def counted(self, v, name=name, f=getattr(cls, name)):
                 calls[name] += 1
                 return f(self, v)
             monkeypatch.setattr(cls, name, counted)
+
+        def counted_solve(factors, rhs, f=sparse_linalg.mode_solve):
+            calls["mode_solve"] += 1
+            return f(factors, rhs)
+
+        def counted_dstn(x, *args, f=sparse_linalg.dstn, **kwargs):
+            calls["transforms"] += x.size // (4 * 81)  # one transform is of n = 4 fields of 9 x 9
+            return f(x, *args, **kwargs)
+
+        monkeypatch.setattr(sparse_linalg, "mode_solve", counted_solve)
+        monkeypatch.setattr(sparse_linalg, "dstn", counted_dstn)
         coupling, h, system = kron_system(2, n=4, m=9, alpha=1.5, T=1.0)
         pc = build_preconditioner(coupling, h, 2, 81)
         x, report = bicg_solve(system.matrix, system.rhs, pc)
         assert report.converged and report.iterations == 1
-        assert calls == {"matvec": 2, "rmatvec": 1, "apply": 1, "apply_transpose": 1}
+        assert calls == {"matvec": 2, "rmatvec": 1, "mode_solve": 2, "transforms": 3}
 
     def test_non_convergence_reported(self):
         system, _, _ = small_1d_system(n=4, m=31)
@@ -552,7 +562,7 @@ class TestSinePreconditioner:
         lam = 4.0 * np.sin(np.arange(1, 4) * np.pi / 8.0) ** 2
         assert pc.shape == (3,)
         modes = dstn(np.eye(3), type=1, norm="ortho", axes=0)
-        out = np.column_stack([pc.apply(modes[:, i]) for i in range(3)])
+        out = np.column_stack([pc.apply_pair(modes[:, i], modes[:, i])[0] for i in range(3)])
         assert np.allclose(out, modes / (1.0 + 0.5 * lam), rtol=1e-14, atol=1e-15)
 
     def test_scalar_two_dimensional(self):
@@ -563,11 +573,11 @@ class TestSinePreconditioner:
         assert pc.shape == (3, 3)
         for i, l in np.ndindex(3, 3):
             mode = dstn(np.eye(9)[3 * i + l].reshape(3, 3), type=1, norm="ortho")
-            out = pc.apply(mode.ravel()).reshape(3, 3)
+            out = pc.apply_pair(mode.ravel(), mode.ravel())[0].reshape(3, 3)
             assert np.allclose(out, expected[i, l] * mode, rtol=1e-14, atol=1e-15)
 
     def test_inverse_contract(self):
-        # in sine space, apply solves I + lambda a mode by mode
+        # in sine space, M^{-1} solves I + lambda a mode by mode
         coupling, h, _ = kron_system(2, n=2, m=5, alpha=1.0)
         pc = build_preconditioner(coupling, h, 2, 25)
         lam = sine_eigenvalues((5, 5), h).ravel()
@@ -577,10 +587,11 @@ class TestSinePreconditioner:
             np.linalg.solve(np.eye(2) + lam[p] * coupling.entries, v_hat[:, p]) for p in range(25)
         ])
         expected = dstn(y_hat.reshape(2, 5, 5), type=1, norm="ortho", axes=(1, 2))
-        y = pc.apply(v.ravel())
+        y = pc.apply_pair(v.ravel(), v.ravel())[0]
         assert np.max(np.abs(y - expected.ravel())) < 1e-12
-        # modes (i, l) and (l, i) share an eigenvalue, so apply commutes with swapping x and y
-        swapped = pc.apply(v.transpose(0, 2, 1).ravel()).reshape(2, 5, 5)
+        # modes (i, l) and (l, i) share an eigenvalue, so M^{-1} commutes with swapping x and y
+        swapped = v.transpose(0, 2, 1).ravel()
+        swapped = pc.apply_pair(swapped, swapped)[0].reshape(2, 5, 5)
         assert np.max(np.abs(swapped.transpose(0, 2, 1).ravel() - y)) < 1e-14
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -588,9 +599,14 @@ class TestSinePreconditioner:
         coupling, h, system = kron_system(d)
         pc = build_preconditioner(coupling, h, d, 6**d)
         inverse = np.linalg.inv(system.matrix.csr.toarray())
-        v = np.random.default_rng(3).standard_normal(system.N)
-        assert np.max(np.abs(pc.apply(v) - inverse @ v)) < 1e-12
-        assert np.max(np.abs(pc.apply_transpose(v) - inverse.T @ v)) < 1e-12
+        v, w = np.random.default_rng(3).standard_normal((2, system.N))
+        for vs in (v, w):
+            z, zs = pc.apply_pair(v, vs)
+            assert np.max(np.abs(z - inverse @ v)) < 1e-12
+            assert np.max(np.abs(zs - inverse.T @ vs)) < 1e-12
+        # the shared forward transform of vs is v gives what two transforms give, bit for bit
+        shared, apart = pc.apply_pair(v, v), pc.apply_pair(v, v.copy())
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(shared, apart))
 
     def test_singular_mode(self):
         # m = 3, h = 1: the middle sine mode has eigenvalue 2, and 1 + 2 * (-0.5) = 0
@@ -628,8 +644,8 @@ class TestSinePreconditioner:
         coupling, h, system = kron_system(2)
         pc = build_preconditioner(coupling, h, 2, 36)
         v = np.random.default_rng(4).standard_normal(system.N)
-        pc.apply(v)
-        pc.apply_transpose(v)
+        pc.apply_pair(v, v)
+        pc.apply_pair(v, v.copy())
         assert calls == {"schur": 1, "mode_factors": 1}
 
     def test_whole_multi_slab_system(self):

@@ -344,6 +344,13 @@ class TestSlabBasis:
         with pytest.raises(ValueError):
             build_basis(1.0, 3, slabs=0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(tau=st.floats(1e-6, 1e6), n=st.integers(1, 64))
+    def test_end_values_are_the_basis_at_its_end(self, tau, n):
+        # the recurrence gives P_{j-1}(1) = 1 exactly: the closed form is evaluate(tau) bit for bit
+        basis = build_basis(tau, n)
+        assert basis.end_values.tobytes() == basis.evaluate(tau).tobytes()
+
 
 class TestModeSolve:
     @settings(max_examples=60, deadline=None)
@@ -403,6 +410,55 @@ class TestModeSolve:
             expected = np.linalg.solve(np.eye(3) + lam[p] * T, rhs[:, p])
             assert np.max(np.abs(x[:, p] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), lam=st.lists(st.floats(0.0, 1e6), max_size=12))
+    def test_whole_form_matches_each_block_built_alone(self, n, seed, scale, lam):
+        # one vectorized pass over T's blocks gives, bit for bit, what each block gives built on
+        # its own with scalar root and hypot; lam includes 0, and -1 / t for every real
+        # eigenvalue t < 0, where 1 + lam t vanishes and the mode is singular
+        T, Z = schur(scale * np.random.default_rng(seed).standard_normal((n, n)), output="real")
+        real = [T[i, i] for i in range(n) if (i == 0 or T[i, i - 1] == 0.0)
+                and (i == n - 1 or T[i + 1, i] == 0.0)]
+        lam = np.array([0.0, *lam, *(-1.0 / t for t in real if t < 0.0)])
+        factors = mode_factors((T, Z), lam)
+        tiny = n * np.finfo(float).eps
+        singular = np.zeros(lam.shape, dtype=bool)
+        for (i, j), inverse in zip(factors.blocks, factors.inverses):
+            alone, pivot_zero = self._block_alone(T[i:j, i:j], lam, tiny)
+            assert inverse.shape == alone.shape and inverse.tobytes() == alone.tobytes()
+            singular |= pivot_zero
+        assert factors.blocks[0][0] == 0 and factors.blocks[-1][1] == n
+        assert all(k == i for (_, k), (i, _) in zip(factors.blocks, factors.blocks[1:]))
+        assert np.array_equal(factors.singular, singular)
+        assert factors.singular.any() == any(t < 0.0 for t in real)
+
+    @staticmethod
+    def _block_alone(block, lam, tiny):
+        """One diagonal block of I + lam T inverted per mode, and its singular flags, by the
+        formulas of mode_factors' docstring, one block at a time."""
+        w = np.maximum(1.0, np.abs(lam))
+        mu, nu = 1.0 / w, lam / w
+        reach = np.abs(nu)
+        t = block[0, 0]
+        s = mu + nu * t
+        if len(block) == 1:
+            with np.errstate(divide="ignore"):
+                return (mu / s)[None, None], np.abs(s) <= tiny * (mu + reach * abs(t))
+        b, c = block[0, 1], block[1, 0]
+        root = math.sqrt(abs(b)) * math.sqrt(abs(c))
+        bound = mu + reach * math.hypot(t, root)
+        s_rel, nu_rel = s / bound, nu / bound
+        q_rel = nu_rel * root
+        rho2 = s_rel * s_rel + q_rel * q_rel
+        inverse = np.empty((2, 2) + lam.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            share = mu / bound / rho2
+            inverse[0, 0] = inverse[1, 1] = s_rel * share
+            inverse[0, 1] = -b * nu_rel * share
+            inverse[1, 0] = -c * nu_rel * share
+        return inverse, rho2 <= tiny * tiny
+
     def test_factors_and_result_are_float64(self):
         a = 6.0**1.5 * unit_blocks(8, MemoryOrder(1.5), 1)[0]
         lam = np.linspace(0.0, 400.0, 11)
@@ -425,6 +481,28 @@ class TestModeSolve:
 
 
 class TestMarch:
+    @settings(max_examples=60, deadline=None)
+    @given(K=st.integers(1, 6), n=st.integers(1, 5), trailing=st.sampled_from([(7,), (3, 4)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_history_is_the_tensordot_sum_bit_for_bit(self, K, n, trailing, seed):
+        rng = np.random.default_rng(seed)
+        blocks = rng.standard_normal((K, n, n))
+        b = rng.standard_normal((n,) + trailing)
+
+        def solve(rhs, j):
+            return np.tanh(rhs) / (j + 1.5)
+
+        def op(x):
+            return np.cos(x) * 2.0
+
+        X, opX = march(blocks, b, solve, op)
+        ref = np.empty((2, K) + b.shape)
+        for j in range(K):
+            rhs = b - np.tensordot(blocks[j:0:-1], ref[1, :j], axes=([0, 2], [0, 1])) if j else b
+            ref[0, j] = solve(rhs, j)
+            ref[1, j] = op(ref[0, j])
+        assert X.tobytes() == ref[0].tobytes() and opX.tobytes() == ref[1].tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4),
            st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
