@@ -351,7 +351,7 @@ def solve_slabs(
             squares += (rep.residual * norm_rhs) ** 2
         return x.reshape(b.shape)
 
-    X, _ = march(blocks, b, solve, lambda x: (system.matrix.L @ x.T).T)
+    X = march(blocks, b, solve, lambda x: (system.matrix.L @ x.T).T)
     residual = float(np.sqrt(squares) / (np.sqrt(K) * norm_b)) if norm_b > 0 else 0.0
     report = SolveReport(name, iterations, residual, True, K, drift, capped, breakdown)
     return basis, X.reshape((K * n,) + grid.shape), report

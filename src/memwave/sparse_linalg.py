@@ -5,11 +5,11 @@ n x n outer block structure over the coupling matrix a.  SparseMatrix is
 such a system and nothing else: it keeps the two factors, the dense a and
 the sparse Laplacian L, applies the system and counts its nonzeros through
 them, and builds its compressed-row form, scipy's kron, only when read.  The
-one sparse LU factorization, of a compressed-column matrix built from the
-two factors with each grid point's n unknowns together, serves systems of
-at most DIRECT_LIMIT unknowns solved often enough to repay it (a 1D slab
-system marched over at least n slabs); every other system uses the
-bi-conjugate gradient iteration, which needs only the products.
+one sparse LU factorization, of that form in a minimum-degree column order,
+serves systems of at most DIRECT_LIMIT unknowns solved often enough to
+repay it (a 1D slab system marched over at least n slabs); every other
+system uses the bi-conjugate gradient iteration, which needs only the
+products.
 
 Its preconditioner is the exact inverse of the system.  The orthonormal
 type-I sine transform along every spatial axis diagonalizes the zero-ghost
@@ -102,12 +102,12 @@ class SparseMatrix:
     is 0.
 
     csr, scipy's kron of the factors plus the identity with the basis index
-    outermost, is built on first read and cached; write_matrix_market reads
-    it.  _lu, the SuperLU factors of the point-major CSC (_point_major_lu),
-    is built on lu_solve's first call and cached, so later solves with the
-    same matrix (one per time slab) only substitute.  Neither factor is
-    modified after construction.  A pickled copy leaves _lu behind and
-    refactors on its first solve.
+    outermost, is built on first read and cached; lu_solve and
+    write_matrix_market read it.  _lu, the SuperLU factors of csr, is built
+    on lu_solve's first call and cached, so later solves with the same
+    matrix (one per time slab) only substitute.  Neither factor is modified
+    after construction.  A pickled copy leaves _lu behind and refactors on
+    its first solve.
     """
 
     def __init__(self, a, L: sp.csr_matrix):
@@ -122,7 +122,7 @@ class SparseMatrix:
         stored = np.zeros(L.shape[0], dtype=bool)
         stored[rows[self._diagonal]] = True
         if not stored.all():
-            # nnz, csr and _point_major_lu add the identity only where L stores its diagonal
+            # nnz and csr add the identity only where L stores its diagonal
             raise ValueError("Laplacian L must store every diagonal entry")
         self.L = L
         self.N = self.a.shape[0] * L.shape[0]
@@ -141,7 +141,9 @@ class SparseMatrix:
     def _lu(self):
         with warnings.catch_warnings(), np.errstate(over="raise"):
             warnings.simplefilter("error", sp.linalg.MatrixRankWarning)
-            return _point_major_lu(self.a, self.L)
+            # minimum degree on A^T + A fills as little as numbering each grid point's n
+            # unknowns together; SuperLU's default, COLAMD, fills 2.2 times as much in 2D
+            return splu(self.csr.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     @functools.cached_property
     def nnz(self) -> int:
@@ -244,7 +246,7 @@ class BlockSystem:
 def check_nnz(predicted: int) -> None:
     """Refuse an assembly predicted to hold more than MAX_NNZ nonzeros, before anything is built.
 
-    The cap bounds the point-major matrix that lu_solve factors and the exported CSR form.
+    The cap bounds the CSR form, which lu_solve factors and write_matrix_market exports.
     """
     if predicted > MAX_NNZ:
         raise ValueError(f"predicted nnz {predicted} exceeds the cap {MAX_NNZ}")
@@ -283,42 +285,19 @@ def rhs_norm(b: np.ndarray) -> float:
     return norm
 
 
-def _point_major_lu(a: np.ndarray, L: sp.csr_matrix):
-    """SuperLU factors of I + kron(a, L) with unknown (j, p) numbered p n + j: I + kron(L, a).
-
-    Its CSC is the CSR of its transpose, I + kron(L^T, a^T): a block-sparse
-    matrix whose block (p, q) is L^T[p, q] a^T, plus eye(n) where L^T stores
-    its diagonal.  Every grid point's n x n coupling block is then
-    contiguous, which suits SuperLU's supernodes.
-    """
-    n, M = a.shape[0], L.shape[0]
-    LT = L.T.tocsr()
-    offset = LT.indices - np.repeat(np.arange(M), np.diff(LT.indptr))
-    blocks = LT.data[:, None, None] * a.T
-    blocks[offset == 0] += np.eye(n)
-    csr = sp.bsr_matrix((blocks, LT.indices, LT.indptr), shape=(n * M,) * 2).tocsr()
-    csc = sp.csc_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
-    # a tridiagonal L (one axis) makes the system block tridiagonal: no fill in natural order
-    return splu(csc, permc_spec="NATURAL" if np.all(np.abs(offset) <= 1) else "MMD_AT_PLUS_A")
-
-
 def lu_solve(A: SparseMatrix, b: np.ndarray) -> np.ndarray:
     """Direct solve by sparse LU factorization, for N up to DIRECT_LIMIT.
 
-    A is factored in point-major order, from its two factors
-    (_point_major_lu): b is renumbered on the way in and x on the way out,
-    and its CSR form is never built.  The column order is the natural one
-    when L is tridiagonal and a minimum-degree order of A^T + A otherwise.
-    The factors are cached on A (A._lu), so later solves with the same
-    matrix (one per time slab) only substitute.  A b that is not finite is
-    refused before any work; a factorization that fails, entries that
-    overflow while it is built included, raises SingularMatrixError.
+    A's CSR form (A.csr) is factored in a minimum-degree column order of
+    A^T + A.  The factors are cached on A (A._lu), so later solves with the
+    same matrix (one per time slab) only substitute.  A b that is not
+    finite is refused before any work; a factorization that fails, entries
+    that overflow while it is built included, raises SingularMatrixError.
     """
     check_direct(A.N)
     b = A._rhs(b)
-    n = len(A.a)
     try:
-        x = A._lu.solve(b.reshape(n, -1).T.ravel()).reshape(-1, n).T.ravel()
+        x = A._lu.solve(b)
     except (RuntimeError, FloatingPointError, sp.linalg.MatrixRankWarning) as exc:
         raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):

@@ -329,7 +329,7 @@ def march(blocks, b, solve, op):
     b and each x_j are shaped (n, ...).  The history sum is the one np.dot
     that np.tensordot would form, without its per-call reshaping: the
     (n, j n) row of blocks against the (j n, ...) stack of op(x_k).  Returns
-    x and op(x) of every slab, shaped (K, n, ...).
+    x of every slab, shaped (K, n, ...).
     """
     n = len(b)
     X, opX = np.empty((2, len(blocks)) + np.shape(b))
@@ -341,7 +341,7 @@ def march(blocks, b, solve, op):
             rhs = b - history.reshape(np.shape(b))
         X[j] = solve(rhs, j)
         opX[j] = op(X[j])
-    return X, opX
+    return X
 
 
 @dataclass(frozen=True)
@@ -477,8 +477,8 @@ def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
     w = source_weights(basis).weights[:n]
     T, Z = _unit_schur(n, order)
     factors = mode_factors((T * scale, Z), vals)
-    X, _ = march(blocks, np.broadcast_to(w[:, None], (n, vals.size)),
-                 lambda rhs, j: mode_solve(factors, rhs), lambda x: vals * x)
+    X = march(blocks, np.broadcast_to(w[:, None], (n, vals.size)),
+              lambda rhs, j: mode_solve(factors, rhs), lambda x: vals * x)
     return (basis.end_values @ X[-1]).reshape(lam.shape)
 
 

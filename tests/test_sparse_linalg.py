@@ -145,6 +145,88 @@ class TestLuSolve:
             lu_solve(system.matrix, b)
         assert "_lu" not in vars(system.matrix)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(1.0, 2.0),
+        n=st.integers(1, 10),
+        T=st.floats(0.5, 12.0),
+        d=st.sampled_from([1, 2]),
+        m=st.integers(3, 12),
+    )
+    def test_agrees_with_lu_of_the_basis_outer_csr(self, alpha, n, T, d, m):
+        _, _, system = kron_system(d, n=n, m=m, alpha=alpha, T=T)
+        x = lu_solve(system.matrix, system.rhs)
+        want = splu(system.matrix.csr.tocsc()).solve(system.rhs)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_builds_the_csr_form_once_for_lu_and_export(self, monkeypatch, tmp_path):
+        calls = []
+        kron = sp.kron
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return kron(*args, **kwargs)
+
+        system = kron_system(2, n=3, m=9)[2]
+        monkeypatch.setattr(sp, "kron", counted)
+        A = system.matrix
+        x = lu_solve(A, system.rhs)
+        assert calls == [(3, 3)]
+        write_matrix_market(A, tmp_path / "A.mtx")
+        assert np.max(np.abs(A.csr @ x - system.rhs)) <= 1e-12 * np.max(np.abs(system.rhs))
+        assert calls == [(3, 3)]
+
+    def test_singular_kron_system_raises(self):
+        # I - L/2 on three points: rows 1 and 3 are both (0, 1/2, 0)
+        A = sparse_linalg.SparseMatrix(np.array([[-0.5]]), laplacian((3,), 1.0))
+        with pytest.raises(SingularMatrixError):
+            lu_solve(A, np.ones(3))
+
+    @pytest.mark.parametrize("grid, n, point_major_fill", [
+        (Grid1D(-20.0, 20.0, 201), 32, 621_856),
+        (Grid2D(-8.0, 8.0, 31), 8, 1_335_624),
+    ])
+    def test_fill_stays_at_the_point_major_order(self, grid, n, point_major_fill):
+        # nnz(L + U) is exact and repeats from run to run: numbering each grid
+        # point's n unknowns together gives point_major_fill, SuperLU's default
+        # column order (COLAMD) 656,672 and 2,982,056
+        a = coupling_matrix(build_basis(3.0, n), MemoryOrder(1.5)).entries
+        A = sparse_linalg.SparseMatrix(a, laplacian(grid.shape, grid.h))
+        lu_solve(A, np.ones(A.N))
+        assert A._lu.L.nnz + A._lu.U.nnz <= point_major_fill
+
+    def test_factors_once_and_substitutes_per_slab(self, monkeypatch):
+        calls = []
+        factor = sparse_linalg.splu
+
+        def counted(A, **kwargs):
+            calls.append(A.shape)
+            return factor(A, **kwargs)
+
+        monkeypatch.setattr(sparse_linalg, "splu", counted)
+        field = solve_1d(MemoryOrder(1.5), 6.0, 8, Grid1D(-15.0, 15.0, 151),
+                         InitialField1D.gaussian(1.0), method="direct")
+        assert field.report.slabs > 1
+        assert calls == [(8 * 151, 8 * 151)]
+
+    def test_factored_matrix_pickles_and_refactors(self):
+        # the SuperLU factors stay behind; the copy factors again on its first solve
+        system, _, _ = small_1d_system(n=3, m=9)
+        x = lu_solve(system.matrix, system.rhs)
+        copy = pickle.loads(pickle.dumps(system.matrix))
+        assert "_lu" not in vars(copy) and "_lu" in vars(system.matrix)
+        assert np.array_equal(lu_solve(copy, system.rhs), x)
+
+    def test_memwave_has_one_lu_route(self):
+        package = Path(sparse_linalg.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call) and "splu" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None)):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert len(found) == 1, f"splu calls in memwave: {found}"
+
 
 class TestBicgSolve:
     def test_identity_single_iteration(self):
@@ -419,83 +501,6 @@ class TestKronSystem:
             tracemalloc.stop()
         assert nnz == sparsity_bound(16, 200) == 50_995_200
         assert peak < 100e6, f"nnz peaked at {peak / 1e6:.0f} MB"
-
-
-class TestPointMajorLu:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        alpha=st.floats(1.0, 2.0),
-        n=st.integers(1, 10),
-        T=st.floats(0.5, 12.0),
-        d=st.sampled_from([1, 2]),
-        m=st.integers(3, 12),
-    )
-    def test_agrees_with_lu_of_the_basis_outer_csr(self, alpha, n, T, d, m):
-        _, _, system = kron_system(d, n=n, m=m, alpha=alpha, T=T)
-        x = lu_solve(system.matrix, system.rhs)
-        want = splu(system.matrix.csr.tocsc()).solve(system.rhs)
-        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_never_builds_the_csr_form(self, refuse_csr):
-        for d in (1, 2):
-            system = kron_system(d)[2]
-            x = lu_solve(system.matrix, system.rhs)
-            residual = system.matrix.matvec(x) - system.rhs
-            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(system.rhs)
-        field = solve_2d(MemoryOrder(1.5), 1.0, 3, Grid2D(-8.0, 8.0, 15),
-                         InitialField2D.radial_gaussian(1.0), method="direct")
-        assert field.report.method == "direct"
-
-    def test_singular_kron_system_raises(self):
-        # I - L/2 on three points: rows 1 and 3 are both (0, 1/2, 0)
-        A = sparse_linalg.SparseMatrix(np.array([[-0.5]]), laplacian((3,), 1.0))
-        with pytest.raises(SingularMatrixError):
-            lu_solve(A, np.ones(3))
-
-    @pytest.mark.parametrize("grid, n, basis_outer_fill", [
-        (Grid1D(-20.0, 20.0, 201), 32, 656_672),
-        (Grid2D(-8.0, 8.0, 31), 8, 2_982_056),
-    ])
-    def test_fill_stays_below_the_basis_outer_order(self, grid, n, basis_outer_fill):
-        # nnz(L + U) is exact and repeats from run to run: the basis-outer CSR
-        # factored as before gives basis_outer_fill, the point-major order
-        # 621,856 and 1,335,624
-        a = coupling_matrix(build_basis(3.0, n), MemoryOrder(1.5)).entries
-        A = sparse_linalg.SparseMatrix(a, laplacian(grid.shape, grid.h))
-        lu_solve(A, np.ones(A.N))
-        assert A._lu.L.nnz + A._lu.U.nnz < basis_outer_fill
-
-    def test_factors_once_and_substitutes_per_slab(self, monkeypatch):
-        calls = []
-        factor = sparse_linalg._point_major_lu
-
-        def counted(a, L):
-            calls.append(a.shape)
-            return factor(a, L)
-
-        monkeypatch.setattr(sparse_linalg, "_point_major_lu", counted)
-        field = solve_1d(MemoryOrder(1.5), 6.0, 8, Grid1D(-15.0, 15.0, 151),
-                         InitialField1D.gaussian(1.0), method="direct")
-        assert field.report.slabs > 1
-        assert calls == [(8, 8)]
-
-    def test_factored_matrix_pickles_and_refactors(self):
-        # the SuperLU factors stay behind; the copy factors again on its first solve
-        system, _, _ = small_1d_system(n=3, m=9)
-        x = lu_solve(system.matrix, system.rhs)
-        copy = pickle.loads(pickle.dumps(system.matrix))
-        assert "_lu" not in vars(copy) and "_lu" in vars(system.matrix)
-        assert np.array_equal(lu_solve(copy, system.rhs), x)
-
-    def test_memwave_has_one_lu_route(self):
-        package = Path(sparse_linalg.__file__).parent
-        found = []
-        for path in sorted(package.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Call) and "splu" in (getattr(node.func, "id", None),
-                                                             getattr(node.func, "attr", None)):
-                    found.append(f"{path.name}:{node.lineno}")
-        assert len(found) == 1, f"splu calls in memwave: {found}"
 
 
 def stencil_3point(m, h):

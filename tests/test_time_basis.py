@@ -495,13 +495,13 @@ class TestMarch:
         def op(x):
             return np.cos(x) * 2.0
 
-        X, opX = march(blocks, b, solve, op)
+        X = march(blocks, b, solve, op)
         ref = np.empty((2, K) + b.shape)
         for j in range(K):
             rhs = b - np.tensordot(blocks[j:0:-1], ref[1, :j], axes=([0, 2], [0, 1])) if j else b
             ref[0, j] = solve(rhs, j)
             ref[1, j] = op(ref[0, j])
-        assert X.tobytes() == ref[0].tobytes() and opX.tobytes() == ref[1].tobytes()
+        assert X.tobytes() == ref[0].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4),
@@ -518,13 +518,12 @@ class TestMarch:
         def solve(rhs, j):
             return np.linalg.solve(S[j], rhs.ravel()).reshape(n, M)
 
-        X, opX = march(blocks, b, solve, lambda x: x @ P.T)
+        X = march(blocks, b, solve, lambda x: x @ P.T)
         dense = np.zeros((K * n * M, K * n * M))
         for j in range(K):
             for k in range(j + 1):
                 block = S[j] if j == k else np.kron(blocks[j - k], P)
                 dense[j * n * M:(j + 1) * n * M, k * n * M:(k + 1) * n * M] = block
         expected = np.linalg.solve(dense, np.tile(b.ravel(), K))
-        assert X.shape == opX.shape == (K, n, M)
+        assert X.shape == (K, n, M)
         assert np.max(np.abs(X.ravel() - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
-        assert np.array_equal(opX, X @ P.T)
