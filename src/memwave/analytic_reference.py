@@ -80,15 +80,18 @@ def _heat_kernel(t, h: float, steps: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _cells(r, m: int) -> tuple:
-    """Whole cells n and fraction theta of the shifts r (in grid steps).
+def _taps(r, m: int) -> tuple:
+    """The two (offset, weight) taps (n, 1 - theta) and (n + 1, theta) of the shifts r.
 
-    A shift of more than m + 1 cells reaches no point of an m-point grid
-    from any other; it is cut to m + 1, so that n fits an integer.
+    r is in grid steps, n its whole cells and theta its fraction.  A shift
+    of more than m + 1 cells reaches no point of an m-point grid from any
+    other; it is cut to m + 1, so that n fits an integer.
     """
     r = np.minimum(r, m + 1)
     n = np.floor(r)
-    return n.astype(np.intp), r - n
+    theta = r - n
+    n = n.astype(np.intp)
+    return (n, 1.0 - theta), (n + 1, theta)
 
 
 def resolvent_apply(alpha, t: float, field, grid: Grid1D) -> np.ndarray:
@@ -122,9 +125,8 @@ def resolvent_apply(alpha, t: float, field, grid: Grid1D) -> np.ndarray:
         # full convolution sliced back to the grid; out_i = h sum_j K(x_i - x_j) f_j
         out = h * np.convolve(f, kernel, mode="full")[w : w + m]
     else:
-        n, theta = _cells(t / h, m)
         out = np.zeros(m)
-        for d, weight in ((n, 1.0 - theta), (n + 1, theta)):
+        for d, weight in _taps(t / h, m):
             if d < m:
                 out[d:] += weight * f[: m - d]
                 out[: m - d] += weight * f[d:]

@@ -13,9 +13,8 @@ solve and every resolvent action; initial data reaches a grid only through sampl
 The solvers split [0, T] into K slabs (see time_basis).  The coupling
 matrix is then block lower-triangular, so time_basis.march solves it slab
 by slab: every slab has the same matrix I + kron(tau^alpha B_0, L), and
-earlier slabs enter its right-hand side through the blocks B_{j-k}.  Only
-a 1D march over K >= n slabs repays an LU factorization of that matrix;
-every other solve preconditions it once for BiCG.
+earlier slabs enter its right-hand side through the blocks B_{j-k}.
+solve_slabs factors that matrix once (LU) or preconditions it once (BiCG).
 K is the first of 1, 2, 4, ... at which doubling it moves the solution
 at T by at most TIME_TOL * max|g|.  A type-I sine transform diagonalizes
 the zero-ghost stencils, so that check runs the same march exactly, one
@@ -32,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dstn
-from scipy.special import roots_jacobi
 
 from .memory_kernel import MemoryOrder
 from .sparse_linalg import (
@@ -58,11 +56,10 @@ from .time_basis import (
     CouplingMatrix,
     SourceProjection,
     TimeBasis,
-    adjacent_integral,
+    _unit_block,
     build_basis,
     coupling_matrix,
     endpoint_transfer,
-    kernel_convolution,
     march,
     reconstruct,
     slab_blocks,
@@ -286,12 +283,13 @@ def solve_slabs(
     one-slab BlockSystem, whose matrix's L also carries earlier slabs into
     the right-hand side.  method "auto" takes LU for a 1D slab system of at
     most DIRECT_LIMIT unknowns when K >= n, and the preconditioned BiCG
-    otherwise, in 2D at every size: one factorization costs about n^3 flops
-    per grid point and each slab then about n^2, as much as a BiCG slab
-    solve.  The matrix is factored once (LU) or preconditioned once (BiCG)
-    and reused on every slab.  Each BiCG slab solve runs to a
-    residual below tol * ||w g|| with at most max_iter iterations, so the
-    whole system's relative residual stays below tol.  A right-hand side
+    otherwise, in 2D at every size.  Timed with K forced (README's
+    crossover table), that route is within 1.14x of the faster one for
+    n <= 12; from n = 16 on BiCG is faster at K >= n too, LU up to 1.71x
+    slower.  The matrix is factored once (LU) or preconditioned once (BiCG)
+    and reused on every slab.  Each BiCG slab solve runs to a residual
+    below tol * ||w g|| with at most max_iter iterations, so the whole
+    system's relative residual stays below tol.  A right-hand side
     whose sum of squares overflows a float is refused (rhs_norm), since
     every residual is measured against its norm; data that overflows at
     every slab count is refused before the slab choice.  Returns the K-slab
@@ -317,9 +315,10 @@ def solve_slabs(
             stacklevel=3,
         )
     basis = build_basis(T, n, K)
-    slab = coupling_matrix(build_basis(basis.slab_length, n), order)  # tau^alpha B_0
+    one_slab = build_basis(basis.slab_length, n)
+    slab = coupling_matrix(one_slab, order)  # tau^alpha B_0
     _, blocks = slab_blocks(basis, order)
-    system = assemble(slab, source_weights(build_basis(basis.slab_length, n)), g, grid)
+    system = assemble(slab, source_weights(one_slab), g, grid)
     b = system.rhs.reshape(n, -1)
     norm_b = rhs_norm(b)
     use_direct = method == "direct" or (method == "auto" and grid.ndim == 1
@@ -370,10 +369,8 @@ def solve_1d(
     """Solve on [0, T] and return the reconstructable coefficient field.
 
     n counts basis functions per time slab; the slab count K is chosen by
-    choose_slabs.  method "auto" picks LU when the one-slab system has at
-    most DIRECT_LIMIT unknowns and K >= n, so that the K slabs repay one
-    factorization, and the preconditioned iteration otherwise; "direct" or
-    "bicg" force one path.
+    choose_slabs.  method "auto" picks LU or the preconditioned iteration
+    by solve_slabs' rule; "direct" or "bicg" force one path.
     """
     if len(grid.shape) != 1:
         raise ValueError(f"solve_1d needs a 1D grid, got {type(grid).__name__}; use solve_2d")
@@ -403,11 +400,11 @@ def residual_orthogonality(field: SolutionField1D) -> float:
     Evaluates eps_n(x_i, t) = f_n - g - int_0^t a(t-s) Lap_h f_n(., s) ds
     and projects it onto each phi_j by quadrature, slab by slab, without
     reusing the assembled system.  The polynomial part goes through a
-    Gauss-Legendre rule; the memory within the slab through a Gauss-Jacobi
-    rule that absorbs the (t - t_k)^alpha factor; the previous slab, whose
-    kernel is singular at the shared break, through the Duffy-split rule;
-    and earlier slabs, seen through a smooth kernel, through tensor
-    Gauss-Legendre.  Each part is integrated exactly up to rounding.
+    Gauss-Legendre rule; the memory within the slab and from the previous
+    slab through tau^alpha times the unit coupling blocks B_0 and B_1, by
+    time_basis's Gauss-Jacobi and Duffy-split rules at this check's own
+    node count; and earlier slabs, seen through a smooth kernel, through
+    tensor Gauss-Legendre.  Each part is integrated exactly up to rounding.
     """
     basis, order, grid = field.basis, field.order, field.grid
     n, K, tau, alpha = basis.size_n, basis.slabs, basis.slab_length, order.alpha
@@ -425,22 +422,15 @@ def residual_orthogonality(field: SolutionField1D) -> float:
     t_gl = tau * (x_gl + 1.0) / 2.0
     w_gl = w_gl * tau / 2.0
     phi_gl = slab.evaluate(t_gl)
-    # same slab: I_k(t) = t^alpha * polynomial on the slab's local time
-    x_j, w_j = roots_jacobi(q, 0.0, alpha)
-    t_j = tau * (x_j + 1.0) / 2.0
-    w_eff = w_j * (tau / 2.0) ** (alpha + 1.0) / t_j**alpha
-    phi_j = slab.evaluate(t_j) * w_eff
-    IK = kernel_convolution(slab, order, t_j, q)
-    # previous slab: t = b + tau u and s = b - tau v around the break b
-    adjacent = adjacent_integral(lambda x: slab.evaluate(tau * x), q, alpha)
-    adjacent *= tau ** (alpha + 1.0) / ga
+    # same and previous slab: the coupling blocks tau^alpha B_0 and tau^alpha B_1
+    own, previous = (tau**alpha * _unit_block(n, order, d, q) for d in (0, 1))
 
     worst = 0.0
     for j in range(K):
         proj = (phi_gl * w_gl) @ (C[j].T @ phi_gl - gvals[:, None]).T
-        proj += phi_j @ (LC[j].T @ IK).T
+        proj += own @ LC[j]
         if j >= 1:
-            proj += adjacent @ LC[j - 1]
+            proj += previous @ LC[j - 1]
         for k in range(j - 1):
             lag = (j - k) * tau + t_gl[:, None] - t_gl[None, :]
             kern = lag ** (alpha - 1.0) / ga * np.outer(w_gl, w_gl)

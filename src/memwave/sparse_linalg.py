@@ -6,10 +6,9 @@ such a system and nothing else: it keeps the two factors, the dense a and
 the sparse Laplacian L, applies the system and counts its nonzeros through
 them, and builds its compressed-row form, scipy's kron, only when read.  The
 one sparse LU factorization, of that form in a minimum-degree column order,
-serves systems of at most DIRECT_LIMIT unknowns solved often enough to
-repay it (a 1D slab system marched over at least n slabs); every other
-system uses the bi-conjugate gradient iteration, which needs only the
-products.
+serves systems of at most DIRECT_LIMIT unknowns that solver_1d.solve_slabs
+routes to it; every other system uses the bi-conjugate gradient
+iteration, which needs only the products.
 
 Its preconditioner is the exact inverse of the system.  The orthonormal
 type-I sine transform along every spatial axis diagonalizes the zero-ghost
@@ -71,8 +70,7 @@ __all__ = [
 ]
 
 # Largest N that lu_solve factors; beyond it only the iterative solver runs.
-# Within it, an auto solve still takes LU only for a 1D system whose K slabs
-# number at least n (solver_1d.solve_slabs).
+# Within it, solver_1d.solve_slabs picks the route.
 DIRECT_LIMIT = 20_000
 
 # Largest nonzero count of a SparseMatrix, refused on construction; it guards

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, irfft2, next_fast_len, rfft, rfft2
 
-from .analytic_reference import _cells, _heat_kernel, endpoint_order, resolvent_apply
+from .analytic_reference import _heat_kernel, _taps, endpoint_order, resolvent_apply
 from .solver_1d import (
     BOUNDARY_DECAY_TOL,
     EdgeWarning,
@@ -225,8 +225,7 @@ def _lag_table(alpha: int, I: int, tau: float, grid: Grid1D) -> np.ndarray:
     if alpha == 1:
         table[1:] = grid.h * _heat_kernel(lags[:, None] * tau, grid.h, np.arange(1 - m, m))
     else:
-        n, theta = _cells(lags * tau / grid.h, m)
-        for d, weight in ((n, 1.0 - theta), (n + 1, theta)):
+        for d, weight in _taps(lags * tau / grid.h, m):
             inside = d < m
             for sign in (-1, 1):
                 table[lags[inside], m - 1 + sign * d[inside]] += 0.5 * weight[inside]

@@ -381,42 +381,35 @@ def mode_factors(schur_form, lam) -> ModeFactors:
 
     schur_form is (T, Z) from schur(a, output="real"): T's diagonal blocks
     are 1 x 1, or 2 x 2 in LAPACK's standard form [[t, b], [c, t]], b c < 0,
-    with eigenvalues u = t +- i sqrt|b| sqrt|c|.  Mode p is scaled by
-    w = max(1, |lam[p]|), mu = 1/w and nu = lam/w, so a block is
-    w (mu I + nu T_kk) and no product pairs lam with itself or two Schur
-    entries.  A 1 x 1 block has pivot s = mu + nu t and inverse mu / s; a
-    2 x 2 block has pivot rho = hypot(s, nu sqrt|b| sqrt|c|) and inverse
+    with eigenvalues u = t +- i sqrt|b| sqrt|c|; a 1 x 1 block [t] is read
+    as that form with b = c = 0.  Mode p is scaled by w = max(1, |lam[p]|),
+    mu = 1/w and nu = lam/w, so a block is w (mu I + nu T_kk) and no
+    product pairs lam with itself or two Schur entries.  With s = mu + nu t,
+    a block has pivot rho = hypot(s, nu sqrt|b| sqrt|c|) and inverse
     (mu / rho^2) [[s, -nu b], [-nu c, s]], exact also where c underflowed
-    to 0.  Pivots are measured against bound = mu + |nu| |u|, which keeps
-    every square in range: a mode is singular where a pivot is at most
-    n eps bound, that is |1 + lam u| <= n eps (1 + |lam| |u|), and there
-    its inverse is not finite.
+    to 0; a 1 x 1 block keeps its top left entry, mu / s.  Pivots are
+    measured against bound = mu + |nu| |u|, which keeps every square in
+    range: a mode is singular where a pivot is at most n eps bound, that
+    is |1 + lam u| <= n eps (1 + |lam| |u|), and there its inverse is not
+    finite.
     """
     T, Z = (np.asarray(x, dtype=float) for x in schur_form)
     lam = np.asarray(lam, dtype=float)
     n = len(T)
-    blocks, i = [], 0
+    blocks, entries, i = [], [], 0
     while i < n:
         size = 2 if i + 1 < n and T[i + 1, i] != 0.0 else 1
         blocks.append((i, i + size))
+        entries.append((T[i, i], T[i, i + 1], T[i + 1, i]) if size == 2 else (T[i, i], 0.0, 0.0))
         i += size
-    one = np.array([i for i, j in blocks if j - i == 1], dtype=int)
-    two = np.array([i for i, j in blocks if j - i == 2], dtype=int)
     w = np.maximum(1.0, np.abs(lam))
     mu, nu = 1.0 / w, lam / w
     reach = np.abs(nu)
     tiny = n * np.finfo(float).eps
     axis = (slice(None),) + (None,) * lam.ndim  # a per-block scalar against every mode
 
-    # every 1 x 1 block at once: pivot s = mu + nu t, inverse mu / s
-    t = T[one, one][axis]
-    s = mu + nu * t
-    singular = np.any(np.abs(s) <= tiny * (mu + reach * np.abs(t)), axis=0)
-    with np.errstate(divide="ignore"):  # inf where singular
-        inverse_one = mu / s
-
-    # every 2 x 2 block at once, each block's root and bound still by scalar math
-    t, b, c = T[two, two], T[two, two + 1], T[two + 1, two]
+    # every block at once, each block's root and bound still by scalar math
+    t, b, c = np.array(entries).T
     root = np.array([math.sqrt(abs(x)) * math.sqrt(abs(y)) for x, y in zip(b, c)])
     hyp = np.array([math.hypot(x, y) for x, y in zip(t, root)])
     t, b, c, root, hyp = (x[axis] for x in (t, b, c, root, hyp))
@@ -425,19 +418,18 @@ def mode_factors(schur_form, lam) -> ModeFactors:
     s_rel, nu_rel = s / bound, nu / bound
     q_rel = nu_rel * root
     rho2 = s_rel * s_rel + q_rel * q_rel  # (rho / bound)^2
-    singular |= np.any(rho2 <= tiny * tiny, axis=0)
-    inverse_two = np.empty((len(two), 2, 2) + lam.shape)
+    singular = np.any(rho2 <= tiny * tiny, axis=0)
+    inverse = np.empty((len(blocks), 2, 2) + lam.shape)
     with np.errstate(divide="ignore", invalid="ignore"):  # inf or nan where singular
         share = mu / bound / rho2  # mu bound / rho^2
-        np.multiply(s_rel, share, out=inverse_two[:, 0, 0])
+        np.multiply(s_rel, share, out=inverse[:, 0, 0])
         # b nu / bound before share: b may be 1e300 where nu share underflows
-        np.multiply(-b * nu_rel, share, out=inverse_two[:, 0, 1])
-        np.multiply(-c * nu_rel, share, out=inverse_two[:, 1, 0])
-    inverse_two[:, 1, 1] = inverse_two[:, 0, 0]
+        np.multiply(-b * nu_rel, share, out=inverse[:, 0, 1])
+        np.multiply(-c * nu_rel, share, out=inverse[:, 1, 0])
+    inverse[:, 1, 1] = inverse[:, 0, 0]
 
-    # per-block views, in T's order
-    ones, twos = iter(inverse_one), iter(inverse_two)
-    inverses = tuple(next(twos) if j - i == 2 else next(ones)[None, None] for i, j in blocks)
+    # per-block views, in T's order, each (size, size, M)
+    inverses = tuple(inverse[k, :j - i, :j - i] for k, (i, j) in enumerate(blocks))
     return ModeFactors(T, Z, lam, tuple(blocks), inverses, singular)
 
 
@@ -487,7 +479,7 @@ def reconstruct(coeffs, basis: TimeBasis, t: float):
 
     coeffs has shape (K*n,) or (K*n, ...); the sum is over the first axis, so
     per-grid-point coefficient arrays reconstruct a whole spatial field.
-    Only the slab holding t contributes.
+    Only the slab holding t contributes, and only its n functions are evaluated.
     """
     if not 0.0 <= t <= basis.horizon_T:
         raise ValueError(f"t={t!r} outside [0, {basis.horizon_T}]")
@@ -496,6 +488,6 @@ def reconstruct(coeffs, basis: TimeBasis, t: float):
         raise ValueError(f"expected {basis.dimension} coefficients, got {c.shape[0]}")
     n = basis.size_n
     k = int(basis.slab_index(float(t)))
-    phi = basis.evaluate(float(t))[k * n:(k + 1) * n]
+    phi = basis._on_slab(np.array([float(t) - k * basis.slab_length]))[:, 0]
     out = np.tensordot(phi, c[k * n:(k + 1) * n], axes=(0, 0))
     return float(out) if out.ndim == 0 else out

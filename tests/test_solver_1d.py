@@ -1,6 +1,7 @@
 import math
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -331,6 +332,24 @@ class TestSolve1D:
     def test_residual_orthogonality(self, alpha):
         field = solve_1d(MemoryOrder(alpha), **BENCH, n=8, g=InitialField1D.gaussian(1.0))
         assert residual_orthogonality(field) <= 1e-8
+
+    def test_residual_orthogonality_fails_on_a_wrong_field(self):
+        # criterion 8's field (K = 4: own, previous and distant slabs all act) and a 2D field
+        # (K = 16) pass the 1e-8 bound; the same coefficients under another order fail it, and
+        # so does criterion 8's field with one coefficient on any slab moved by 1e-6 max|c|
+        fields = [solve_1d(MemoryOrder(1.5), **BENCH, n=8, g=InitialField1D.gaussian(1.0)),
+                  solve_2d(MemoryOrder(1.5), 6.0, 4, Grid2D(-15.0, 15.0, 21),
+                           InitialField2D.radial_gaussian(2.0))]
+        assert [field.basis.slabs for field in fields] == [4, 16]
+        for field in fields:
+            assert residual_orthogonality(field) <= 1e-8
+            assert residual_orthogonality(replace(field, order=MemoryOrder(1.25))) > 1e-8
+        field = fields[0]
+        n, c = field.basis.size_n, field.coefficients
+        for k in range(field.basis.slabs):
+            moved = c.copy()
+            moved[k * n + n - 1, 75] += 1e-6 * np.max(np.abs(c))
+            assert residual_orthogonality(replace(field, coefficients=moved)) > 1e-8
 
     @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 1.75, 2.0])
     def test_mass_conservation(self, alpha):

@@ -436,16 +436,14 @@ class TestModeSolve:
     @staticmethod
     def _block_alone(block, lam, tiny):
         """One diagonal block of I + lam T inverted per mode, and its singular flags, by the
-        formulas of mode_factors' docstring, one block at a time."""
+        formula of mode_factors' docstring, one block at a time; a 1 x 1 block has b = c = 0."""
         w = np.maximum(1.0, np.abs(lam))
         mu, nu = 1.0 / w, lam / w
         reach = np.abs(nu)
+        size = len(block)
         t = block[0, 0]
         s = mu + nu * t
-        if len(block) == 1:
-            with np.errstate(divide="ignore"):
-                return (mu / s)[None, None], np.abs(s) <= tiny * (mu + reach * abs(t))
-        b, c = block[0, 1], block[1, 0]
+        b, c = (block[0, 1], block[1, 0]) if size == 2 else (0.0, 0.0)
         root = math.sqrt(abs(b)) * math.sqrt(abs(c))
         bound = mu + reach * math.hypot(t, root)
         s_rel, nu_rel = s / bound, nu / bound
@@ -457,7 +455,7 @@ class TestModeSolve:
             inverse[0, 0] = inverse[1, 1] = s_rel * share
             inverse[0, 1] = -b * nu_rel * share
             inverse[1, 0] = -c * nu_rel * share
-        return inverse, rho2 <= tiny * tiny
+        return inverse[:size, :size], rho2 <= tiny * tiny
 
     def test_factors_and_result_are_float64(self):
         a = 6.0**1.5 * unit_blocks(8, MemoryOrder(1.5), 1)[0]
