@@ -304,9 +304,9 @@ def solve_slabs(
     g_values, h = sample(g, grid), grid.h
     _check_edges("initial data is {:.2e} at the grid boundary; free-boundary "
                  "closure assumes negligible values there", g_values, stacklevel=3)
-    # the right-hand side kron(w, g) at K = MAX_SLABS, whose w_1 = sqrt(tau) is the least of
-    # any K: where its sum of squares overflows, every K's does, so refuse before the slab choice
-    rhs_norm(np.kron(source_weights(build_basis(T, n, MAX_SLABS)).weights[:n], g_values.ravel()))
+    # a slab's right-hand side is sqrt(tau) g on its first function, least at K = MAX_SLABS:
+    # where its sum of squares overflows, every K's does, so refuse before the slab choice
+    rhs_norm(math.sqrt(T / MAX_SLABS) * g_values)
     K, drift, capped = choose_slabs(order, T, n, g_values, h)
     if capped:
         warnings.warn(
@@ -325,10 +325,10 @@ def solve_slabs(
                                         and system.N <= DIRECT_LIMIT and K >= n)
     name = "direct" if use_direct else "bicg+precond"
     pc = None if use_direct else build_preconditioner(slab, h, grid.ndim, b.shape[1])
-    iterations, breakdown, squares = 0, False, 0.0
+    iterations, squares = 0, 0.0
 
     def solve(rhs, j):
-        nonlocal iterations, breakdown, squares
+        nonlocal iterations, squares
         if use_direct:
             x = lu_solve(system.matrix, rhs.ravel())
             # slab j's rows of the whole K-slab system's true residual
@@ -338,7 +338,6 @@ def solve_slabs(
             slab_tol = tol * norm_b / norm_rhs if norm_rhs > 0 else tol
             x, rep = bicg_solve(system.matrix, rhs.ravel(), pc, tol=slab_tol, max_iter=max_iter)
             iterations += rep.iterations
-            breakdown = breakdown or rep.breakdown
             if not rep.converged:
                 kind = "breakdown" if rep.breakdown else "no convergence"
                 raise SolverConvergenceError(
@@ -352,7 +351,7 @@ def solve_slabs(
 
     X = march(blocks, b, solve, lambda x: (system.matrix.L @ x.T).T)
     residual = float(np.sqrt(squares) / (np.sqrt(K) * norm_b)) if norm_b > 0 else 0.0
-    report = SolveReport(name, iterations, residual, True, K, drift, capped, breakdown)
+    report = SolveReport(name, iterations, residual, True, K, drift, capped)
     return basis, X.reshape((K * n,) + grid.shape), report
 
 
@@ -399,41 +398,35 @@ def residual_orthogonality(field: SolutionField1D) -> float:
 
     Evaluates eps_n(x_i, t) = f_n - g - int_0^t a(t-s) Lap_h f_n(., s) ds
     and projects it onto each phi_j by quadrature, slab by slab, without
-    reusing the assembled system.  The polynomial part goes through a
-    Gauss-Legendre rule; the memory within the slab and from the previous
-    slab through tau^alpha times the unit coupling blocks B_0 and B_1, by
-    time_basis's Gauss-Jacobi and Duffy-split rules at this check's own
-    node count; and earlier slabs, seen through a smooth kernel, through
-    tensor Gauss-Legendre.  Each part is integrated exactly up to rounding.
+    reusing the assembled system or the solve's cached blocks.  The
+    polynomial part goes through a Gauss-Legendre rule, exact up to
+    rounding.  The memory from slab k into slab j is tau^alpha B_{j-k} for
+    every slab distance, each unit block formed once by time_basis's rules
+    at this check's own node count, 4n + 16: Gauss-Jacobi within a slab
+    and the Duffy split between adjacent ones, exact up to rounding, and
+    beyond them Gauss-Legendre on a smooth kernel, converged to rounding.
     """
     basis, order, grid = field.basis, field.order, field.grid
-    n, K, tau, alpha = basis.size_n, basis.slabs, basis.slab_length, order.alpha
+    n, K, tau = basis.size_n, basis.slabs, basis.slab_length
     q = 4 * n + 16
     slab = build_basis(tau, n)
-    ga = math.gamma(alpha)
 
     C = field.coefficients.reshape(K, n, -1)
     values = sample(field.initial, grid)
     gvals, L = values.ravel(), laplacian(values.shape, grid.h)
     LC = np.array([(L @ c.T).T for c in C])
 
-    # polynomial part and distant slabs: Gauss-Legendre on a slab
+    # polynomial part: Gauss-Legendre on a slab
     x_gl, w_gl = np.polynomial.legendre.leggauss(q)
     t_gl = tau * (x_gl + 1.0) / 2.0
     w_gl = w_gl * tau / 2.0
     phi_gl = slab.evaluate(t_gl)
-    # same and previous slab: the coupling blocks tau^alpha B_0 and tau^alpha B_1
-    own, previous = (tau**alpha * _unit_block(n, order, d, q) for d in (0, 1))
+    # memory: slab k reaches slab j through tau^alpha B_{j-k}
+    blocks = tau**order.alpha * np.array([_unit_block(n, order, d, q) for d in range(K)])
 
     worst = 0.0
     for j in range(K):
         proj = (phi_gl * w_gl) @ (C[j].T @ phi_gl - gvals[:, None]).T
-        proj += own @ LC[j]
-        if j >= 1:
-            proj += previous @ LC[j - 1]
-        for k in range(j - 1):
-            lag = (j - k) * tau + t_gl[:, None] - t_gl[None, :]
-            kern = lag ** (alpha - 1.0) / ga * np.outer(w_gl, w_gl)
-            proj += phi_gl @ kern @ (LC[k].T @ phi_gl).T
+        proj += np.tensordot(blocks[j::-1], LC[:j + 1], axes=([0, 2], [0, 1]))
         worst = max(worst, float(np.max(np.abs(proj))))
     return worst

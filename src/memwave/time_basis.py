@@ -406,13 +406,12 @@ def mode_factors(schur_form, lam) -> ModeFactors:
     mu, nu = 1.0 / w, lam / w
     reach = np.abs(nu)
     tiny = n * np.finfo(float).eps
-    axis = (slice(None),) + (None,) * lam.ndim  # a per-block scalar against every mode
 
     # every block at once, each block's root and bound still by scalar math
     t, b, c = np.array(entries).T
     root = np.array([math.sqrt(abs(x)) * math.sqrt(abs(y)) for x, y in zip(b, c)])
     hyp = np.array([math.hypot(x, y) for x, y in zip(t, root)])
-    t, b, c, root, hyp = (x[axis] for x in (t, b, c, root, hyp))
+    t, b, c, root, hyp = (x[:, None] for x in (t, b, c, root, hyp))  # against every mode
     s = mu + nu * t
     bound = mu + reach * hyp
     s_rel, nu_rel = s / bound, nu / bound

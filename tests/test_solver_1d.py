@@ -351,6 +351,35 @@ class TestSolve1D:
             moved[k * n + n - 1, 75] += 1e-6 * np.max(np.abs(c))
             assert residual_orthogonality(replace(field, coefficients=moved)) > 1e-8
 
+    def test_residual_orthogonality_forms_each_block_once_outside_the_solve(self, monkeypatch):
+        # the check's memory is tau^alpha B_d for d = 0 .. K-1 at its own 4n + 16 nodes, each
+        # block formed once; it never reads the solve's cached blocks or its coupling
+        one_slab = solve_1d(MemoryOrder(2.0), 0.5, 8, Grid1D(-8.0, 8.0, 41),
+                            InitialField1D.gaussian(1.0))
+        four_slabs = solve_1d(MemoryOrder(1.5), **BENCH, n=8, g=InitialField1D.gaussian(1.0))
+        assert [one_slab.basis.slabs, four_slabs.basis.slabs] == [1, 4]
+        requested = []
+        unit_block = solver_1d._unit_block
+
+        def recording(n, order, d, num_nodes):
+            requested.append((d, num_nodes))
+            return unit_block(n, order, d, num_nodes)
+
+        def fails(name):
+            def stand_in(*args, **kwargs):
+                raise AssertionError(f"{name} reached")
+            return stand_in
+
+        monkeypatch.setattr(solver_1d, "_unit_block", recording)
+        monkeypatch.setattr("memwave.time_basis.unit_blocks", fails("unit_blocks"))
+        monkeypatch.setattr(solver_1d, "slab_blocks", fails("slab_blocks"))
+        monkeypatch.setattr(solver_1d, "coupling_matrix", fails("coupling_matrix"))
+        residual_orthogonality(one_slab)
+        assert requested == [(0, 48)]
+        requested.clear()
+        assert residual_orthogonality(four_slabs) <= 1e-8
+        assert requested == [(0, 48), (1, 48), (2, 48), (3, 48)]
+
     @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 1.75, 2.0])
     def test_mass_conservation(self, alpha):
         g = InitialField1D.gaussian(1.0)
