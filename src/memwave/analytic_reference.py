@@ -69,14 +69,15 @@ def _heat_window(t, h: float):
 
 
 def _heat_kernel(t, h: float, steps: np.ndarray) -> np.ndarray:
-    """The Gaussian exp(-x^2/4t)/sqrt(4 pi t) at x = steps * h, truncated.
+    """The Gaussian exp(-x^2/4t)/sqrt(4 pi t) at x = steps * h, zero below KERNEL_TRUNCATION.
 
-    t broadcasts against the integer offsets steps.  A weight is zero beyond
-    _heat_window(t, h) steps and wherever it is below KERNEL_TRUNCATION.
+    t broadcasts against the integer offsets steps.  The kernel also ends
+    _heat_window(t, h) steps out; its callers cut it there, resolvent_apply
+    by slicing each row and the lag table by zeroing the offsets beyond.
     """
     x = h * steps
     kernel = np.exp(-(x**2) / (4.0 * t)) / np.sqrt(4.0 * math.pi * t)
-    kernel[(kernel < KERNEL_TRUNCATION) | (np.abs(steps) > _heat_window(t, h))] = 0.0
+    kernel[kernel < KERNEL_TRUNCATION] = 0.0
     return kernel
 
 
@@ -94,9 +95,12 @@ def _taps(r, m: int) -> tuple:
     return (n, 1.0 - theta), (n + 1, theta)
 
 
-def resolvent_apply(alpha, t: float, field, grid: Grid1D) -> np.ndarray:
+def resolvent_apply(alpha, t, field, grid: Grid1D) -> np.ndarray:
     """Apply the closed-form resolvent S(t) to a sampled field.
 
+    t is one time, giving S(t) f of shape (m,), or a 1-D array of times,
+    giving one row S(t_k) f per time, shape (len(t), m); each row is bit
+    for bit the call at its own t, and a time of 0 gives a copy of f.
     alpha must be exactly 1 or 2, given as a bare number or a MemoryOrder.
     At alpha = 1 the action is a trapezoid discretization of the Gaussian
     convolution with the kernel truncated below KERNEL_TRUNCATION.  At
@@ -106,30 +110,48 @@ def resolvent_apply(alpha, t: float, field, grid: Grid1D) -> np.ndarray:
     (1 - theta, theta) at n and n + 1 steps.  The result is continuous in t.
     A shifted point within one cell beyond an edge takes at most half the
     edge value, not 0: under 1e-12 for data that passes the edge check.
-    One EdgeWarning reports the larger face value of input and output when
-    it is above BOUNDARY_DECAY_TOL.
+    One EdgeWarning per call reports the largest face value of the input
+    and every row when it is above BOUNDARY_DECAY_TOL; a call whose times
+    are all 0 checks nothing.
     """
     alpha = endpoint_order(alpha)
-    if not t >= 0:
-        raise ValueError(f"t must be non-negative, got {t!r}")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"t must be a number or a 1-D array of times, got shape {times.shape}")
+    rows = times.reshape(-1)
+    if not rows.min(initial=0.0) >= 0:  # a NaN is the minimum
+        raise ValueError(f"t must be non-negative, got {float(rows[~(rows >= 0)][0])!r}")
     f = np.asarray(field, dtype=float)
     if f.shape != (grid.m,):
         raise ValueError(f"field shape {f.shape} does not match grid with m={grid.m}")
-    if t == 0:
-        return f.copy()
 
     m, h = grid.m, grid.h
-    if alpha == 1:
-        w = int(min(_heat_window(t, h), m - 1))
-        kernel = _heat_kernel(t, h, np.arange(-w, w + 1))
-        # full convolution sliced back to the grid; out_i = h sum_j K(x_i - x_j) f_j
-        out = h * np.convolve(f, kernel, mode="full")[w : w + m]
-    else:
-        out = np.zeros(m)
-        for d, weight in _taps(t / h, m):
-            if d < m:
-                out[d:] += weight * f[: m - d]
-                out[: m - d] += weight * f[d:]
-        out *= 0.5
-    _check_edges(_EDGE, f, out, stacklevel=2)
-    return out
+    out = np.empty((rows.size, m))
+    moving = rows.nonzero()[0]
+    if moving.size < rows.size:
+        out[rows == 0] = f  # S(0) f is f
+    if moving.size:
+        lags = rows[moving]
+        if alpha == 1:
+            windows = np.minimum(_heat_window(lags, h), m - 1).astype(np.intp).tolist()
+            wide = max(windows)
+            kernels = _heat_kernel(lags[:, None], h, np.arange(-wide, wide + 1))
+            for k, w, kernel in zip(moving.tolist(), windows, kernels):
+                # full convolution sliced back to the grid, out_i = h sum_j K(x_i - x_j) f_j;
+                # each row keeps its own window, as np.convolve's summation order depends
+                # on the kernel's length
+                out[k] = h * np.convolve(f, kernel[wide - w : wide + w + 1])[w : w + m]
+        else:
+            # f between zero pads of m + 2 cells, the longest tap; each row adds f_{i-d},
+            # f_{i+d}, f_{i-d-1}, f_{i+d+1} in the order of a tap-by-tap shift of f
+            padded = np.concatenate((np.zeros(m + 2), f, np.zeros(m + 2)))
+            (near, near_w), (_, far_w) = _taps(lags / h, m)
+            taps = zip(moving.tolist(), near.tolist(), near_w.tolist(), far_w.tolist())
+            for k, d, a, b in taps:
+                left = padded[m + 1 - d : 2 * m + 2 - d]
+                right = padded[m + 2 + d : 2 * m + 3 + d]
+                out[k] = 0.5 * (a * left[1:] + a * right[:-1] + b * left[:-1] + b * right[1:])
+        # the faces of the input and of every row in one check: out[:, ::m-1] holds each
+        # row's two end values, all of which are faces of that (k, 2) array
+        _check_edges(_EDGE, f, out[:, :: m - 1], stacklevel=2)
+    return out.reshape(times.shape + (m,))

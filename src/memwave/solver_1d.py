@@ -197,11 +197,16 @@ class SolutionField1D:
         return reconstruct(self.coefficients, self.basis, t)
 
 
+# the first and last index along an axis, made once: take() converts a tuple on every call
+_FACES = np.array([0, -1])
+
+
 def boundary_magnitude(values) -> float:
     """Largest |value| on the faces of a grid array: both ends in 1D, all four edges in 2D."""
     v = np.asarray(values, dtype=float)
-    # no numpy reduction: resolvent_apply runs this twice a call, on two values
-    return float(max(abs(x) for axis in range(v.ndim) for x in v.take((0, -1), axis).flat))
+    # Python floats, no numpy reduction: a resolvent_apply call reads this on the input's
+    # two values and on the two end values of each of its rows, mostly a handful
+    return max(max(map(abs, v.take(_FACES, axis).ravel().tolist())) for axis in range(v.ndim))
 
 
 def _check_edges(template: str, *fields, stacklevel: int) -> None:

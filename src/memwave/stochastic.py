@@ -21,11 +21,14 @@ beyond each edge), so that rounding moves a field by O(ulp) only, and the
 FFT sum needs no correction.  stochastic_convolution keeps the pairwise
 resolvent_apply sum as the reference for the final field.
 
-The closed forms assume data negligible on the grid faces.  A trajectory
-reports where S(s_k) g breaks that in one solver_1d.EdgeWarning, computed
-from its own fields rather than from resolvent_apply's per-call warnings,
-which it ignores by category like stochastic_convolution does; noise never
-decays at the faces and is not checked.
+The deterministic part S(s_k) g of every step comes from one
+resolvent_apply call over all the step times, each row bit for bit the
+call at its own s_k.  The closed forms assume data negligible on the grid
+faces.  A trajectory reports where S(s_k) g breaks that in one
+solver_1d.EdgeWarning that counts the steps, computed from its own fields;
+the call's own warning, which gives only the largest face value, is
+ignored by category like stochastic_convolution's; noise never decays at
+the faces and is not checked.
 
 Reproducibility contract: the increment stream is fully determined by
 (master seed, trajectory index) through a splittable seed sequence, so
@@ -41,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, irfft2, next_fast_len, rfft, rfft2
 
-from .analytic_reference import _heat_kernel, _taps, endpoint_order, resolvent_apply
+from .analytic_reference import (_heat_kernel, _heat_window, _taps, endpoint_order,
+                                 resolvent_apply)
 from .solver_1d import (
     BOUNDARY_DECAY_TOL,
     EdgeWarning,
@@ -216,14 +220,17 @@ def _lag_table(alpha: int, I: int, tau: float, grid: Grid1D) -> np.ndarray:
     (S(j tau) f)_p = sum_d table[j, m - 1 + d] f_{p - d}, with f zero off
     the grid.  Row 0 is zero: an increment does not act at its own step.
     At alpha = 1 row j is h times the truncated heat kernel at j tau, every
-    row from one exp over the offsets; at alpha = 2 it holds
-    resolvent_apply's two taps at -+ j tau, halved.
+    row from one exp over the offsets and zero beyond its window; at
+    alpha = 2 it holds resolvent_apply's two taps at -+ j tau, halved.
     """
     m = grid.m
     table = np.zeros((I + 1, 2 * m - 1))
     lags = np.arange(1, I + 1)
     if alpha == 1:
-        table[1:] = grid.h * _heat_kernel(lags[:, None] * tau, grid.h, np.arange(1 - m, m))
+        times, offsets = lags[:, None] * tau, np.arange(1 - m, m)
+        kernel = _heat_kernel(times, grid.h, offsets)
+        kernel[np.abs(offsets) > _heat_window(times, grid.h)] = 0.0
+        table[1:] = grid.h * kernel
     else:
         for d, weight in _taps(lags * tau / grid.h, m):
             inside = d < m
@@ -258,13 +265,14 @@ def simulate_trajectory(
 ) -> Trajectory:
     """Mild-solution trajectory f(x, s_k) = S(s_k) g + convolution up to s_k.
 
-    g reaches the grid through solver_1d.sample.  The edge report is
-    computed from the fields: step k >= 1 counts when g or S(s_k) g exceeds
-    BOUNDARY_DECAY_TOL on the grid faces, and one EdgeWarning gives the
-    count and the first such s_k.  Any other warning of those steps reaches
-    the caller as raised; the noise terms are not edge-checked.  A
-    trajectory whose padded FFT work array of the noise sum holds more than
-    MAX_NNZ values is refused before sampling.
+    g reaches the grid through solver_1d.sample, and S(s_k) g for every
+    step comes from one resolvent_apply call at the times k tau.  The edge
+    report is computed from the fields: step k >= 1 counts when g or
+    S(s_k) g exceeds BOUNDARY_DECAY_TOL on the grid faces, and one
+    EdgeWarning gives the count and the first such s_k.  Any other warning
+    of that call reaches the caller as raised; the noise terms are not
+    edge-checked.  A trajectory whose padded FFT work array of the noise
+    sum holds more than MAX_NNZ values is refused before sampling.
     """
     order = endpoint_order(alpha)
     work = math.prod(_fft_shape(partition.I, grid.m))
@@ -274,11 +282,10 @@ def simulate_trajectory(
     increments = sample_increments(model, grid, partition, trajectory_index)
     gvals = sample(g, grid)
     tau = partition.tau
-    fields = np.empty((partition.I + 1, grid.m))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EdgeWarning)
-        for k in range(partition.I + 1):
-            fields[k] = resolvent_apply(order, k * tau, gvals, grid)
+        # np.arange(I + 1) * tau is k * tau bit for bit
+        fields = resolvent_apply(order, np.arange(partition.I + 1) * tau, gvals, grid)
     # A step's faces are its field's two ends, as boundary_magnitude reads a 1D field, taken
     # for all steps at once: a call per step would cost about 5 % of a trajectory.  S(0) g is
     # g itself and goes unchecked, as in resolvent_apply.

@@ -233,25 +233,37 @@ def adjacent_integral(phi, num_nodes: int, alpha: float) -> np.ndarray:
     return (phi(r) * wr) @ inner_v.T + (inner_u * wr) @ phi(1.0 - r).T
 
 
+@functools.cache
+def _distant_rule(n: int, num_nodes: int) -> tuple:
+    """The Gauss-Legendre rule on [0, 1]^2 of the distant blocks, cached per (n, num_nodes).
+
+    Returns the node gaps x_i - x_j, the weight products w_i w_j and the n
+    basis functions at the nodes, all read-only.
+    """
+    x, w = roots_legendre(num_nodes)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    rule = (x[:, None] - x[None, :], np.outer(w, w), build_basis(1.0, n).evaluate(x))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def _unit_block(n: int, order: MemoryOrder, d: int, num_nodes: int) -> np.ndarray:
     """B_d: phi_j on slab d against the kernel on slab 0, slabs of length 1."""
     alpha = order.alpha
     if d == 0:
         return _coupling_entries(build_basis(1.0, n), order, num_nodes)
-    phi = build_basis(1.0, n).evaluate
     if d == 1:
         # t = 1 + u and s = 1 - v, so t - s = u + v vanishes at the shared corner
-        return adjacent_integral(phi, num_nodes, alpha) / math.gamma(alpha)
-    x, w = roots_legendre(num_nodes)
-    x, w = (x + 1.0) / 2.0, w / 2.0
+        return adjacent_integral(build_basis(1.0, n).evaluate, num_nodes, alpha) / math.gamma(alpha)
+    gaps, weights, p = _distant_rule(n, num_nodes)
     # t = d + u and s = v, so t - s >= d - 1 >= 1: a smooth kernel.  Its
     # constant part d^(alpha-1) meets only phi_1 x phi_1, with integral 1;
     # the quadrature sees the remainder, which is d times smaller, so the
     # rounding error does not grow with d.
-    z = (x[:, None] - x[None, :]) / d
+    z = gaps / d
     rest = np.expm1((alpha - 1.0) * np.log1p(z)) * d ** (alpha - 1.0)
-    p = phi(x)
-    b = p @ (rest * np.outer(w, w)) @ p.T
+    b = p @ (rest * weights) @ p.T
     b[0, 0] += d ** (alpha - 1.0)
     return b / math.gamma(alpha)
 

@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from memwave import Grid1D, MemoryOrder, heat_solution, resolvent_apply, wave_solution
+from memwave import (EdgeWarning, Grid1D, MemoryOrder, heat_solution, resolvent_apply,
+                     wave_solution)
+from memwave.solver_1d import boundary_magnitude
 
 
 class TestHeatSolution:
@@ -223,3 +226,71 @@ class TestResolventApply:
         f = np.exp(-(grid.points**2) / 0.04)
         with pytest.warns(UserWarning, match="mass is leaving"):
             resolvent_apply(1, 1.0, f, grid)
+
+
+class TestResolventApplyBatch:
+    """An array of times gives one row per time, each the scalar call at its own time."""
+
+    # (m, I, T, span): span 30 at T = 60 clips late heat windows at m - 1 and carries late
+    # wave shifts past the whole grid; one step gives a batch of two, t = 0 and t = T
+    @example(m=151, I=30, T=60.0, span=30.0, seed=0)
+    @example(m=3, I=1, T=0.5, span=1.0, seed=1)
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(3, 401), I=st.integers(1, 400),
+           T=st.floats(1e-3, 100.0), span=st.floats(1.0, 40.0), seed=st.integers(0, 2**16))
+    def test_rows_equal_scalar_calls(self, m, I, T, span, seed):
+        grid = Grid1D(-span / 2, span / 2, m)
+        f = np.random.default_rng(seed).standard_normal(m)
+        tau = T / I
+        times = np.arange(I + 1) * tau
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EdgeWarning)
+            for alpha in (1, 2):
+                rows = resolvent_apply(alpha, times, f, grid)
+                assert rows.shape == (I + 1, m)
+                for k in range(I + 1):
+                    assert np.array_equal(rows[k], resolvent_apply(alpha, k * tau, f, grid))
+
+    def test_scalar_and_empty_shapes(self):
+        grid = Grid1D(-15.0, 15.0, 61)
+        f = np.exp(-grid.points**2)
+        assert resolvent_apply(1, 0.5, f, grid).shape == (61,)
+        assert resolvent_apply(2, np.array([0.5]), f, grid).shape == (1, 61)
+        assert resolvent_apply(1, np.array([]), f, grid).shape == (0, 61)
+
+    def test_zero_time_rows_are_copies_of_the_input(self):
+        grid = Grid1D(-15.0, 15.0, 61)
+        f = np.exp(-grid.points**2)
+        for alpha in (1, 2):
+            rows = resolvent_apply(alpha, [0.0, 1.0, 0.0], f, grid)
+            assert np.array_equal(rows[0], f) and np.array_equal(rows[2], f)
+            rows[0, 30] = 7.0
+            assert f[30] == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_an_array_with_a_bad_time_is_refused(self, bad):
+        grid = Grid1D(-5.0, 5.0, 21)
+        for alpha in (1, 2):
+            with pytest.raises(ValueError, match="t must be non-negative"):
+                resolvent_apply(alpha, np.array([0.0, 1.0, bad, 2.0]), np.zeros(21), grid)
+
+    def test_a_two_dimensional_time_is_refused(self):
+        grid = Grid1D(-5.0, 5.0, 21)
+        with pytest.raises(ValueError, match="1-D array of times"):
+            resolvent_apply(1, np.ones((2, 2)), np.zeros(21), grid)
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_one_warning_carries_the_largest_face_value(self, alpha):
+        # a bump 3 units left of centre: S(t) moves or spreads it onto the left face at
+        # some times and not others, and the warning reports the largest of all rows
+        grid = Grid1D(-5.0, 5.0, 101)
+        f = np.exp(-((grid.points + 3.0) ** 2) / 0.1)
+        times = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = resolvent_apply(alpha, times, f, grid)
+        edges = [w for w in caught if w.category is EdgeWarning]
+        assert len(edges) == 1
+        largest = max(boundary_magnitude(f), *(boundary_magnitude(row) for row in rows))
+        assert largest > max(boundary_magnitude(rows[1]), boundary_magnitude(f))
+        assert f"{largest:.2e} at the grid edge" in str(edges[0].message)

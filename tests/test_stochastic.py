@@ -250,6 +250,20 @@ class TestSimulateTrajectory:
                                       resolvent_apply(alpha, k * part.tau, gvals, self.grid))
             assert np.array_equal(traj.final_field, traj.fields[-1])
 
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_one_resolvent_call_per_trajectory(self, alpha, monkeypatch):
+        calls, apply = [], stochastic.resolvent_apply
+
+        def counted(*args):
+            calls.append(args[1])
+            return apply(*args)
+
+        monkeypatch.setattr(stochastic, "resolvent_apply", counted)
+        part = TimePartition(1.5, 10)
+        simulate_trajectory(alpha, self.g, NoiseModel(0.1, seed=5), part, self.grid)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], [k * part.tau for k in range(part.I + 1)])
+
     def test_non_finite_initial_data_is_refused(self):
         # g reaches the grid through the solver's sampling gate
         g = InitialField1D(lambda x: np.where(x == 0.0, np.nan, 0.0), "nan at 0")
@@ -488,7 +502,8 @@ class TestEdgeWarning:
         part, apply = TimePartition(6.0, 30), stochastic.resolvent_apply
 
         def marked(alpha, t, f, grid):
-            if t == 2 * part.tau:
+            # a trajectory passes every step time in one call
+            if 2 * part.tau in np.atleast_1d(t):
                 warnings.warn("marked step", Marker)
             return apply(alpha, t, f, grid)
 

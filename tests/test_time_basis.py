@@ -243,6 +243,22 @@ class TestSlabBasis:
         a = coupling_matrix(build_basis(6.0, 96), MemoryOrder(1.5)).entries
         assert a.shape == (96, 96) and np.all(np.isfinite(a))
 
+    def test_distant_blocks_reuse_one_read_only_rule(self, monkeypatch):
+        # the nodes and basis of a distant block are built once per (n, q); a block from
+        # the cached rule is a fresh writable array that equals a second call bit for bit
+        order, n, q = MemoryOrder(1.5), 3, 28
+        time_basis._distant_rule.cache_clear()
+        nodes = []
+        legendre = time_basis.roots_legendre
+        monkeypatch.setattr(time_basis, "roots_legendre",
+                            lambda k: nodes.append(k) or legendre(k))
+        blocks = [_unit_block(n, order, d, q) for d in (2, 3, 2)]
+        assert nodes == [q]
+        assert np.array_equal(blocks[0], blocks[2]) and blocks[0] is not blocks[2]
+        blocks[0][:] = 0.0
+        assert np.array_equal(_unit_block(n, order, 2, q), blocks[2])
+        assert not any(a.flags.writeable for a in time_basis._distant_rule(n, q))
+
     def test_entries_do_not_alias_the_cached_blocks(self):
         from memwave.time_basis import unit_blocks
 
