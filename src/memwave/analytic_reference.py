@@ -5,6 +5,10 @@ exp(-x^2/4t)/sqrt(4 pi t); at alpha = 2 it is the shift-average
 (f(x-t) + f(x+t))/2.  Both serve as validation oracles for the Galerkin
 solver and as the propagator inside the stochastic convolution.  No
 closed form is available strictly between the endpoints.
+
+The grid form of S(t) is decided here alone: _weights gives it as
+convolution weights, which resolvent_apply's alpha = 1 rows convolve
+with and the stochastic noise sum takes as its lag table.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ __all__ = [
 
 # kernel values below this are dropped from the convolution window
 KERNEL_TRUNCATION = 1e-16
+
+# a later time acts as this one, so that no product with a time overflows: from t = 1e31 the
+# heat kernel is below KERNEL_TRUNCATION everywhere, and a shift of 1e300 leaves every grid
+# whose h^2 is finite, so both rows are zeros wherever t >= h^2 (any h below 1e150)
+_LATEST = 1e300
 
 _EDGE = "resolvent input or output is {:.2e} at the grid edge; mass is leaving the grid"
 
@@ -68,19 +77,6 @@ def _heat_window(t, h: float):
     return np.ceil(np.sqrt(4.0 * t * math.log(1.0 / KERNEL_TRUNCATION)) / h)
 
 
-def _heat_kernel(t, h: float, steps: np.ndarray) -> np.ndarray:
-    """The Gaussian exp(-x^2/4t)/sqrt(4 pi t) at x = steps * h, zero below KERNEL_TRUNCATION.
-
-    t broadcasts against the integer offsets steps.  The kernel also ends
-    _heat_window(t, h) steps out; its callers cut it there, resolvent_apply
-    by slicing each row and the lag table by zeroing the offsets beyond.
-    """
-    x = h * steps
-    kernel = np.exp(-(x**2) / (4.0 * t)) / np.sqrt(4.0 * math.pi * t)
-    kernel[kernel < KERNEL_TRUNCATION] = 0.0
-    return kernel
-
-
 def _taps(r, m: int) -> tuple:
     """The two (offset, weight) taps (n, 1 - theta) and (n + 1, theta) of the shifts r.
 
@@ -95,6 +91,44 @@ def _taps(r, m: int) -> tuple:
     return (n, 1.0 - theta), (n + 1, theta)
 
 
+def _weights(alpha: int, t: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """S(t_k) at the positive times t as convolution weights, shape (len(t), 2m - 1).
+
+    (S(t_k) f)_p = sum_d W[k, m - 1 + d] f_{p - d}, with f zero off the grid.
+    At alpha = 1 row k is h times the Gaussian kernel at x = d h, zero beyond
+    _heat_window and below KERNEL_TRUNCATION.  Below t = h^2 the trapezoid
+    sum of the Gaussian loses its unit mass (it tends to h/sqrt(4 pi t)), so
+    such a row is first divided by that mass over its whole window, at most
+    _heat_window(h^2, h) = 13 steps.  At alpha = 2 row k is the two _taps at
+    -t_k and +t_k, halved, with the taps past the grid dropped.
+    """
+    m, h = grid.m, grid.h
+    t = np.minimum(t, _LATEST)
+    weights = np.zeros((t.size, 2 * m - 1))
+    if alpha == 1:
+        windows = _heat_window(t, h)[:, None]
+        reach = int(min(windows.max(), max(m - 1, _heat_window(h * h, h))))
+        steps = np.arange(-reach, reach + 1)
+        times = t[:, None]
+        kernel = np.exp(-((h * steps) ** 2) / (4.0 * times)) / np.sqrt(4.0 * math.pi * times)
+        kernel[np.abs(steps) > windows] = 0.0
+        sharp = t < h * h
+        if sharp.any():
+            # a running sum: the zeros past a row's window, as many as the batch's widest
+            # row adds, leave its mass, and so the row, bit for bit as for the row alone
+            kernel[sharp] /= h * np.cumsum(kernel[sharp], axis=1)[:, -1:]
+        kernel[kernel < KERNEL_TRUNCATION] = 0.0
+        cut = min(reach, m - 1)
+        weights[:, m - 1 - cut : m + cut] = h * kernel[:, reach - cut : reach + cut + 1]
+    else:
+        rows = np.arange(t.size)
+        for d, weight in _taps(t / h, m):
+            inside = d < m
+            for sign in (-1, 1):
+                weights[rows[inside], m - 1 + sign * d[inside]] += 0.5 * weight[inside]
+    return weights
+
+
 def resolvent_apply(alpha, t, field, grid: Grid1D) -> np.ndarray:
     """Apply the closed-form resolvent S(t) to a sampled field.
 
@@ -103,7 +137,12 @@ def resolvent_apply(alpha, t, field, grid: Grid1D) -> np.ndarray:
     for bit the call at its own t, and a time of 0 gives a copy of f.
     alpha must be exactly 1 or 2, given as a bare number or a MemoryOrder.
     At alpha = 1 the action is a trapezoid discretization of the Gaussian
-    convolution with the kernel truncated below KERNEL_TRUNCATION.  At
+    convolution with the kernel truncated below KERNEL_TRUNCATION.  The
+    trapezoid sum is exponentially accurate while h is below about sqrt(t);
+    below t = h^2 the kernel's lattice mass drifts from 1 to h/sqrt(4 pi t),
+    so there each kernel is scaled to unit lattice mass, and S(t) f is then
+    within about 2 t max|f''| of the closed form.  A time beyond 1e300 acts
+    as 1e300, where both orders give zeros for any spacing h below 1e150.  At
     alpha = 2 the field is shifted by +-t, n + theta grid steps, and
     interpolated linearly between the nodes, with a zero ghost node one
     spacing beyond each edge and zeros further out: the two taps
@@ -131,16 +170,13 @@ def resolvent_apply(alpha, t, field, grid: Grid1D) -> np.ndarray:
     if moving.size < rows.size:
         out[rows == 0] = f  # S(0) f is f
     if moving.size:
-        lags = rows[moving]
+        lags = np.minimum(rows[moving], _LATEST)
         if alpha == 1:
             windows = np.minimum(_heat_window(lags, h), m - 1).astype(np.intp).tolist()
-            wide = max(windows)
-            kernels = _heat_kernel(lags[:, None], h, np.arange(-wide, wide + 1))
-            for k, w, kernel in zip(moving.tolist(), windows, kernels):
-                # full convolution sliced back to the grid, out_i = h sum_j K(x_i - x_j) f_j;
-                # each row keeps its own window, as np.convolve's summation order depends
-                # on the kernel's length
-                out[k] = h * np.convolve(f, kernel[wide - w : wide + w + 1])[w : w + m]
+            for k, w, row in zip(moving.tolist(), windows, _weights(1, lags, grid)):
+                # full convolution sliced back to the grid; each row keeps its own window,
+                # as np.convolve's summation order depends on the kernel's length
+                out[k] = np.convolve(f, row[m - 1 - w : m + w])[w : w + m]
         else:
             # f between zero pads of m + 2 cells, the longest tap; each row adds f_{i-d},
             # f_{i+d}, f_{i-d-1}, f_{i+d+1} in the order of a tap-by-tap shift of f

@@ -14,11 +14,13 @@ j = k - i, so it is a discrete convolution in time and space at once, and
 simulate_trajectory evaluates it for every step by one zero-padded 2D real
 FFT of the increments against a table of S(j tau) for j = 0..I (after
 Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  The
-table holds one S per lag; the pairwise sum rounds each row's lag
-(i + j) tau - i tau on its own.  Both resolvents are continuous in t (the
-alpha = 2 interpolant falls linearly to a zero ghost node one spacing
-beyond each edge), so that rounding moves a field by O(ulp) only, and the
-FFT sum needs no correction.  stochastic_convolution keeps the pairwise
+table's rows are analytic_reference._weights at the lags j tau, the same
+weights resolvent_apply applies, so this module forms no kernel or tap of
+its own.  The table holds one S per lag; the pairwise sum rounds each
+row's lag (i + j) tau - i tau on its own.  Both resolvents are continuous
+in t (the alpha = 2 interpolant falls linearly to a zero ghost node one
+spacing beyond each edge), so that rounding moves a field by O(ulp) only,
+and the FFT sum needs no correction.  stochastic_convolution keeps the pairwise
 resolvent_apply sum as the reference for the final field.
 
 The deterministic part S(s_k) g of every step comes from one
@@ -44,8 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, irfft2, next_fast_len, rfft, rfft2
 
-from .analytic_reference import (_heat_kernel, _heat_window, _taps, endpoint_order,
-                                 resolvent_apply)
+from .analytic_reference import _weights, endpoint_order, resolvent_apply
 from .solver_1d import (
     BOUNDARY_DECAY_TOL,
     EdgeWarning,
@@ -214,42 +215,20 @@ def _fft_shape(I: int, m: int) -> tuple:
     return next_fast_len(2 * I), next_fast_len(2 * m - 1, real=True)
 
 
-def _lag_table(alpha: int, I: int, tau: float, grid: Grid1D) -> np.ndarray:
-    """S(j tau) for j = 0..I as convolution weights, shape (I + 1, 2m - 1).
-
-    (S(j tau) f)_p = sum_d table[j, m - 1 + d] f_{p - d}, with f zero off
-    the grid.  Row 0 is zero: an increment does not act at its own step.
-    At alpha = 1 row j is h times the truncated heat kernel at j tau, every
-    row from one exp over the offsets and zero beyond its window; at
-    alpha = 2 it holds resolvent_apply's two taps at -+ j tau, halved.
-    """
-    m = grid.m
-    table = np.zeros((I + 1, 2 * m - 1))
-    lags = np.arange(1, I + 1)
-    if alpha == 1:
-        times, offsets = lags[:, None] * tau, np.arange(1 - m, m)
-        kernel = _heat_kernel(times, grid.h, offsets)
-        kernel[np.abs(offsets) > _heat_window(times, grid.h)] = 0.0
-        table[1:] = grid.h * kernel
-    else:
-        for d, weight in _taps(lags * tau / grid.h, m):
-            inside = d < m
-            for sign in (-1, 1):
-                table[lags[inside], m - 1 + sign * d[inside]] += 0.5 * weight[inside]
-    return table
-
-
 def _add_noise(fields: np.ndarray, alpha: int, increments: np.ndarray, tau: float,
                grid: Grid1D) -> None:
     """Add sum_{i<k} S(s_k - s_i) dW_i to fields[k] for every step k at once.
 
     The sum is the 2D convolution of the (I, m) increments with the
-    (I + 1, 2m - 1) lag table over (time, space); one zero-padded real FFT
-    evaluates it, sliced back to steps 1..I and the m grid points.
+    (I + 1, 2m - 1) lag table over (time, space): a zero row, as an
+    increment does not act at its own step, over the resolvent's weights
+    at the lags j tau, j = 1..I.  One zero-padded real FFT evaluates it,
+    sliced back to steps 1..I and the m grid points.
     """
     I, m = increments.shape
     shape = _fft_shape(I, m)
-    table = _lag_table(alpha, I, tau, grid)
+    weights = _weights(alpha, np.arange(1, I + 1) * tau, grid)
+    table = np.concatenate((np.zeros((1, 2 * m - 1)), weights))
     spectrum = rfft2(increments, shape) * rfft2(table, shape)
     # step 0 has no earlier increment: it keeps S(0) g bit for bit, without the FFT's rounding
     fields[1:] += irfft2(spectrum, shape)[1 : I + 1, m - 1 : 2 * m - 1]

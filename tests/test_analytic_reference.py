@@ -1,13 +1,19 @@
+import ast
 import math
+import re
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from memwave import (EdgeWarning, Grid1D, MemoryOrder, heat_solution, resolvent_apply,
-                     wave_solution)
+from memwave import (EdgeWarning, Grid1D, InitialField1D, MemoryOrder, NoiseModel,
+                     TimePartition, analytic_reference, heat_solution, resolvent_apply,
+                     simulate_trajectory, wave_solution)
+from memwave.analytic_reference import _heat_window, _weights
 from memwave.solver_1d import boundary_magnitude
 
 
@@ -294,3 +300,82 @@ class TestResolventApplyBatch:
         largest = max(boundary_magnitude(f), *(boundary_magnitude(row) for row in rows))
         assert largest > max(boundary_magnitude(rows[1]), boundary_magnitude(f))
         assert f"{largest:.2e} at the grid edge" in str(edges[0].message)
+
+
+class TestResolventWeights:
+    """_weights, the one place the resolvent's grid weights are formed (action and noise sum)."""
+
+    grid = Grid1D(-15.0, 15.0, 151)  # h = 0.2
+    g = InitialField1D.gaussian(1.0)  # exp(-x^2), with max |g''| = 2
+
+    @pytest.mark.parametrize("t", [0.2**2 / 20, 0.2**2 / 200], ids=["h2/20", "h2/200"])
+    def test_heat_action_below_h_squared_has_unit_mass(self, t):
+        # S(t) g - g is t g'' + O(t^2); the trapezoid kernel's own mass, h/sqrt(4 pi t) at
+        # these times, would put the action 0.28 and 2.99 away from the closed form
+        out = resolvent_apply(1, t, self.g.evaluate(self.grid.points), self.grid)
+        assert np.max(np.abs(out - heat_solution(self.grid.points, t, 1.0))) <= 2 * t * 2.0
+
+    def test_first_step_of_a_fine_trajectory_has_unit_mass(self):
+        part = TimePartition(6.0, 3000)  # tau = h^2 / 20
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EdgeWarning)
+            traj = simulate_trajectory(1, self.g, NoiseModel(strength=0.0), part, self.grid)
+        exact = heat_solution(self.grid.points, part.tau, 1.0)
+        assert np.max(np.abs(traj.fields[1] - exact)) <= 2 * part.tau * 2.0
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_huge_times_give_zeros_without_overflow(self, alpha):
+        # the suite raises numpy's overflow RuntimeWarning as an error
+        f = self.g.evaluate(self.grid.points)
+        times = np.array([1e300, 1.3e306, 1e307, 1.7e308, sys.float_info.max])
+        assert np.array_equal(resolvent_apply(alpha, times, f, self.grid), np.zeros((5, 151)))
+        for t in times:
+            assert np.array_equal(resolvent_apply(alpha, t, f, self.grid), np.zeros(151))
+        traj = simulate_trajectory(alpha, self.g, NoiseModel(), TimePartition(1.7e308, 3),
+                                   self.grid)
+        assert np.array_equal(traj.fields[1:], np.zeros((3, 151)))
+
+    @pytest.mark.parametrize("tau", [0.2, 0.05, 0.07])
+    def test_wave_row_squares_match_the_two_tap_closed_form(self, tau):
+        # lag j of the noise sum adds C^2 tau sum_d W[j, d]^2 to the variance at a point
+        times = np.arange(1, 31) * tau
+        r = times / self.grid.h
+        theta = r - np.floor(r)
+        # below one cell the two near taps coincide at offset 0 with weight 1 - theta
+        expected = np.where(r >= 1, 0.5 * ((1 - theta) ** 2 + theta**2),
+                            (1 - theta) ** 2 + 0.5 * theta**2)
+        squares = np.sum(_weights(2, times, self.grid) ** 2, axis=1)
+        assert np.allclose(squares, expected, rtol=4 * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize("tau", [0.2, 0.05])
+    def test_heat_row_squares_match_the_continuum_integral(self, tau):
+        # h sum_d (h G(t, d h))^2 against h int G^2 = h / sqrt(8 pi t); by Poisson summation
+        # the lattice sum of the Gaussian G^2 (variance t) is off by 2 exp(-2 pi^2 t / h^2)
+        h = self.grid.h
+        times = np.arange(1, 31) * tau
+        assert times[0] >= h**2 and _heat_window(times[-1], h) <= self.grid.m - 1
+        squares = np.sum(_weights(1, times, self.grid) ** 2, axis=1)
+        relative = np.abs(squares / (h / np.sqrt(8 * np.pi * times)) - 1)
+        assert np.all(relative <= 2 * np.exp(-2 * np.pi**2 * times / h**2)
+                      + 16 * np.finfo(float).eps)
+
+
+def test_only_analytic_reference_forms_resolvent_weights():
+    # the heat kernel's window and truncation and the shift's taps are decided in one
+    # module; every other module reads them through _weights alone
+    package = Path(analytic_reference.__file__).parent
+    piece = re.compile(r"_\w*(kernel|taps|table|window|weights)$")
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "analytic_reference.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names if a.name.startswith("_") and
+                         node.module == "analytic_reference" and a.name != "_weights"]
+            elif isinstance(node, ast.FunctionDef):
+                names = [node.name] if piece.fullmatch(node.name) else []
+            else:
+                names = []
+            found += [f"{path.name}:{node.lineno} {name}" for name in names]
+    assert found == [], f"resolvent weight pieces outside analytic_reference: {found}"

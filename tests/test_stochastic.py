@@ -20,7 +20,8 @@ from memwave import (
     stochastic_convolution,
 )
 from memwave import stochastic
-from memwave.stochastic import _add_noise, _fft_shape, _lag_table
+from memwave.analytic_reference import _weights
+from memwave.stochastic import _add_noise, _fft_shape
 
 
 class TestNoiseModel:
@@ -454,7 +455,7 @@ class TestBatchedNoiseSum:
         part, grid = SHAPES[0]
         t = j * part.tau
         assert abs(lag - t) <= np.spacing(t)
-        row = _lag_table(1, part.I, part.tau, grid)[j]
+        row = _weights(1, np.arange(1, part.I + 1) * part.tau, grid)[j - 1]
         # entry (p, y) of S(t) weighs f_y at x_p: table column m - 1 + p - y
         offsets = np.subtract.outer(np.arange(grid.m), np.arange(grid.m))
         matrix = row[grid.m - 1 + offsets]
