@@ -96,23 +96,35 @@ def _weights(alpha: int, t: np.ndarray, grid: Grid1D) -> np.ndarray:
 
     (S(t_k) f)_p = sum_d W[k, m - 1 + d] f_{p - d}, with f zero off the grid.
     At alpha = 1 row k is h times the Gaussian kernel at x = d h, zero beyond
-    _heat_window and below KERNEL_TRUNCATION.  Below t = h^2 the trapezoid
-    sum of the Gaussian loses its unit mass (it tends to h/sqrt(4 pi t)), so
-    such a row is first divided by that mass over its whole window, at most
-    _heat_window(h^2, h) = 13 steps.  At alpha = 2 row k is the two _taps at
-    -t_k and +t_k, halved, with the taps past the grid dropped.
+    _heat_window and below KERNEL_TRUNCATION; a time below h^2/4000, where
+    the row is the identity already, acts as h^2/4000.  Below t = h^2 the
+    trapezoid sum of the Gaussian loses its unit mass (it tends to
+    h/sqrt(4 pi t)), so such a row is first divided by that mass over its
+    whole window, at most _heat_window(h^2, h) = 13 steps.  At alpha = 2 row
+    k is the two _taps at -t_k and +t_k, halved, with the taps past the grid
+    dropped.
     """
     m, h = grid.m, grid.h
     t = np.minimum(t, _LATEST)
     weights = np.zeros((t.size, 2 * m - 1))
     if alpha == 1:
+        # exp(-h^2 / 4t) is 0 from t = h^2/4000 down (exp(-1000)), so such a row is the
+        # identity there already; a smaller t would only overflow -(d h)^2 / 4t
+        t = np.maximum(t, h * h / 4000.0)
         windows = _heat_window(t, h)[:, None]
         reach = int(min(windows.max(), max(m - 1, _heat_window(h * h, h))))
         steps = np.arange(-reach, reach + 1)
         times = t[:, None]
-        kernel = np.exp(-((h * steps) ** 2) / (4.0 * times)) / np.sqrt(4.0 * math.pi * times)
-        kernel[np.abs(steps) > windows] = 0.0
+        norm = np.sqrt(4.0 * math.pi * times)
+        kernel = np.exp(-((h * steps) ** 2) / (4.0 * times)) / norm
         sharp = t < h * h
+        # past its window a row's exp is below KERNEL_TRUNCATION, and so is its kernel where
+        # sqrt(4 pi t) >= 1, which the truncation below zeroes; only other rows need the cut
+        narrow = sharp | (norm[:, 0] < 1.0)
+        if narrow.any():
+            part = kernel[narrow]
+            part[np.abs(steps) > windows[narrow]] = 0.0
+            kernel[narrow] = part
         if sharp.any():
             # a running sum: the zeros past a row's window, as many as the batch's widest
             # row adds, leave its mass, and so the row, bit for bit as for the row alone
@@ -141,8 +153,9 @@ def resolvent_apply(alpha, t, field, grid: Grid1D) -> np.ndarray:
     trapezoid sum is exponentially accurate while h is below about sqrt(t);
     below t = h^2 the kernel's lattice mass drifts from 1 to h/sqrt(4 pi t),
     so there each kernel is scaled to unit lattice mass, and S(t) f is then
-    within about 2 t max|f''| of the closed form.  A time beyond 1e300 acts
-    as 1e300, where both orders give zeros for any spacing h below 1e150.  At
+    within about 2 t max|f''| of the closed form; below h^2/4000 the row is
+    the identity.  A time beyond 1e300 acts as 1e300, where both orders
+    give zeros for any spacing h below 1e150.  At
     alpha = 2 the field is shifted by +-t, n + theta grid steps, and
     interpolated linearly between the nodes, with a zero ghost node one
     spacing beyond each edge and zeros further out: the two taps

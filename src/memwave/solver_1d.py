@@ -14,12 +14,17 @@ The solvers split [0, T] into K slabs (see time_basis).  The coupling
 matrix is then block lower-triangular, so time_basis.march solves it slab
 by slab: every slab has the same matrix I + kron(tau^alpha B_0, L), and
 earlier slabs enter its right-hand side through the blocks B_{j-k}.
-solve_slabs factors that matrix once (LU) or preconditions it once (BiCG).
 K is the first of 1, 2, 4, ... at which doubling it moves the solution
 at T by at most TIME_TOL * max|g|.  A type-I sine transform diagonalizes
-the zero-ghost stencils, so that check runs the same march exactly, one
-sine mode at a time, before any system is built.  sup_error and
-residual_orthogonality check a solved field of either dimension.
+the zero-ghost stencils (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so
+that check runs the same march exactly, one sine mode at a time, before
+any system is built, and keeps the march at the K it accepts.  1D "auto"
+solves with that march wherever it does not take LU (K >= n on at most
+DIRECT_LIMIT unknowns), each slab checked on its true residual; 2D "auto"
+keeps BiCG and 1D keeps that LU rule until ROADMAP item 1a, because the
+benchmark's traced runs must still reach both (solve_slabs states the
+rule).  sup_error and residual_orthogonality check a solved field of
+either dimension.
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ from .time_basis import (
     _unit_block,
     build_basis,
     coupling_matrix,
-    endpoint_transfer,
     march,
+    mode_march,
     reconstruct,
     slab_blocks,
     source_weights,
@@ -241,31 +246,59 @@ def assemble_1d(
     return BlockSystem(SparseMatrix(coupling.entries, laplacian(grid.shape, grid.h)), rhs)
 
 
+def _sine_modes(g_values: np.ndarray, h: float) -> tuple:
+    """The distinct Laplacian eigenvalues lam, each grid mode's index into lam, and g's sine
+    coefficients, all three for a grid of g_values' shape on spacing h."""
+    lam, modes = np.unique(sine_eigenvalues(g_values.shape, h), return_inverse=True)
+    return lam, modes.reshape(g_values.shape), dstn(g_values, type=1, norm="ortho")
+
+
+def mode_coefficients(X: np.ndarray, g_values: np.ndarray, h: float) -> np.ndarray:
+    """The grid coefficients of the march X that choose_slabs returns, for data g_values.
+
+    X is shaped (K, n, len(lam)) over the distinct eigenvalues lam; each
+    grid mode takes its eigenvalue's column times g's sine coefficient, and
+    one inverse sine transform over the grid axes gives the coefficients,
+    shaped (K, n) + grid shape.  They solve the K-slab system exactly up to
+    rounding in the march's Schur solves.
+    """
+    _, modes, g_hat = _sine_modes(g_values, h)
+    fields = X[:, :, modes] * g_hat
+    return dstn(fields, type=1, norm="ortho", axes=tuple(range(2, fields.ndim)))
+
+
 def choose_slabs(order: MemoryOrder, T: float, n: int, g_values: np.ndarray, h: float):
-    """Slab count K for the grid values g_values (1D or 2D) on spacing h.
+    """Slab count K for the grid values g_values (1D or 2D) on spacing h, with its sine-mode march.
 
     Tries K = 1, 2, 4, ... and stops at the first K whose solution at T is
     within TIME_TOL * max|g| of the solution with 2K slabs, both evaluated
-    exactly per sine mode.  The tolerance is relative, so g and 3g get the
-    same K.  Returns (K, drift, capped): drift is the last doubling
-    difference, and capped is True when K reached MAX_SLABS unconverged.
+    exactly per sine mode by time_basis.mode_march.  The tolerance is
+    relative, so g and 3g get the same K.  Returns (K, drift, capped, X):
+    drift is the last doubling difference, capped is True when K reached
+    MAX_SLABS unconverged, and X is the march at the K returned, shaped
+    (K, n, number of distinct eigenvalues), from which mode_coefficients
+    forms the K-slab solution on the grid.  solve_slabs takes that solution
+    in 1D wherever it does not take LU; 2D solves with BiCG until ROADMAP
+    item 1a lets its benchmark route change.
     """
     g_values = np.asarray(g_values, dtype=float)
     # every level marches each distinct eigenvalue once
-    lam, modes = np.unique(sine_eigenvalues(g_values.shape, h), return_inverse=True)
-    modes = modes.reshape(g_values.shape)
-    g_hat = dstn(g_values, type=1, norm="ortho")
+    lam, modes, g_hat = _sine_modes(g_values, h)
     target = TIME_TOL * float(np.max(np.abs(g_values)))
     K = 1
-    prev = endpoint_transfer(build_basis(T, n), order, lam)
+    basis = build_basis(T, n)
+    X = mode_march(basis, order, lam)
+    prev = basis.end_values @ X[-1]
     while True:
-        nxt = endpoint_transfer(build_basis(T, n, 2 * K), order, lam)
+        basis = build_basis(T, n, 2 * K)
+        X_next = mode_march(basis, order, lam)
+        nxt = basis.end_values @ X_next[-1]
         drift = float(np.max(np.abs(dstn((prev - nxt)[modes] * g_hat, type=1, norm="ortho"))))
         if drift <= target:
-            return K, drift, False
-        K, prev = 2 * K, nxt
+            return K, drift, False, X
+        K, prev, X = 2 * K, nxt, X_next
         if K == MAX_SLABS:
-            return K, drift, True
+            return K, drift, True, X
 
 
 def solve_slabs(
@@ -286,20 +319,32 @@ def solve_slabs(
     BOUNDARY_DECAY_TOL on the grid faces, where the zero-ghost closure
     assumes it negligible.  assemble(coupling, weights, g, grid) builds the
     one-slab BlockSystem, whose matrix's L also carries earlier slabs into
-    the right-hand side.  method "auto" takes LU for a 1D slab system of at
-    most DIRECT_LIMIT unknowns when K >= n, and the preconditioned BiCG
-    otherwise, in 2D at every size.  Timed with K forced (README's
-    crossover table), that route is within 1.14x of the faster one for
-    n <= 12; from n = 16 on BiCG is faster at K >= n too, LU up to 1.71x
-    slower.  The matrix is factored once (LU) or preconditioned once (BiCG)
-    and reused on every slab.  Each BiCG slab solve runs to a residual
-    below tol * ||w g|| with at most max_iter iterations, so the whole
-    system's relative residual stays below tol.  A right-hand side
-    whose sum of squares overflows a float is refused (rhs_norm), since
-    every residual is measured against its norm; data that overflows at
-    every slab count is refused before the slab choice.  Returns the K-slab
-    basis, the coefficients shaped (K*n,) + grid shape and the whole
-    system's SolveReport.
+    the right-hand side.
+
+    method "auto" takes LU for a 1D slab system of at most DIRECT_LIMIT
+    unknowns when K >= n.  Every other 1D "auto" solve takes the sine-mode
+    route, "sine": the march choose_slabs accepted, gathered and transformed
+    back to the grid once (mode_coefficients), gives every slab's
+    coefficients, and each slab is accepted when its true residual
+    ||rhs_j - A x_j|| is at most tol * ||w g||, the test a BiCG slab solve
+    meets.  A slab that misses it (a stiff slab system, where the Schur
+    solves lose digits) is solved by the preconditioned BiCG instead, the
+    preconditioner built on the first such slab; the report then names the
+    route "sine+bicg".  BiCG's preconditioner refuses a singular mode with
+    SingularMatrixError.  "auto" takes BiCG in 2D at every size, and the LU
+    rule stays for 1D at K >= n: the benchmark's traced runs must still
+    reach those layers until ROADMAP item 1a reworks its layer guard, though
+    with K forced the sine route is faster than LU and BiCG at every shape
+    of README's crossover table.  "direct" and "bicg" force LU and BiCG.
+    The matrix is factored once (LU) or preconditioned once (BiCG) and
+    reused on every slab.  Each BiCG slab solve runs to a residual below
+    tol * ||w g|| with at most max_iter iterations, so the whole system's
+    relative residual stays below tol.  A right-hand side whose sum of
+    squares overflows a float is refused (rhs_norm), since every residual
+    is measured against its norm; data that overflows at every slab count
+    is refused before the slab choice.  Returns the K-slab basis, the
+    coefficients shaped (K*n,) + grid shape and the whole system's
+    SolveReport.
     """
     if method not in ("auto", "direct", "bicg"):
         raise ValueError(f"unknown method {method!r}")
@@ -312,7 +357,7 @@ def solve_slabs(
     # a slab's right-hand side is sqrt(tau) g on its first function, least at K = MAX_SLABS:
     # where its sum of squares overflows, every K's does, so refuse before the slab choice
     rhs_norm(math.sqrt(T / MAX_SLABS) * g_values)
-    K, drift, capped = choose_slabs(order, T, n, g_values, h)
+    K, drift, capped, X_modes = choose_slabs(order, T, n, g_values, h)
     if capped:
         warnings.warn(
             f"slab count capped at {MAX_SLABS}: doubling still moved the solution at T "
@@ -328,30 +373,38 @@ def solve_slabs(
     norm_b = rhs_norm(b)
     use_direct = method == "direct" or (method == "auto" and grid.ndim == 1
                                         and system.N <= DIRECT_LIMIT and K >= n)
-    name = "direct" if use_direct else "bicg+precond"
-    pc = None if use_direct else build_preconditioner(slab, h, grid.ndim, b.shape[1])
+    sine = method == "auto" and grid.ndim == 1 and not use_direct
+    sine_x = mode_coefficients(X_modes, g_values, h).reshape(K, n, -1) if sine else None
+    del X_modes  # free before the solve allocates: in 2D it holds K n M / 2 floats, unread
+    name = "direct" if use_direct else "sine" if sine else "bicg+precond"
+    pc = None
     iterations, squares = 0, 0.0
 
     def solve(rhs, j):
-        nonlocal iterations, squares
-        if use_direct:
-            x = lu_solve(system.matrix, rhs.ravel())
+        nonlocal iterations, squares, pc, name
+        if use_direct or sine:
+            x = lu_solve(system.matrix, rhs.ravel()) if use_direct else sine_x[j].ravel()
             # slab j's rows of the whole K-slab system's true residual
-            squares += float(np.linalg.norm(rhs.ravel() - system.matrix.matvec(x))) ** 2
-        else:
-            norm_rhs = rhs_norm(rhs)
-            slab_tol = tol * norm_b / norm_rhs if norm_rhs > 0 else tol
-            x, rep = bicg_solve(system.matrix, rhs.ravel(), pc, tol=slab_tol, max_iter=max_iter)
-            iterations += rep.iterations
-            if not rep.converged:
-                kind = "breakdown" if rep.breakdown else "no convergence"
-                raise SolverConvergenceError(
-                    f"iterative solve failed ({kind}) on slab {j + 1} of {K} after "
-                    f"{iterations} iterations, residual {rep.residual:.3e}",
-                    SolveReport(name, iterations, rep.residual, False, K, drift, capped,
-                                rep.breakdown))
-            # bicg_solve confirmed this true residual, relative to ||rhs||, before returning
-            squares += (rep.residual * norm_rhs) ** 2
+            miss = float(np.linalg.norm(rhs.ravel() - system.matrix.matvec(x)))
+            if use_direct or miss <= tol * norm_b:
+                squares += miss**2
+                return x.reshape(b.shape)
+            name = "sine+bicg"
+        if pc is None:
+            pc = build_preconditioner(slab, h, grid.ndim, b.shape[1])
+        norm_rhs = rhs_norm(rhs)
+        slab_tol = tol * norm_b / norm_rhs if norm_rhs > 0 else tol
+        x, rep = bicg_solve(system.matrix, rhs.ravel(), pc, tol=slab_tol, max_iter=max_iter)
+        iterations += rep.iterations
+        if not rep.converged:
+            kind = "breakdown" if rep.breakdown else "no convergence"
+            raise SolverConvergenceError(
+                f"iterative solve failed ({kind}) on slab {j + 1} of {K} after "
+                f"{iterations} iterations, residual {rep.residual:.3e}",
+                SolveReport(name, iterations, rep.residual, False, K, drift, capped,
+                            rep.breakdown))
+        # bicg_solve confirmed this true residual, relative to ||rhs||, before returning
+        squares += (rep.residual * norm_rhs) ** 2
         return x.reshape(b.shape)
 
     X = march(blocks, b, solve, lambda x: (system.matrix.L @ x.T).T)
@@ -373,8 +426,10 @@ def solve_1d(
     """Solve on [0, T] and return the reconstructable coefficient field.
 
     n counts basis functions per time slab; the slab count K is chosen by
-    choose_slabs.  method "auto" picks LU or the preconditioned iteration
-    by solve_slabs' rule; "direct" or "bicg" force one path.
+    choose_slabs.  method "auto" takes LU when K >= n on at most
+    DIRECT_LIMIT unknowns and the slab choice's sine-mode march otherwise,
+    each slab checked on its residual (solve_slabs); "direct" or "bicg"
+    force one path.
     """
     if len(grid.shape) != 1:
         raise ValueError(f"solve_1d needs a 1D grid, got {type(grid).__name__}; use solve_2d")

@@ -7,8 +7,10 @@ the sparse Laplacian L, applies the system and counts its nonzeros through
 them, and builds its compressed-row form, scipy's kron, only when read.  The
 one sparse LU factorization, of that form in a minimum-degree column order,
 serves systems of at most DIRECT_LIMIT unknowns that solver_1d.solve_slabs
-routes to it; every other system uses the bi-conjugate gradient
-iteration, which needs only the products.
+routes to it.  Its other 1D systems take the slab choice's sine-mode
+march, checked on matvec; 2D systems, and 1D slabs that the march leaves
+above tolerance, use the bi-conjugate gradient iteration, which needs
+only the products.
 
 Its preconditioner is the exact inverse of the system.  The orthonormal
 type-I sine transform along every spatial axis diagonalizes the zero-ghost
@@ -179,10 +181,14 @@ class SparseMatrix:
 class SolveReport:
     """Outcome of one linear solve.
 
-    The solvers also record the time-slab count they chose, the last
-    doubling difference of the solution at T (time_drift), and whether the
-    slab count hit its cap.  The fields, in this order, are the key=value
-    tokens of the CLI's "# report:" line.
+    method names the route: "direct" (LU), "bicg+precond" (BiCG on the
+    sine-mode preconditioner), "bicg" (bicg_solve without one), "sine" (the
+    slab choice's sine-mode march) or "sine+bicg" (that march, with BiCG on
+    the slabs it left above tolerance).  The solvers also record the
+    time-slab count they chose, the last doubling difference of the
+    solution at T (time_drift), and whether the slab count hit its cap.  The
+    fields, in this order, are the key=value tokens of the CLI's "# report:"
+    line.
     """
 
     method: str

@@ -48,6 +48,7 @@ __all__ = [
     "coupling_matrix",
     "endpoint_transfer",
     "march",
+    "mode_march",
     "ModeFactors",
     "mode_factors",
     "mode_solve",
@@ -87,6 +88,10 @@ class TimeBasis:
             raise ValueError(f"basis size n must be a positive integer, got {self.size_n!r}")
         if not (isinstance(self.slabs, (int, np.integer)) and self.slabs >= 1):
             raise ValueError(f"slab count must be a positive integer, got {self.slabs!r}")
+        if not (2.0 * self.size_n - 1.0) / self.slab_length < math.inf:
+            # end_values, sqrt((2n - 1) / tau), would overflow
+            raise ValueError(f"slab length {self.slab_length!r} is too short for "
+                             f"{self.size_n} functions: their end values overflow a float")
 
     @property
     def slab_length(self) -> float:
@@ -344,7 +349,9 @@ def march(blocks, b, solve, op):
     x of every slab, shaped (K, n, ...).
     """
     n = len(b)
-    X, opX = np.empty((2, len(blocks)) + np.shape(b))
+    # two arrays, not one (2, K, ...) buffer: a caller that keeps X keeps only X
+    X = np.empty((len(blocks),) + np.shape(b))
+    opX = np.empty_like(X)
     for j in range(len(blocks)):
         rhs = b
         if j:
@@ -461,28 +468,38 @@ def mode_solve(factors: ModeFactors, rhs) -> np.ndarray:
     return Z @ z
 
 
-def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
-    """Solution value at T of the projected scalar equation f = 1 - lam (a * f).
+def mode_march(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
+    """The K-slab solution of the projected scalar equation f = 1 - lam (a * f), per value of lam.
 
-    For each eigenvalue lam of the (negated) spatial operator this is
-    phi(T) . (I + lam a)^{-1} w, so a field whose sine coefficients are g_i
-    has coefficients g_i * endpoint_transfer(lam_i) at T.  march eliminates
-    the slabs, one column per entry of lam (a caller with repeated values
-    passes each once), and mode_solve each slab on the real Schur form of
-    tau^alpha B_0, whose block inverses mode_factors forms once for all K
-    slabs.  phi(T) is the last slab's end_values.  Returns an array shaped
-    like lam.
+    For each eigenvalue lam of the (negated) spatial operator, column p of
+    slab j holds that slab's n coefficients of (I + lam[p] a)^{-1} w, so a
+    field whose sine coefficients are g_p has coefficients g_p X[j][:, p] on
+    slab j.  march eliminates the slabs, one column per entry of the 1-D lam
+    (a caller with repeated values passes each once), and mode_solve each
+    slab on the real Schur form of tau^alpha B_0, whose block inverses
+    mode_factors forms once for all K slabs.  Returns X shaped (K, n, len(lam)).
     """
     lam = np.asarray(lam, dtype=float)
-    vals = lam.ravel()
     n = basis.size_n
     scale, blocks = slab_blocks(basis, order)
     w = source_weights(basis).weights[:n]
     T, Z = _unit_schur(n, order)
-    factors = mode_factors((T * scale, Z), vals)
-    X = march(blocks, np.broadcast_to(w[:, None], (n, vals.size)),
-              lambda rhs, j: mode_solve(factors, rhs), lambda x: vals * x)
-    return (basis.end_values @ X[-1]).reshape(lam.shape)
+    factors = mode_factors((T * scale, Z), lam)
+    return march(blocks, np.broadcast_to(w[:, None], (n, lam.size)),
+                 lambda rhs, j: mode_solve(factors, rhs), lambda x: lam * x)
+
+
+def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
+    """Solution value at T of the projected scalar equation f = 1 - lam (a * f).
+
+    This is phi(T) . (I + lam a)^{-1} w, the last slab of mode_march read
+    at its end (end_values), so a field whose sine coefficients are g_i has
+    coefficients g_i * endpoint_transfer(lam_i) at T.  solver_1d.choose_slabs
+    reads the same value off the march it keeps.  Returns an array shaped
+    like lam.
+    """
+    lam = np.asarray(lam, dtype=float)
+    return (basis.end_values @ mode_march(basis, order, lam.ravel())[-1]).reshape(lam.shape)
 
 
 def reconstruct(coeffs, basis: TimeBasis, t: float):

@@ -335,6 +335,24 @@ class TestResolventWeights:
                                    self.grid)
         assert np.array_equal(traj.fields[1:], np.zeros((3, 151)))
 
+    @pytest.mark.parametrize("t", [5e-311, 1e-320])
+    def test_tiny_heat_times_give_the_identity_without_overflow(self, t):
+        # below about h^2 / 7.2e308 the exponent -(d h)^2 / 4t overflowed (an error under the
+        # suite's filters), although the kernel is exp(-1000) or less off the centre
+        f = self.g.evaluate(self.grid.points)
+        assert np.array_equal(resolvent_apply(1, t, f, self.grid), f)
+        assert np.array_equal(resolvent_apply(1, np.array([t, t]), f, self.grid), [f, f])
+
+    def test_rows_are_zero_past_their_windows(self):
+        # only rows with sqrt(4 pi t) < 1 or t < h^2 are cut at their windows; past its window
+        # every other row is below KERNEL_TRUNCATION, which zeroes it as the cut would
+        h, m = self.grid.h, self.grid.m
+        times = np.concatenate([np.arange(1, 31) * 0.2, [h**2 / 2, 0.05, 0.079, 0.08, 1e3]])
+        weights = _weights(1, times, self.grid)
+        offsets = np.abs(np.arange(-(m - 1), m))
+        for row, t in zip(weights, times):
+            assert not row[offsets > _heat_window(t, h)].any(), t
+
     @pytest.mark.parametrize("tau", [0.2, 0.05, 0.07])
     def test_wave_row_squares_match_the_two_tap_closed_form(self, tau):
         # lag j of the noise sum adds C^2 tau sum_d W[j, d]^2 to the variance at a point

@@ -48,8 +48,8 @@ def workload_constant(workload: str, attribute: str):
     raise AssertionError(f"no workload named {workload!r} in {path}")
 
 
-def traced_missing_layers(workload: str, *ops) -> list:
-    """Expected layers of workload that no span recorded, over ops traced one op each."""
+def traced_totals(*ops) -> dict:
+    """perfbench's per-layer totals over ops traced one op each."""
     harness = load_harness()
     tracer = harness.Tracer()
     tracer.install()
@@ -59,8 +59,13 @@ def traced_missing_layers(workload: str, *ops) -> list:
                 op()
     finally:
         tracer.uninstall()
+    return harness.layer_totals(tracer.spans)
+
+
+def traced_missing_layers(workload: str, *ops) -> list:
+    """Expected layers of workload that no span recorded, over ops traced one op each."""
     expected = workload_constant(workload, "expected_layers")
-    return harness.missing_layers(harness.layer_totals(tracer.spans), expected)
+    return load_harness().missing_layers(traced_totals(*ops), expected)
 
 
 def test_field2d_route_records_every_expected_layer(tmp_path, capsys):
@@ -87,6 +92,11 @@ def test_sweep1d_route_records_every_expected_layer():
            for n in workload_constant("sweep1d", "SIZES")
            for alpha in workload_constant("sweep1d", "ALPHAS")]
     assert traced_missing_layers("sweep1d", *ops) == []
+    # 1D auto solves every case off LU with the slab choice's sine-mode march, so a change
+    # that sends 1D back to BiCG fails here
+    totals = traced_totals(*ops)
+    assert "sparse_linalg.bicg_solve" not in totals
+    assert "sparse_linalg.build_preconditioner" not in totals
 
 
 def test_ensemble_route_records_every_expected_layer():

@@ -287,6 +287,19 @@ class TestOutputs:
         assert SolveReport(**{f.name: parse[f.type](tokens[f.name])
                               for f in fields(SolveReport)}) == want
 
+    def test_default_solve1d_takes_the_sine_route_and_matches_lu(self, tmp_path, capsys):
+        # the defaults (alpha = 1, T = 6, n = 8, m = 151) settle on K = 4 < n slabs, where
+        # auto takes the slab choice's sine-mode march
+        auto, direct = tmp_path / "auto.csv", tmp_path / "direct.csv"
+        assert main(["solve1d", "-o", str(auto)]) == 0
+        assert main(["solve1d", "--method", "direct", "-o", str(direct)]) == 0
+        meta, _, rows = read_csv(auto)
+        report = next(line for line in meta if line.startswith("# report:"))
+        assert report.split()[2] == "method=sine"
+        values = np.array([float(r[2]) for r in rows])
+        expected = np.array([float(r[2]) for r in read_csv(direct)[2]])
+        assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_report_line_records_a_capped_slab_count(self, tmp_path, capsys):
         # two functions per slab cannot settle the solution at T, so K stops at its cap
         out = tmp_path / "out.csv"

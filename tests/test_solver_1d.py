@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from memwave import (
     CouplingMatrix,
@@ -15,6 +16,8 @@ from memwave import (
     InitialField1D,
     InitialField2D,
     MemoryOrder,
+    SingularMatrixError,
+    SolverConvergenceError,
     assemble_1d,
     assemble_2d,
     build_basis,
@@ -28,7 +31,7 @@ from memwave import (
     sup_error,
 )
 from memwave import sample, solver_1d
-from memwave.solver_1d import MAX_SLABS, boundary_magnitude
+from memwave.solver_1d import MAX_SLABS, boundary_magnitude, mode_coefficients
 from memwave.time_basis import TIME_TOL
 from memwave.sparse_linalg import laplacian, sine_eigenvalues
 
@@ -243,12 +246,12 @@ class TestSolve1D:
                     assert f_auto.report.slabs == f_direct.report.slabs, (alpha, T, n)
                     gap = np.max(np.abs(f_auto.coefficients - f_direct.coefficients))
                     assert gap <= 1e-12 * np.max(np.abs(f_direct.coefficients)), (alpha, T, n)
-        assert routes == {"direct", "bicg+precond"}
+        assert routes == {"direct", "sine"}
 
     @pytest.mark.parametrize("solve, alpha, T, n, grid, g, slabs, method", [
-        # one slab cannot repay an LU factorization
+        # one slab cannot repay an LU factorization; the slab choice's march solves it
         (solve_1d, 1.0, 3.0, 32, Grid1D(-15.0, 15.0, 151), InitialField1D.gaussian(1.0),
-         1, "bicg+precond"),
+         1, "sine"),
         (solve_1d, 2.0, 12.0, 8, Grid1D(-20.0, 20.0, 201), InitialField1D.gaussian(1.0),
          16, "direct"),
         (solve_1d, 2.0, 6.0, 8, Grid1D(-15.0, 15.0, 151), InitialField1D.gaussian(1.0),
@@ -440,8 +443,8 @@ class TestSlabs:
     def test_slab_count_ignores_the_scale_of_g(self):
         grid = BENCH["grid"]
         g = InitialField1D.gaussian(1.0).evaluate(grid.points)
-        K1, drift1, _ = choose_slabs(MemoryOrder(1.0), 6.0, 8, g, grid.h)
-        K3, drift3, _ = choose_slabs(MemoryOrder(1.0), 6.0, 8, 3.0 * g, grid.h)
+        K1, drift1, _, _ = choose_slabs(MemoryOrder(1.0), 6.0, 8, g, grid.h)
+        K3, drift3, _, _ = choose_slabs(MemoryOrder(1.0), 6.0, 8, 3.0 * g, grid.h)
         assert K1 == K3 == 4
         assert drift3 == pytest.approx(3.0 * drift1, rel=1e-6)
 
@@ -526,6 +529,97 @@ class TestSlabs:
         assert sum("capped" in str(w.message) for w in caught) == 1
         assert field.report.slabs == MAX_SLABS and field.report.slabs_capped
         assert field.report.time_drift > 1e-6
+
+
+class TestSineRoute:
+    """1D auto solves with the slab choice's sine-mode march wherever it does not take LU."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.floats(1.0, 2.0), n=st.integers(2, 24),
+           T=st.floats(0.0, 12.0, exclude_min=True), m=st.integers(21, 201))
+    def test_every_route_gives_the_same_slabs_and_coefficients(self, alpha, n, T, m):
+        kw = dict(order=MemoryOrder(alpha), T=T, n=n, grid=Grid1D(-15.0, 15.0, m),
+                  g=InitialField1D.gaussian(1.0))
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "slab count capped", UserWarning)
+            for method in ("auto", "direct", "bicg"):
+                try:
+                    outcomes.append(solve_1d(method=method, **kw))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+        if isinstance(outcomes[0], str):
+            # a horizon whose slabs are too short for a float: every route refuses it alike
+            assert "too short" in outcomes[0] and outcomes.count(outcomes[0]) == 3
+            return
+        auto, direct, bicg = outcomes
+        assert auto.report.method in ("direct", "sine")
+        c = direct.coefficients
+        for field in (auto, bicg):
+            assert field.report.slabs == direct.report.slabs
+            assert np.max(np.abs(field.coefficients - c)) <= 1e-12 * np.max(np.abs(c))
+
+    def test_sine_coefficients_solve_the_2d_system(self):
+        # the coefficient step of the 1D route, on choose_slabs' 2D march, against 2D's BiCG
+        order, T, n, grid = MemoryOrder(1.5), 6.0, 4, Grid2D(-15.0, 15.0, 21)
+        g = InitialField2D.radial_gaussian(2.0)
+        field = solve_2d(order, T, n, grid, g, method="bicg")
+        values = sample(g, grid)
+        K, _, _, X = choose_slabs(order, T, n, values, grid.h)
+        assert K == field.report.slabs > 1
+        c = mode_coefficients(X, values, grid.h).reshape(field.coefficients.shape)
+        assert np.max(np.abs(c - field.coefficients)) <= 1e-12 * np.max(np.abs(c))
+
+    def test_a_slab_that_misses_the_residual_test_takes_bicg(self, monkeypatch):
+        # a march moved by 1e-6 on slab 2 fails there; BiCG solves that slab and the report
+        # names both routes, while the slabs before it keep the march's coefficients
+        choose = solver_1d.choose_slabs
+
+        def moved(*args):
+            K, drift, capped, X = choose(*args)
+            X = X.copy()
+            X[1] *= 1.0 + 1e-6
+            return K, drift, capped, X
+
+        kw = dict(order=MemoryOrder(1.5), **BENCH, n=8, g=InitialField1D.gaussian(1.0))
+        sine = solve_1d(**kw)
+        monkeypatch.setattr(solver_1d, "choose_slabs", moved)
+        mixed, direct = solve_1d(**kw), solve_1d(method="direct", **kw)
+        assert (sine.report.method, mixed.report.method) == ("sine", "sine+bicg")
+        assert sine.report.iterations == 0 < mixed.report.iterations
+        assert mixed.report.converged and mixed.report.residual <= 1e-10
+        assert np.array_equal(mixed.coefficients[:8], sine.coefficients[:8])
+        gap = np.max(np.abs(mixed.coefficients - direct.coefficients))
+        assert gap <= 1e-12 * np.max(np.abs(direct.coefficients))
+
+    def test_a_singular_slab_system_is_refused(self, monkeypatch):
+        # I + lam a is singular at the grid's least eigenvalue; the march misses the residual
+        # test on that system, and BiCG's preconditioner refuses the singular mode
+        grid = Grid1D(-15.0, 15.0, 61)
+        lam = sine_eigenvalues(grid.shape, grid.h)[0]
+        monkeypatch.setattr(solver_1d, "coupling_matrix",
+                            lambda basis, order: CouplingMatrix(-np.eye(basis.size_n) / lam))
+        with pytest.raises(SingularMatrixError, match="singular"):
+            solve_1d(MemoryOrder(1.5), 6.0, 8, grid, InitialField1D.gaussian(1.0))
+
+    # a fine grid stiffens the slab system: the march's Schur solves lose digits there
+    STIFF = dict(T=20.0, n=16, grid=Grid1D(-15.0, 15.0, 6001), g=InitialField1D.gaussian(1.0))
+
+    def test_a_stiff_fine_grid_meets_the_tolerance(self):
+        # every slab taken from the march unchecked leaves a residual of 6.3e-10 here, above
+        # the 1e-10 that BiCG reaches
+        report = solve_1d(MemoryOrder(1.75), **self.STIFF).report
+        assert report.method == "sine+bicg" and report.slabs == 4
+        assert report.converged and report.residual <= 1e-10
+
+    def test_a_stiff_fine_grid_fails_as_bicg_does(self):
+        # at alpha = 2, every slab taken from the march unchecked gives a residual of 2.2e25
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "slab count capped", UserWarning)
+            with pytest.raises(SolverConvergenceError) as caught:
+                solve_1d(MemoryOrder(2.0), **self.STIFF)
+        report = caught.value.report
+        assert report.method == "sine+bicg" and not report.converged
 
 
 def semidiscrete_at(alpha, T, values, h):

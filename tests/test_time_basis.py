@@ -78,6 +78,14 @@ class TestBasis:
         with pytest.raises(ValueError, match="horizon T"):
             build_basis(T, 3)
 
+    @pytest.mark.parametrize("T, n, slabs", [(5e-324, 2, 1), (1e-307, 24, 1), (1e-306, 24, 64)])
+    def test_rejects_a_slab_too_short_for_its_end_values(self, T, n, slabs):
+        # sqrt((2n - 1) / tau) overflowed inside the slab choice (an error under the suite's
+        # filters); 1e-306 with 24 functions on one slab still fits
+        with pytest.raises(ValueError, match="too short"):
+            build_basis(T, n, slabs)
+        assert np.isfinite(build_basis(1e-306, 24).end_values).all()
+
 
 class TestCouplingMatrix:
     def test_hand_values_constant_kernel(self):
@@ -351,6 +359,23 @@ class TestSlabBasis:
         expected = [end @ np.linalg.solve(np.eye(12) + v * a, w) for v in lam.ravel()]
         assert got.shape == lam.shape
         assert np.max(np.abs(got.ravel() - expected)) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_mode_march_is_every_slab_of_the_dense_solve(self, alpha):
+        from memwave import endpoint_transfer
+        from memwave.time_basis import mode_march
+
+        basis, order = build_basis(6.0, 4, slabs=3), MemoryOrder(alpha)
+        a = coupling_matrix(basis, order).entries
+        w = source_weights(basis).weights
+        lam = np.array([0.0, 0.5, 3.0, 40.0])
+        X = mode_march(basis, order, lam)
+        expected = np.array([np.linalg.solve(np.eye(12) + v * a, w) for v in lam]).T
+        assert X.shape == (3, 4, 4)
+        assert np.max(np.abs(X.reshape(12, 4) - expected)) < 1e-12
+        # endpoint_transfer reads the last slab's end off the march, bit for bit
+        got = endpoint_transfer(basis, order, lam)
+        assert got.tobytes() == (basis.end_values @ X[-1]).tobytes()
 
     def test_kernel_convolution_takes_one_slab(self):
         with pytest.raises(ValueError):
