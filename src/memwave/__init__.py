@@ -16,7 +16,6 @@ from .time_basis import (
     TimeBasis,
     build_basis,
     coupling_matrix,
-    endpoint_transfer,
     reconstruct,
     source_weights,
 )
@@ -70,7 +69,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MemoryOrder",
     "TimeBasis", "CouplingMatrix", "SourceProjection", "QuadratureError",
-    "build_basis", "coupling_matrix", "endpoint_transfer", "source_weights", "reconstruct",
+    "build_basis", "coupling_matrix", "source_weights", "reconstruct",
     "SparseMatrix", "SolveReport", "SinePreconditioner", "BlockSystem",
     "SingularMatrixError", "DIRECT_LIMIT",
     "lu_solve", "bicg_solve", "build_preconditioner", "write_matrix_market",

@@ -17,14 +17,15 @@ earlier slabs enter its right-hand side through the blocks B_{j-k}.
 K is the first of 1, 2, 4, ... at which doubling it moves the solution
 at T by at most TIME_TOL * max|g|.  A type-I sine transform diagonalizes
 the zero-ghost stencils (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so
-that check runs the same march exactly, one sine mode at a time, before
-any system is built, and keeps the march at the K it accepts.  1D "auto"
-solves with that march wherever it does not take LU (K >= n on at most
-DIRECT_LIMIT unknowns), each slab checked on its true residual; 2D "auto"
-keeps BiCG and 1D keeps that LU rule until ROADMAP item 1a, because the
-benchmark's traced runs must still reach both (solve_slabs states the
-rule).  sup_error and residual_orthogonality check a solved field of
-either dimension.
+that check runs the same march exactly, once per distinct sine eigenvalue
+(time_basis.ModeMarch), before any system is built, and keeps it at the K
+it accepts.  1D "auto" solves with it wherever it does not take LU (K >= n
+on at most DIRECT_LIMIT unknowns): one gather and one inverse sine
+transform give every slab, each checked on its true residual.  2D "auto"
+keeps BiCG and 1D that LU rule until ROADMAP item 1a, as the benchmark's
+traced runs must still reach both (solve_slabs states the rule).
+sup_error and residual_orthogonality check a solved field of either
+dimension.
 """
 
 from __future__ import annotations
@@ -246,59 +247,35 @@ def assemble_1d(
     return BlockSystem(SparseMatrix(coupling.entries, laplacian(grid.shape, grid.h)), rhs)
 
 
-def _sine_modes(g_values: np.ndarray, h: float) -> tuple:
-    """The distinct Laplacian eigenvalues lam, each grid mode's index into lam, and g's sine
-    coefficients, all three for a grid of g_values' shape on spacing h."""
-    lam, modes = np.unique(sine_eigenvalues(g_values.shape, h), return_inverse=True)
-    return lam, modes.reshape(g_values.shape), dstn(g_values, type=1, norm="ortho")
-
-
-def mode_coefficients(X: np.ndarray, g_values: np.ndarray, h: float) -> np.ndarray:
-    """The grid coefficients of the march X that choose_slabs returns, for data g_values.
-
-    X is shaped (K, n, len(lam)) over the distinct eigenvalues lam; each
-    grid mode takes its eigenvalue's column times g's sine coefficient, and
-    one inverse sine transform over the grid axes gives the coefficients,
-    shaped (K, n) + grid shape.  They solve the K-slab system exactly up to
-    rounding in the march's Schur solves.
-    """
-    _, modes, g_hat = _sine_modes(g_values, h)
-    fields = X[:, :, modes] * g_hat
-    return dstn(fields, type=1, norm="ortho", axes=tuple(range(2, fields.ndim)))
-
-
 def choose_slabs(order: MemoryOrder, T: float, n: int, g_values: np.ndarray, h: float):
     """Slab count K for the grid values g_values (1D or 2D) on spacing h, with its sine-mode march.
 
     Tries K = 1, 2, 4, ... and stops at the first K whose solution at T is
-    within TIME_TOL * max|g| of the solution with 2K slabs, both evaluated
-    exactly per sine mode by time_basis.mode_march.  The tolerance is
-    relative, so g and 3g get the same K.  Returns (K, drift, capped, X):
-    drift is the last doubling difference, capped is True when K reached
-    MAX_SLABS unconverged, and X is the march at the K returned, shaped
-    (K, n, number of distinct eigenvalues), from which mode_coefficients
-    forms the K-slab solution on the grid.  solve_slabs takes that solution
-    in 1D wherever it does not take LU; 2D solves with BiCG until ROADMAP
-    item 1a lets its benchmark route change.
+    within TIME_TOL * max|g| of the solution with 2K slabs, both exact per
+    sine mode: time_basis.mode_march marches each distinct eigenvalue once,
+    ModeMarch.doubled the next level, and .end reads values at T.  The
+    tolerance is relative, so g and 3g get the same K.  Refuses non-finite
+    g_values and any h that check_spacing refuses.  Returns (K, drift,
+    capped, march): drift is the last doubling difference, capped is True
+    when K reached MAX_SLABS unconverged, and march is the ModeMarch at the
+    K returned, from which solve_slabs forms the 1D sine route's
+    coefficients; 2D solves with BiCG until ROADMAP item 1a.
     """
     g_values = np.asarray(g_values, dtype=float)
-    # every level marches each distinct eigenvalue once
-    lam, modes, g_hat = _sine_modes(g_values, h)
+    if not np.isfinite(g_values).all():
+        raise ValueError("g_values must be finite")
+    check_spacing(h)
+    g_hat = dstn(g_values, type=1, norm="ortho")
     target = TIME_TOL * float(np.max(np.abs(g_values)))
-    K = 1
-    basis = build_basis(T, n)
-    X = mode_march(basis, order, lam)
-    prev = basis.end_values @ X[-1]
+    modes = mode_march(build_basis(T, n), order, sine_eigenvalues(g_values.shape, h))
     while True:
-        basis = build_basis(T, n, 2 * K)
-        X_next = mode_march(basis, order, lam)
-        nxt = basis.end_values @ X_next[-1]
-        drift = float(np.max(np.abs(dstn((prev - nxt)[modes] * g_hat, type=1, norm="ortho"))))
+        fine = modes.doubled()
+        drift = float(np.abs(dstn((modes.end() - fine.end()) * g_hat, type=1, norm="ortho")).max())
         if drift <= target:
-            return K, drift, False, X
-        K, prev, X = 2 * K, nxt, X_next
-        if K == MAX_SLABS:
-            return K, drift, True, X
+            return modes.basis.slabs, drift, False, modes
+        modes = fine
+        if modes.basis.slabs == MAX_SLABS:
+            return MAX_SLABS, drift, True, modes
 
 
 def solve_slabs(
@@ -323,27 +300,29 @@ def solve_slabs(
 
     method "auto" takes LU for a 1D slab system of at most DIRECT_LIMIT
     unknowns when K >= n.  Every other 1D "auto" solve takes the sine-mode
-    route, "sine": the march choose_slabs accepted, gathered and transformed
-    back to the grid once (mode_coefficients), gives every slab's
-    coefficients, and each slab is accepted when its true residual
-    ||rhs_j - A x_j|| is at most tol * ||w g||, the test a BiCG slab solve
-    meets.  A slab that misses it (a stiff slab system, where the Schur
-    solves lose digits) is solved by the preconditioned BiCG instead, the
-    preconditioner built on the first such slab; the report then names the
-    route "sine+bicg".  BiCG's preconditioner refuses a singular mode with
-    SingularMatrixError.  "auto" takes BiCG in 2D at every size, and the LU
-    rule stays for 1D at K >= n: the benchmark's traced runs must still
-    reach those layers until ROADMAP item 1a reworks its layer guard, though
-    with K forced the sine route is faster than LU and BiCG at every shape
-    of README's crossover table.  "direct" and "bicg" force LU and BiCG.
-    The matrix is factored once (LU) or preconditioned once (BiCG) and
-    reused on every slab.  Each BiCG slab solve runs to a residual below
-    tol * ||w g|| with at most max_iter iterations, so the whole system's
-    relative residual stays below tol.  A right-hand side whose sum of
-    squares overflows a float is refused (rhs_norm), since every residual
-    is measured against its norm; data that overflows at every slab count
-    is refused before the slab choice.  Returns the K-slab basis, the
-    coefficients shaped (K*n,) + grid shape and the whole system's
+    route, "sine": the march choose_slabs accepted, gathered over its index,
+    times g's sine coefficients and transformed back to the grid by one
+    inverse sine transform, gives every slab's coefficients, and each slab
+    is accepted when its true residual ||rhs_j - A x_j|| is at most
+    tol * ||w g||, the test a BiCG slab solve meets.  A slab that misses it
+    (a stiff slab system, where the Schur solves lose digits) is solved by
+    the preconditioned BiCG instead, the preconditioner built on the first
+    such slab; the report then names the route "sine+bicg".  BiCG's
+    preconditioner refuses a singular mode with SingularMatrixError.
+    "auto" takes BiCG in 2D at every size, and the LU rule stays for 1D at
+    K >= n: the benchmark's traced runs must still reach those layers until
+    ROADMAP item 1a reworks its layer guard, though with K forced the sine
+    route is faster than LU and BiCG at every shape of README's crossover
+    table.  "direct" and "bicg" force LU and BiCG.  The matrix is factored
+    once (LU) or preconditioned once (BiCG) and reused on every slab.  Each
+    BiCG slab solve runs to a residual below tol * ||w g|| with at most
+    max_iter iterations, so the whole system's relative residual stays below
+    tol; a failed slab whose target, relative to ||rhs_j||, is below machine
+    precision names the growth ||rhs_j|| / ||w g||.  A right-hand side whose
+    sum of squares overflows a float is refused (rhs_norm), since every
+    residual is measured against its norm; data that overflows at every
+    slab count is refused before the slab choice.  Returns the K-slab basis,
+    the coefficients shaped (K*n,) + grid shape and the whole system's
     SolveReport.
     """
     if method not in ("auto", "direct", "bicg"):
@@ -357,14 +336,14 @@ def solve_slabs(
     # a slab's right-hand side is sqrt(tau) g on its first function, least at K = MAX_SLABS:
     # where its sum of squares overflows, every K's does, so refuse before the slab choice
     rhs_norm(math.sqrt(T / MAX_SLABS) * g_values)
-    K, drift, capped, X_modes = choose_slabs(order, T, n, g_values, h)
+    K, drift, capped, modes = choose_slabs(order, T, n, g_values, h)
     if capped:
         warnings.warn(
             f"slab count capped at {MAX_SLABS}: doubling still moved the solution at T "
             f"by {drift:.2e}, above {TIME_TOL:g} x max|g|",
             stacklevel=3,
         )
-    basis = build_basis(T, n, K)
+    basis = modes.basis
     one_slab = build_basis(basis.slab_length, n)
     slab = coupling_matrix(one_slab, order)  # tau^alpha B_0
     _, blocks = slab_blocks(basis, order)
@@ -374,8 +353,10 @@ def solve_slabs(
     use_direct = method == "direct" or (method == "auto" and grid.ndim == 1
                                         and system.N <= DIRECT_LIMIT and K >= n)
     sine = method == "auto" and grid.ndim == 1 and not use_direct
-    sine_x = mode_coefficients(X_modes, g_values, h).reshape(K, n, -1) if sine else None
-    del X_modes  # free before the solve allocates: in 2D it holds K n M / 2 floats, unread
+    # each grid mode's column of the march times g's sine coefficient, back to the grid
+    sine_x = dstn(modes.X[:, :, modes.index] * dstn(g_values, type=1, norm="ortho"),
+                  type=1, norm="ortho", axes=-1) if sine else None
+    del modes  # free before the solve allocates: in 2D its X holds K n M / 2 floats, unread
     name = "direct" if use_direct else "sine" if sine else "bicg+precond"
     pc = None
     iterations, squares = 0, 0.0
@@ -398,9 +379,13 @@ def solve_slabs(
         iterations += rep.iterations
         if not rep.converged:
             kind = "breakdown" if rep.breakdown else "no convergence"
+            # no solver meets a target below eps: the slab system's growth is the cause
+            cause = (f"; this slab's right-hand side is {norm_rhs / norm_b:.3e} x ||w g||, so its "
+                     f"relative target {slab_tol:.3e} is below machine precision"
+                     if slab_tol < np.finfo(float).eps else "")
             raise SolverConvergenceError(
                 f"iterative solve failed ({kind}) on slab {j + 1} of {K} after "
-                f"{iterations} iterations, residual {rep.residual:.3e}",
+                f"{iterations} iterations, residual {rep.residual:.3e}{cause}",
                 SolveReport(name, iterations, rep.residual, False, K, drift, capped,
                             rep.breakdown))
         # bicg_solve confirmed this true residual, relative to ||rhs||, before returning

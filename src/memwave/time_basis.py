@@ -46,8 +46,8 @@ __all__ = [
     "QuadratureError",
     "build_basis",
     "coupling_matrix",
-    "endpoint_transfer",
     "march",
+    "ModeMarch",
     "mode_march",
     "ModeFactors",
     "mode_factors",
@@ -468,18 +468,9 @@ def mode_solve(factors: ModeFactors, rhs) -> np.ndarray:
     return Z @ z
 
 
-def mode_march(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
-    """The K-slab solution of the projected scalar equation f = 1 - lam (a * f), per value of lam.
-
-    For each eigenvalue lam of the (negated) spatial operator, column p of
-    slab j holds that slab's n coefficients of (I + lam[p] a)^{-1} w, so a
-    field whose sine coefficients are g_p has coefficients g_p X[j][:, p] on
-    slab j.  march eliminates the slabs, one column per entry of the 1-D lam
-    (a caller with repeated values passes each once), and mode_solve each
-    slab on the real Schur form of tau^alpha B_0, whose block inverses
-    mode_factors forms once for all K slabs.  Returns X shaped (K, n, len(lam)).
-    """
-    lam = np.asarray(lam, dtype=float)
+def _mode_columns(basis: TimeBasis, order: MemoryOrder, lam: np.ndarray) -> np.ndarray:
+    """(I + lam[p] a)^{-1} w on every slab for the 1-D lam as given, shaped (K, n, len(lam)):
+    march over the slabs, each solved by mode_solve on the factors of tau^alpha B_0."""
     n = basis.size_n
     scale, blocks = slab_blocks(basis, order)
     w = source_weights(basis).weights[:n]
@@ -489,17 +480,38 @@ def mode_march(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
                  lambda rhs, j: mode_solve(factors, rhs), lambda x: lam * x)
 
 
-def endpoint_transfer(basis: TimeBasis, order: MemoryOrder, lam) -> np.ndarray:
-    """Solution value at T of the projected scalar equation f = 1 - lam (a * f).
+@dataclass(frozen=True)
+class ModeMarch:
+    """The K-slab solution of the projected scalar equation f = 1 - lam (a * f), per eigenvalue.
 
-    This is phi(T) . (I + lam a)^{-1} w, the last slab of mode_march read
-    at its end (end_values), so a field whose sine coefficients are g_i has
-    coefficients g_i * endpoint_transfer(lam_i) at T.  solver_1d.choose_slabs
-    reads the same value off the march it keeps.  Returns an array shaped
-    like lam.
+    lam holds the distinct eigenvalues, sorted, and index each given
+    eigenvalue's position in lam, in the shape they were given.  X[j][:, p]
+    is slab j's coefficients for lam[p], so a field whose sine coefficients
+    are g_i has coefficients g_i X[j][:, index_i] on slab j.  Built by
+    mode_march; do not modify the arrays.
     """
-    lam = np.asarray(lam, dtype=float)
-    return (basis.end_values @ mode_march(basis, order, lam.ravel())[-1]).reshape(lam.shape)
+
+    basis: TimeBasis
+    order: MemoryOrder
+    lam: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
+    X: np.ndarray = field(repr=False)
+
+    def end(self) -> np.ndarray:
+        """Each given eigenvalue's value at T, phi(T) . (I + lam a)^{-1} w, shaped like index."""
+        return (self.basis.end_values @ self.X[-1])[self.index]
+
+    def doubled(self) -> ModeMarch:
+        """The same distinct eigenvalues marched on 2K slabs of [0, T], without a second dedupe."""
+        basis = build_basis(self.basis.horizon_T, self.basis.size_n, 2 * self.basis.slabs)
+        return replace(self, basis=basis, X=_mode_columns(basis, self.order, self.lam))
+
+
+def mode_march(basis: TimeBasis, order: MemoryOrder, lam) -> ModeMarch:
+    """The ModeMarch of the eigenvalues lam, of any shape, marching each distinct value once."""
+    distinct, index = np.unique(np.asarray(lam, dtype=float), return_inverse=True)
+    return ModeMarch(basis, order, distinct, index.reshape(np.shape(lam)),
+                     _mode_columns(basis, order, distinct))
 
 
 def reconstruct(coeffs, basis: TimeBasis, t: float):

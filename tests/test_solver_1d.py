@@ -1,7 +1,10 @@
 import math
 import pickle
+import re
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,9 +33,9 @@ from memwave import (
     source_weights,
     sup_error,
 )
-from memwave import sample, solver_1d
-from memwave.solver_1d import MAX_SLABS, boundary_magnitude, mode_coefficients
-from memwave.time_basis import TIME_TOL
+from memwave import sample, solver_1d, sparse_linalg
+from memwave.solver_1d import MAX_SLABS, boundary_magnitude
+from memwave.time_basis import TIME_TOL, mode_march
 from memwave.sparse_linalg import laplacian, sine_eigenvalues
 
 BENCH = dict(T=6.0, grid=Grid1D(-15.0, 15.0, 151))
@@ -448,6 +451,22 @@ class TestSlabs:
         assert K1 == K3 == 4
         assert drift3 == pytest.approx(3.0 * drift1, rel=1e-6)
 
+    @pytest.mark.parametrize("values, h, match", [
+        ([0.0, np.nan, 0.0], 0.2, "finite"),
+        ([0.0, np.inf, 0.0], 0.2, "finite"),
+        ([0.0, 1.0, 0.0], -0.2, "spacing must be positive"),
+        ([0.0, 1.0, 0.0], 1e-200, "no finite h\\^2"),
+    ], ids=["nan", "inf", "negative-h", "tiny-h"])
+    def test_choose_slabs_refuses_bad_input_before_any_march(self, monkeypatch, values, h, match):
+        # a NaN once marched to the cap and returned drift nan, an inf raised numpy's
+        # RuntimeWarning and h = -0.2 chose K = 4
+        def no_march(*args):
+            raise AssertionError("marched before refusing the input")
+
+        monkeypatch.setattr(solver_1d, "mode_march", no_march)
+        with pytest.raises(ValueError, match=match):
+            choose_slabs(MemoryOrder(1.5), 6.0, 8, np.array(values), h)
+
     def test_report_records_slabs(self):
         field = solve_1d(MemoryOrder(1.0), **BENCH, n=8, g=InitialField1D.gaussian(1.0))
         assert field.report.slabs == 4 and not field.report.slabs_capped
@@ -509,15 +528,13 @@ class TestSlabs:
         # the unit block's, and the solve must not fail the quadrature check
         from scipy.fft import dst
 
-        from memwave import endpoint_transfer
-
         order, T, n, grid = MemoryOrder(2.0), 12.0, 64, Grid1D(-15.0, 15.0, 61)
         field = solve_1d(order, T, n, grid, InitialField1D.gaussian(1.0))
         assert field.report.slabs == 1 and field.report.residual <= 1e-10
         g = InitialField1D.gaussian(1.0).evaluate(grid.points)
         lam = sine_eigenvalues(g.shape, grid.h)
         g_hat = dst(g, type=1, norm="ortho")
-        expected = dst(endpoint_transfer(build_basis(T, n), order, lam) * g_hat,
+        expected = dst(mode_march(build_basis(T, n), order, lam).end() * g_hat,
                        type=1, norm="ortho")
         assert np.max(np.abs(field.reconstruct(T) - expected)) <= 1e-10 * np.max(np.abs(g))
 
@@ -561,14 +578,38 @@ class TestSineRoute:
 
     def test_sine_coefficients_solve_the_2d_system(self):
         # the coefficient step of the 1D route, on choose_slabs' 2D march, against 2D's BiCG
+        from scipy.fft import dstn
+
         order, T, n, grid = MemoryOrder(1.5), 6.0, 4, Grid2D(-15.0, 15.0, 21)
         g = InitialField2D.radial_gaussian(2.0)
         field = solve_2d(order, T, n, grid, g, method="bicg")
         values = sample(g, grid)
-        K, _, _, X = choose_slabs(order, T, n, values, grid.h)
+        K, _, _, modes = choose_slabs(order, T, n, values, grid.h)
         assert K == field.report.slabs > 1
-        c = mode_coefficients(X, values, grid.h).reshape(field.coefficients.shape)
+        fields = modes.X[:, :, modes.index] * dstn(values, type=1, norm="ortho")
+        c = dstn(fields, type=1, norm="ortho", axes=(2, 3)).reshape(field.coefficients.shape)
         assert np.max(np.abs(c - field.coefficients)) <= 1e-12 * np.max(np.abs(c))
+
+    def test_a_solve_forms_and_dedupes_the_eigenvalues_once(self, monkeypatch):
+        # the slab choice's ModeMarch carries the dedupe to the coefficient step; calls from
+        # outside memwave (scipy's sparse constructors call np.unique) are not counted
+        calls = []
+        package = Path(solver_1d.__file__).parent
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                if Path(sys._getframe(1).f_code.co_filename).parent == package:
+                    calls.append(name)
+                return function(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np, "unique", counted("np.unique", np.unique))
+        for module in (solver_1d, sparse_linalg):
+            monkeypatch.setattr(module, "sine_eigenvalues",
+                                counted("sine_eigenvalues", module.sine_eigenvalues))
+        field = solve_1d(MemoryOrder(1.5), **BENCH, n=8, g=InitialField1D.gaussian(1.0))
+        assert field.report.method == "sine"
+        assert sorted(calls) == ["np.unique", "sine_eigenvalues"]
 
     def test_a_slab_that_misses_the_residual_test_takes_bicg(self, monkeypatch):
         # a march moved by 1e-6 on slab 2 fails there; BiCG solves that slab and the report
@@ -576,10 +617,10 @@ class TestSineRoute:
         choose = solver_1d.choose_slabs
 
         def moved(*args):
-            K, drift, capped, X = choose(*args)
-            X = X.copy()
+            K, drift, capped, modes = choose(*args)
+            X = modes.X.copy()
             X[1] *= 1.0 + 1e-6
-            return K, drift, capped, X
+            return K, drift, capped, replace(modes, X=X)
 
         kw = dict(order=MemoryOrder(1.5), **BENCH, n=8, g=InitialField1D.gaussian(1.0))
         sine = solve_1d(**kw)
@@ -620,6 +661,9 @@ class TestSineRoute:
                 solve_1d(MemoryOrder(2.0), **self.STIFF)
         report = caught.value.report
         assert report.method == "sine+bicg" and not report.converged
+        # the slab's right-hand side grew so far past ||w g|| that no solver meets the target
+        assert re.search(r"right-hand side is \d\.\d{3}e\+\d+ x \|\|w g\|\|, so its relative "
+                         r"target \d\.\d{3}e-\d+ is below machine precision", str(caught.value))
 
 
 def semidiscrete_at(alpha, T, values, h):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,14 @@ from memwave import (
     source_weights,
 )
 from memwave import time_basis
+from memwave.sparse_linalg import sine_eigenvalues
 from memwave.time_basis import (
     QuadratureError,
     _unit_block,
     kernel_convolution,
     march,
     mode_factors,
+    mode_march,
     mode_solve,
     unit_blocks,
 )
@@ -347,35 +351,52 @@ class TestSlabBasis:
             assert np.max(np.abs(B[d] - oracle)) < 1e-13
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
-    def test_endpoint_transfer_matches_dense_solve(self, alpha):
-        from memwave import endpoint_transfer
-
+    def test_end_matches_dense_solve(self, alpha):
         basis = build_basis(6.0, 4, slabs=3)
         a = coupling_matrix(basis, MemoryOrder(alpha)).entries
         w = source_weights(basis).weights
         end = basis.evaluate(6.0)
         lam = np.array([[0.0, 0.5], [3.0, 40.0]])
-        got = endpoint_transfer(basis, MemoryOrder(alpha), lam)
+        got = mode_march(basis, MemoryOrder(alpha), lam).end()
         expected = [end @ np.linalg.solve(np.eye(12) + v * a, w) for v in lam.ravel()]
         assert got.shape == lam.shape
         assert np.max(np.abs(got.ravel() - expected)) < 1e-12
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_mode_march_is_every_slab_of_the_dense_solve(self, alpha):
-        from memwave import endpoint_transfer
-        from memwave.time_basis import mode_march
-
         basis, order = build_basis(6.0, 4, slabs=3), MemoryOrder(alpha)
         a = coupling_matrix(basis, order).entries
         w = source_weights(basis).weights
         lam = np.array([0.0, 0.5, 3.0, 40.0])
-        X = mode_march(basis, order, lam)
+        modes = mode_march(basis, order, lam)
+        X = modes.X
         expected = np.array([np.linalg.solve(np.eye(12) + v * a, w) for v in lam]).T
         assert X.shape == (3, 4, 4)
         assert np.max(np.abs(X.reshape(12, 4) - expected)) < 1e-12
-        # endpoint_transfer reads the last slab's end off the march, bit for bit
-        got = endpoint_transfer(basis, order, lam)
+        # .end() reads the last slab's end off the march, bit for bit
+        got = modes.end()
         assert got.tobytes() == (basis.end_values @ X[-1]).tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_doubled_is_a_fresh_march_on_twice_the_slabs(self, alpha):
+        # doubled marches the distinct values it holds, without deduplicating them again
+        order, lam = MemoryOrder(alpha), sine_eigenvalues((31,), 0.5)
+        modes = mode_march(build_basis(6.0, 5, slabs=2), order, lam)
+        fresh = mode_march(build_basis(6.0, 5, slabs=4), order, lam)
+        doubled = modes.doubled()
+        assert doubled.basis == fresh.basis and doubled.order == fresh.order
+        for name in ("lam", "index", "X"):
+            got, want = getattr(doubled, name), getattr(fresh, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_a_2d_grid_marches_each_distinct_eigenvalue_once(self):
+        # on a square grid mode (i, l) and (l, i) share an eigenvalue, marched once
+        eigenvalues = sine_eigenvalues((21, 21), 0.75)
+        modes = mode_march(build_basis(2.0, 3), MemoryOrder(1.5), eigenvalues)
+        assert modes.index.shape == (21, 21)
+        assert modes.lam.tobytes() == np.unique(eigenvalues).tobytes()
+        assert np.array_equal(modes.lam[modes.index], eigenvalues)
+        assert modes.X.shape == (1, 3, modes.lam.size) and modes.lam.size < eigenvalues.size
 
     def test_kernel_convolution_takes_one_slab(self):
         with pytest.raises(ValueError):
@@ -566,3 +587,21 @@ class TestMarch:
         expected = np.linalg.solve(dense, np.tile(b.ravel(), K))
         assert X.shape == (K, n, M)
         assert np.max(np.abs(X.ravel() - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
+
+
+def test_only_time_basis_reads_the_mode_march_format():
+    # the dedupe of eigenvalues and the end values at T are the march's format: every other
+    # module reads them through ModeMarch (index, end, doubled)
+    package = Path(time_basis.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "time_basis.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "unique"
+                    and isinstance(node.value, ast.Name) and node.value.id == "np"):
+                found.append(f"{path.name}:{node.lineno} np.unique")
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                  and isinstance(node.left, ast.Attribute) and node.left.attr == "end_values"):
+                found.append(f"{path.name}:{node.lineno} end_values @")
+    assert found == [], f"mode-march format read outside time_basis: {found}"
