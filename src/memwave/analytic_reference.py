@@ -35,7 +35,8 @@ KERNEL_TRUNCATION = 1e-16
 # whose h^2 is finite, so both rows are zeros wherever t >= h^2 (any h below 1e150)
 _LATEST = 1e300
 
-_EDGE = "resolvent input or output is {:.2e} at the grid edge; mass is leaving the grid"
+_EDGE = ("resolvent input or output is up to {largest:.2e} at the grid edge at {count} of "
+         "{total} steps, first at t = {first:.6g}; mass is leaving the grid")
 
 
 def heat_solution(x, t: float, sigma: float):
@@ -161,10 +162,10 @@ def resolvent_apply(alpha, t, field, grid: Grid1D) -> np.ndarray:
     spacing beyond each edge and zeros further out: the two taps
     (1 - theta, theta) at n and n + 1 steps.  The result is continuous in t.
     A shifted point within one cell beyond an edge takes at most half the
-    edge value, not 0: under 1e-12 for data that passes the edge check.
-    One EdgeWarning per call reports the largest face value of the input
-    and every row when it is above BOUNDARY_DECAY_TOL; a call whose times
-    are all 0 checks nothing.
+    edge value, not 0: under 1e-12 max|f| for data that passes the edge check.
+    One EdgeWarning per call counts the times whose row's faces or the
+    input's exceed BOUNDARY_DECAY_TOL * max|f|, and names the largest face
+    value and the first such time; a call whose times are all 0 checks nothing.
     """
     alpha = endpoint_order(alpha)
     times = np.asarray(t, dtype=float)
@@ -200,7 +201,6 @@ def resolvent_apply(alpha, t, field, grid: Grid1D) -> np.ndarray:
                 left = padded[m + 1 - d : 2 * m + 2 - d]
                 right = padded[m + 2 + d : 2 * m + 3 + d]
                 out[k] = 0.5 * (a * left[1:] + a * right[:-1] + b * left[:-1] + b * right[1:])
-        # the faces of the input and of every row in one check: out[:, ::m-1] holds each
-        # row's two end values, all of which are faces of that (k, 2) array
-        _check_edges(_EDGE, f, out[:, :: m - 1], stacklevel=2)
+        # out[:, ::m-1] holds each row's two end values, its faces
+        _check_edges(_EDGE, f, out[:, :: m - 1], rows)
     return out.reshape(times.shape + (m,))

@@ -7,7 +7,7 @@ index outermost in the unknown vector.  assemble_1d and solve_slabs see
 the grid only through its shape, mesh and spacing, so they serve solver_2d
 too.
 Ghost values outside the grid are zero (free boundary on a large enough
-grid), guarded by one decay check on grid faces (an EdgeWarning) for this
+grid), guarded by one face rule (_check_edges, an EdgeWarning) for this
 solve and every resolvent action; initial data reaches a grid only through sample.
 
 The solvers split [0, T] into K slabs (see time_basis).  The coupling
@@ -88,11 +88,13 @@ __all__ = [
     "sample",
 ]
 
+# Largest share of max|data| a grid face may hold (the zero-ghost closure takes the data as 0
+# past it); relative like TIME_TOL, so that g and 1e-9 g get the same verdict.
 BOUNDARY_DECAY_TOL = 1e-12
 
 
 class EdgeWarning(UserWarning):
-    """Data above BOUNDARY_DECAY_TOL on the grid faces, where the zero-ghost closure needs none."""
+    """A grid face above BOUNDARY_DECAY_TOL x max|data|, where the zero-ghost closure assumes 0."""
 
 
 # Largest slab count choose_slabs returns; reaching it is recorded in the report.
@@ -210,17 +212,38 @@ _FACES = np.array([0, -1])
 def boundary_magnitude(values) -> float:
     """Largest |value| on the faces of a grid array: both ends in 1D, all four edges in 2D."""
     v = np.asarray(values, dtype=float)
-    # Python floats, no numpy reduction: a resolvent_apply call reads this on the input's
-    # two values and on the two end values of each of its rows, mostly a handful
+    # Python floats, no numpy reduction: _check_edges reads this once per call, on the data
     return max(max(map(abs, v.take(_FACES, axis).ravel().tolist())) for axis in range(v.ndim))
 
 
-def _check_edges(template: str, *fields, stacklevel: int) -> None:
-    """The one face check: one EdgeWarning(template.format(edge)), edge the fields' largest
-    face value, if that is above BOUNDARY_DECAY_TOL."""
-    edge = max(map(boundary_magnitude, fields))
-    if edge > BOUNDARY_DECAY_TOL:
-        warnings.warn(template.format(edge), EdgeWarning, stacklevel=stacklevel + 1)
+def _warn(message: str, category=UserWarning) -> None:
+    """Every warning of the package: attributed to the first caller outside it (3.12's
+    skip_file_prefixes), so that no call site counts a stacklevel."""
+    frame, level = sys._getframe(1), 2  # stacklevel 2 is _warn's caller
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
+def _check_edges(template: str, data, row_faces=(), times=()) -> None:
+    """The one face rule: one EdgeWarning when a face exceeds BOUNDARY_DECAY_TOL * max|data|.
+
+    row_faces holds each entry of times' face values; a time breaches when
+    they or data's faces exceed the tolerance, and the largest face is
+    compared first, so that a call off the faces does no per-row work.
+    template may use largest (face value), count, total (of the times) and
+    first (the earliest breaching time); without times only data is read.
+    """
+    edge = boundary_magnitude(data)
+    faces = np.abs(np.asarray(row_faces, dtype=float))
+    largest = float(faces.max(initial=edge))
+    tol = BOUNDARY_DECAY_TOL * float(np.abs(data).max())
+    if not largest > tol:  # NaN data checks nothing
+        return
+    times = np.asarray(times, dtype=float)
+    hits = times[(faces.max(axis=-1) > tol) | (edge > tol)] if times.size else times
+    _warn(template.format(largest=largest, count=hits.size, total=times.size,
+                          first=hits.min(initial=math.inf)), EdgeWarning)
 
 
 def sample(g: InitialField1D, grid: Grid1D) -> np.ndarray:
@@ -293,10 +316,10 @@ def solve_slabs(
 
     Before g is sampled, grid.shape alone decides check_nnz and, for a forced
     direct solve, check_direct.  Warns once when g on grid.mesh() exceeds
-    BOUNDARY_DECAY_TOL on the grid faces, where the zero-ghost closure
-    assumes it negligible.  assemble(coupling, weights, g, grid) builds the
-    one-slab BlockSystem, whose matrix's L also carries earlier slabs into
-    the right-hand side.
+    BOUNDARY_DECAY_TOL * max|g| on the grid faces, where the zero-ghost
+    closure assumes it negligible.  assemble(coupling, weights, g, grid)
+    builds the one-slab BlockSystem, whose matrix's L also carries earlier
+    slabs into the right-hand side.
 
     method "auto" takes LU for a 1D slab system of at most DIRECT_LIMIT
     unknowns when K >= n.  Every other 1D "auto" solve takes the sine-mode
@@ -331,18 +354,15 @@ def solve_slabs(
     if method == "direct":
         check_direct(n * math.prod(grid.shape))
     g_values, h = sample(g, grid), grid.h
-    _check_edges("initial data is {:.2e} at the grid boundary; free-boundary "
-                 "closure assumes negligible values there", g_values, stacklevel=3)
+    _check_edges("initial data is {largest:.2e} at the grid boundary; free-boundary "
+                 "closure assumes negligible values there", g_values)
     # a slab's right-hand side is sqrt(tau) g on its first function, least at K = MAX_SLABS:
     # where its sum of squares overflows, every K's does, so refuse before the slab choice
     rhs_norm(math.sqrt(T / MAX_SLABS) * g_values)
     K, drift, capped, modes = choose_slabs(order, T, n, g_values, h)
     if capped:
-        warnings.warn(
-            f"slab count capped at {MAX_SLABS}: doubling still moved the solution at T "
-            f"by {drift:.2e}, above {TIME_TOL:g} x max|g|",
-            stacklevel=3,
-        )
+        _warn(f"slab count capped at {MAX_SLABS}: doubling still moved the solution at T "
+              f"by {drift:.2e}, above {TIME_TOL:g} x max|g|")
     basis = modes.basis
     one_slab = build_basis(basis.slab_length, n)
     slab = coupling_matrix(one_slab, order)  # tau^alpha B_0

@@ -26,11 +26,10 @@ resolvent_apply sum as the reference for the final field.
 The deterministic part S(s_k) g of every step comes from one
 resolvent_apply call over all the step times, each row bit for bit the
 call at its own s_k.  The closed forms assume data negligible on the grid
-faces.  A trajectory reports where S(s_k) g breaks that in one
-solver_1d.EdgeWarning that counts the steps, computed from its own fields;
-the call's own warning, which gives only the largest face value, is
-ignored by category like stochastic_convolution's; noise never decays at
-the faces and is not checked.
+faces.  That call's one solver_1d.EdgeWarning is the trajectory's edge
+report: it counts the steps where g or S(s_k) g breaks that and names the
+first.  Noise never decays at the faces and is not checked, so
+stochastic_convolution ignores the warnings of its own calls by category.
 
 Reproducibility contract: the increment stream is fully determined by
 (master seed, trajectory index) through a splittable seed sequence, so
@@ -47,14 +46,7 @@ import numpy as np
 from scipy.fft import irfft, irfft2, next_fast_len, rfft, rfft2
 
 from .analytic_reference import _weights, endpoint_order, resolvent_apply
-from .solver_1d import (
-    BOUNDARY_DECAY_TOL,
-    EdgeWarning,
-    Grid1D,
-    InitialField1D,
-    boundary_magnitude,
-    sample,
-)
+from .solver_1d import EdgeWarning, Grid1D, InitialField1D, sample
 from .sparse_linalg import MAX_NNZ
 
 __all__ = [
@@ -245,13 +237,12 @@ def simulate_trajectory(
     """Mild-solution trajectory f(x, s_k) = S(s_k) g + convolution up to s_k.
 
     g reaches the grid through solver_1d.sample, and S(s_k) g for every
-    step comes from one resolvent_apply call at the times k tau.  The edge
-    report is computed from the fields: step k >= 1 counts when g or
-    S(s_k) g exceeds BOUNDARY_DECAY_TOL on the grid faces, and one
-    EdgeWarning gives the count and the first such s_k.  Any other warning
-    of that call reaches the caller as raised; the noise terms are not
-    edge-checked.  A trajectory whose padded FFT work array of the noise
-    sum holds more than MAX_NNZ values is refused before sampling.
+    step comes from one resolvent_apply call at the times k tau, whose one
+    EdgeWarning is the edge report: it counts the steps (step 0 too when g
+    itself is on the faces) and names the first.  Every warning of that call
+    reaches the caller as raised; the noise terms are not edge-checked.  A
+    trajectory whose padded FFT work array of the noise sum holds more than
+    MAX_NNZ values is refused before sampling.
     """
     order = endpoint_order(alpha)
     work = math.prod(_fft_shape(partition.I, grid.m))
@@ -261,20 +252,8 @@ def simulate_trajectory(
     increments = sample_increments(model, grid, partition, trajectory_index)
     gvals = sample(g, grid)
     tau = partition.tau
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EdgeWarning)
-        # np.arange(I + 1) * tau is k * tau bit for bit
-        fields = resolvent_apply(order, np.arange(partition.I + 1) * tau, gvals, grid)
-    # A step's faces are its field's two ends, as boundary_magnitude reads a 1D field, taken
-    # for all steps at once: a call per step would cost about 5 % of a trajectory.  S(0) g is
-    # g itself and goes unchecked, as in resolvent_apply.
-    ends = np.maximum(np.abs(fields[1:, 0]), np.abs(fields[1:, -1]))
-    edges = np.maximum(ends, boundary_magnitude(gvals))
-    edge_steps = (edges > BOUNDARY_DECAY_TOL).nonzero()[0] + 1
-    if edge_steps.size:
-        warnings.warn(f"S(s_k) g is up to {edges.max():.2e} at the grid edge at {edge_steps.size} "
-                      f"of {partition.I + 1} steps, first at s_k = {edge_steps[0] * tau:.6g}; "
-                      "mass is leaving the grid", EdgeWarning, stacklevel=2)
+    # np.arange(I + 1) * tau is k * tau bit for bit
+    fields = resolvent_apply(order, np.arange(partition.I + 1) * tau, gvals, grid)
     if model.strength > 0:
         _add_noise(fields, order, increments, tau, grid)
     return Trajectory(
